@@ -18,7 +18,6 @@ from .gaction import GroupAction, StabilityError, Substitution, TwistMatrices, \
     twist_matrices, verify_stability
 from .groebner import (
     GroebnerBasis,
-    ModulePresentation,
     RegularityCertificate,
     Representer,
     buchberger,
@@ -33,6 +32,7 @@ from .poly import (
     Polynomial,
     monomial_divides,
     partial,
+    substitute,
 )
 
 
@@ -67,15 +67,8 @@ class AffinePresentation:
     def nvars(self) -> int:
         return self.ring.nvars
 
-    @property
-    def codim(self) -> int:
-        return len(self.gens)
-
     def nf(self, f: Polynomial) -> Polynomial:
         return self.gb.normal_form(f)
-
-    def nf_vector(self, vec):
-        return tuple(self.gb.normal_form(p) for p in vec)
 
     @property
     def representer(self) -> Representer:
@@ -101,14 +94,6 @@ class AffinePresentation:
         return [
             [partial(f, i) for i in range(self.ring.nvars)] for f in self.gens
         ]
-
-
-def kaehler_presentation(p: AffinePresentation) -> ModulePresentation:
-    """Kaehler differentials of B: B^n on dx_i modulo the Jacobian rows."""
-    relations = tuple(
-        tuple(partial(f, i) for i in range(p.ring.nvars)) for f in p.gens
-    )
-    return ModulePresentation(p.ring, p.ring.nvars, relations, p.gb)
 
 
 class EquivariantAmbient:
@@ -138,30 +123,14 @@ class EquivariantAmbient:
         """Rewrite an origin-ring polynomial in the ambient ring."""
         if f.ring is not self.origin.ring:
             raise ContextMismatchError("polynomial not in the origin ring")
-        images = dict(zip(self.origin.ring.variables, self.embed_images))
-        ring = self.ring
-        result = ring.zero
-        for m, c in f.terms.items():
-            part = ring.const(c)
-            for name, e in zip(self.origin.ring.variables, m):
-                if e:
-                    part = part * images[name] ** e
-            result = result + part
-        return result
+        return substitute(f, dict(zip(self.origin.ring.variables, self.embed_images)))
 
     def project(self, f: Polynomial) -> Polynomial:
         """phi': ambient polynomial -> normal form in the origin ring."""
         if f.ring is not self.ring:
             raise ContextMismatchError("polynomial not in the ambient ring")
-        origin_ring = self.origin.ring
-        result = origin_ring.zero
-        for m, c in f.terms.items():
-            part = origin_ring.const(c)
-            for i, e in enumerate(m):
-                if e:
-                    part = part * self.var_images[i] ** e
-            result = result + part
-        return self.origin.nf(result)
+        images = dict(zip(self.ring.variables, self.var_images))
+        return self.origin.nf(substitute(f, images))
 
     @property
     def twists(self) -> TwistMatrices:
@@ -213,21 +182,11 @@ def regular_rep_embedding(p: AffinePresentation, g: GroupAction) -> EquivariantA
             var_images.append(p.nf(g.apply(k, ring.var(ring.variables[i]))))
     embed_images = [bigvar(i, 0) for i in range(n)]
 
-    def rewrite_in_e(f: Polynomial) -> Polynomial:
-        result = big.zero
-        for m, c in f.terms.items():
-            part = big.const(c)
-            for i, e in enumerate(m):
-                if e:
-                    part = part * embed_images[i] ** e
-            result = result + part
-        return result
-
-    gens = [rewrite_in_e(f) for f in p.gens]
+    section = dict(zip(ring.variables, embed_images))
+    gens = [substitute(f, section) for f in p.gens]
     for k in range(1, size):
         for i in range(n):
-            s_ik = p.nf(g.apply(k, ring.var(ring.variables[i])))
-            gens.append(bigvar(i, k) - rewrite_in_e(s_ik))
+            gens.append(bigvar(i, k) - substitute(var_images[k * n + i], section))
     gens = tuple(gens)
     cert = is_regular_sequence(gens, ring=big)
     if not cert.regular:
@@ -305,13 +264,6 @@ class NormalModule:
         return (self.ring.zero,) * self.rank
 
 
-def normal_module(p: AffinePresentation, g: GroupAction,
-                  amb: EquivariantAmbient) -> NormalModule:
-    if amb.origin is not p or amb.origin_action is not g:
-        raise ValueError("ambient was built from a different presentation")
-    return NormalModule(amb)
-
-
 def derivation_action(amb: EquivariantAmbient, i: int, vec):
     """Conjugation action on ambient derivation vectors in B^n:
     (sigma.D)_i = sum_k L[i][k] sigma(D_k) with L the linear part of sigma^-1."""
@@ -367,10 +319,6 @@ class _SliceCoordinates:
             for m, c in p.terms.items():
                 out[self.index[(pos, m)]] = c
         return out
-
-    def pad(self, rows):
-        width = len(self.keys)
-        return [r + [self.ring.field.zero] * (width - len(r)) for r in rows]
 
 
 def ambient_vector_slice(amb: EquivariantAmbient, degree: int,
@@ -437,12 +385,6 @@ def ambient_vector_slice(amb: EquivariantAmbient, degree: int,
     return basis
 
 
-def derivation_slice(amb: EquivariantAmbient, degree: int,
-                     invariant: bool = False):
-    """Derivations of B with components of degree <= degree."""
-    return ambient_vector_slice(amb, degree, invariant=invariant, tangent=True)
-
-
 def derivations(p: AffinePresentation, g: GroupAction, trunc: int | None = None):
     """Module generators of Hom(Omega, B) plus invariant sub-generators.
 
@@ -480,5 +422,5 @@ def derivations(p: AffinePresentation, g: GroupAction, trunc: int | None = None)
     bound = trunc if trunc is not None else 2 * max(
         [f.degree() for f in p.gens], default=1
     )
-    invariant = derivation_slice(amb, bound, invariant=True)
+    invariant = ambient_vector_slice(amb, bound, invariant=True, tangent=True)
     return gens, invariant

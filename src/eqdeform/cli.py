@@ -109,14 +109,21 @@ class Workspace:
         except (StabilityError, NotCompleteIntersectionError) as exc:
             raise InputError(str(exc)) from exc
 
-    @property
-    def truncation(self) -> int:
-        if "truncate" in self.problem.options:
+    def truncation(self, override: int | None) -> int:
+        """The slice bound: --truncate, else option truncate, else the default."""
+        if override is not None:
+            value, source = override, "--truncate"
+        elif "truncate" in self.problem.options:
             try:
-                return int(self.problem.options["truncate"])
+                value = int(self.problem.options["truncate"])
             except ValueError as exc:
                 raise InputError("option truncate must be an integer") from exc
-        return default_truncation(self.ambient)
+            source = "option truncate"
+        else:
+            return default_truncation(self.ambient)
+        if value < 0:
+            raise InputError(f"{source} must be non-negative, got {value}")
+        return value
 
     def deformation(self) -> Deformation:
         """The deformation written in the file (order 0 when eps-free)."""
@@ -130,7 +137,6 @@ class Workspace:
             gens.append(EpsPoly.constant(amb.ring, order, extra))
         try:
             d = Deformation(amb, ArtinianBase(order, amb.ring.field), tuple(gens))
-            d.certificates = None
             check = verify_deformation(d)
         except DeformationError as exc:
             raise InputError(str(exc)) from exc
@@ -212,7 +218,7 @@ def cmd_check(args) -> int:
 
 def cmd_tangent(args) -> int:
     ws = Workspace(_load_problem(args.problem))
-    trunc = args.truncate if args.truncate is not None else ws.truncation
+    trunc = ws.truncation(args.truncate)
     rep = tangent_spaces(ws.presentation, ws.group, amb=ws.ambient, trunc=trunc)
     report = _base_report("tangent", ws)
     report["truncation"] = trunc
@@ -244,7 +250,7 @@ def cmd_tangent(args) -> int:
 
 def cmd_obstruction(args) -> int:
     ws = Workspace(_load_problem(args.problem))
-    trunc = args.truncate if args.truncate is not None else ws.truncation
+    trunc = ws.truncation(args.truncate)
     obs = obstruction_space(ws.presentation, ws.group, amb=ws.ambient, trunc=trunc)
     report = _base_report("obstruction", ws)
     report["truncation"] = trunc
@@ -263,7 +269,7 @@ def cmd_obstruction(args) -> int:
 
 def cmd_lift(args) -> int:
     ws = Workspace(_load_problem(args.problem))
-    trunc = args.truncate if args.truncate is not None else ws.truncation
+    trunc = ws.truncation(args.truncate)
     d = ws.deformation()
     if args.order <= d.order:
         raise InputError(
@@ -318,6 +324,7 @@ def cmd_lift(args) -> int:
 
 def cmd_iso(args) -> int:
     ws1 = Workspace(_load_problem(args.problem))
+    trunc = ws1.truncation(args.truncate)
     p1 = ws1.problem
     p2 = _load_problem(args.other)
     if p1.field != p2.field or p1.variables != p2.variables:
@@ -350,7 +357,6 @@ def cmd_iso(args) -> int:
         raise InputError(str(exc)) from exc
     if not check.ok:
         raise InputError("; ".join(check.failures))
-    trunc = args.truncate if args.truncate is not None else ws1.truncation
     try:
         witness = isomorphism_witness(d1, d2, trunc=trunc)
     except DeformationError as exc:

@@ -1,4 +1,4 @@
-"""Group cohomology H^0, H^1 (and H^2 via bar cochains) on finite slices.
+"""Group cohomology H^0 and H^1 on finite slices.
 
 A ``GModuleSlice`` is a finite-dimensional k[G]-module: a basis of
 normal-form module vectors together with exact action matrices.  For
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .ambient import NormalModule, _SliceCoordinates
 from .gaction import GroupAction
-from .linalg import SpanBuilder, kernel_basis, solve
+from .linalg import kernel_basis, solve, solve_columns, span_modulo
 
 
 class CocycleError(ValueError):
@@ -113,8 +113,7 @@ class GModuleSlice:
                 if (pos, m) not in coords.index:
                     return None
         cols = [coords.row(p) for p in self.payloads]
-        rows = [[cols[k][r] for k in range(len(cols))] for r in range(len(coords.keys))]
-        return solve(self.field, rows, coords.row(vec))
+        return solve_columns(self.field, cols, coords.row(vec))
 
 
 def slice_of_normal_module(module: NormalModule, degree: int,
@@ -141,20 +140,17 @@ def slice_of_normal_module(module: NormalModule, degree: int,
     coords = _SliceCoordinates(ring)
     for v in orbit:
         coords.ensure(v)
-    span = SpanBuilder(field, len(coords.keys))
-    payloads = []
-    for v in orbit:
-        if span.add(coords.row(v)):
-            payloads.append(v)
+    _, kept = span_modulo(field, len(coords.keys), (),
+                          (coords.row(v) for v in orbit))
+    payloads = [orbit[k] for k in kept]
 
     cols = [coords.row(p) for p in payloads]
-    rows = [[cols[k][r] for k in range(len(cols))] for r in range(len(coords.keys))]
     matrices = []
     for i in group.indices():
         mat_cols = []
         for p in payloads:
             image = module.act(i, p)
-            sol = solve(field, rows, coords.row(image))
+            sol = solve_columns(field, cols, coords.row(image))
             if sol is None:
                 raise CocycleError("slice is not closed under the action")
             mat_cols.append(sol)
@@ -169,14 +165,7 @@ def invariants(m: GModuleSlice):
     if m.dim == 0:
         return []
     field = m.field
-    rows = []
-    ident = m._identity_matrix()
-    for i in m.group.indices():
-        if i == m.group.identity_index:
-            continue
-        for r in range(m.dim):
-            rows.append([field.sub(m.matrices[i][r][c], ident[r][c])
-                         for c in range(m.dim)])
+    rows = _action_minus_identity(m)
     if not rows:
         return [[field.one if j == i else field.zero for j in range(m.dim)]
                 for i in range(m.dim)]
@@ -185,6 +174,14 @@ def invariants(m: GModuleSlice):
 
 def _nontrivial(m: GModuleSlice):
     return [i for i in m.group.indices() if i != m.group.identity_index]
+
+
+def _action_minus_identity(m: GModuleSlice):
+    """The rows of M_s - I, stacked over the elements s != e in index order."""
+    field = m.field
+    ident = m._identity_matrix()
+    return [[field.sub(a, b) for a, b in zip(m.matrices[s][r], ident[r])]
+            for s in _nontrivial(m) for r in range(m.dim)]
 
 
 def _cocycle_rows(m: GModuleSlice):
@@ -242,6 +239,14 @@ def coboundary_of(m: GModuleSlice, phi_coords):
     return out
 
 
+def _unit_coboundaries(m: GModuleSlice):
+    """Coboundaries of the coordinate unit vectors, which span B^1."""
+    field = m.field
+    for k in range(m.dim):
+        yield coboundary_of(m, [field.one if j == k else field.zero
+                                for j in range(m.dim)])
+
+
 @dataclass
 class H1Result:
     dimension: int
@@ -256,20 +261,10 @@ def h1(m: GModuleSlice) -> H1Result:
     z_basis = zcocycles(m)
     if not z_basis:
         return H1Result(0, [], 0, 0)
-    width = len(z_basis[0])
-    bspan = SpanBuilder(field, width)
-    for k in range(m.dim):
-        phi = [field.one if j == k else field.zero for j in range(m.dim)]
-        bspan.add(coboundary_of(m, phi))
-    b_dim = bspan.dim
-    total = SpanBuilder(field, width)
-    for row in bspan.rows:
-        total.add(row)
-    reps = []
-    for z in z_basis:
-        if total.add(z):
-            reps.append(z)
-    return H1Result(len(z_basis) - b_dim, reps, len(z_basis), b_dim)
+    b_dim, kept = span_modulo(field, len(z_basis[0]),
+                              _unit_coboundaries(m), z_basis)
+    return H1Result(len(z_basis) - b_dim, [z_basis[k] for k in kept],
+                    len(z_basis), b_dim)
 
 
 def h1_bounded(m_small: GModuleSlice, m_big: GModuleSlice) -> H1Result:
@@ -304,21 +299,10 @@ def h1_bounded(m_small: GModuleSlice, m_big: GModuleSlice) -> H1Result:
             out.extend(big_block)
         return out
 
-    width = len(others_small) * dim_b
-    bspan = SpanBuilder(field, width)
-    for k in range(dim_b):
-        phi = [field.one if j == k else field.zero for j in range(dim_b)]
-        bspan.add(coboundary_of(m_big, phi))
-    total = SpanBuilder(field, width)
-    for row in bspan.rows:
-        total.add(row)
-    reps = []
-    survivors = 0
-    for z in z_small:
-        if total.add(embed_cochain(z)):
-            survivors += 1
-            reps.append(z)
-    return H1Result(survivors, reps, len(z_small), bspan.dim)
+    b_dim, kept = span_modulo(field, len(others_small) * dim_b,
+                              _unit_coboundaries(m_big),
+                              (embed_cochain(z) for z in z_small))
+    return H1Result(len(kept), [z_small[k] for k in kept], len(z_small), b_dim)
 
 
 def solve_coboundary(m: GModuleSlice, cochain) -> list | None:
@@ -343,72 +327,8 @@ def solve_coboundary(m: GModuleSlice, cochain) -> list | None:
                 raise CocycleError("input does not satisfy the cocycle identity")
     if m.dim == 0:
         return []
-    rows = []
-    rhs_flat = []
-    ident = m._identity_matrix()
-    for s in others:
-        for r in range(m.dim):
-            rows.append([field.sub(m.matrices[s][r][c], ident[r][c])
-                         for c in range(m.dim)])
-        rhs_flat.extend(val(s))
-    return solve(field, rows, rhs_flat)
-
-
-def h2_dimension(m: GModuleSlice) -> int:
-    """dim H^2 via bar cochains c: G x G -> m (not used by the pipeline)."""
-    field = m.field
-    n = len(m.group)
-    dim = m.dim
-    if dim == 0:
-        return 0
-    nunk = n * n * dim
-
-    def off(i, j):
-        return (i * n + j) * dim
-
-    rows = []
-    for i in m.group.indices():
-        for j in m.group.indices():
-            for k in m.group.indices():
-                # s.c(t,u) - c(st,u) + c(s,tu) - c(s,t) = 0
-                mat = m.matrices[i]
-                for r in range(dim):
-                    block = [field.zero] * nunk
-                    for c in range(dim):
-                        if mat[r][c] != field.zero:
-                            block[off(j, k) + c] = mat[r][c]
-                    block[off(m.group.mul(i, j), k) + r] = field.add(
-                        block[off(m.group.mul(i, j), k) + r], field.neg(field.one))
-                    block[off(i, m.group.mul(j, k)) + r] = field.add(
-                        block[off(i, m.group.mul(j, k)) + r], field.one)
-                    block[off(i, j) + r] = field.add(
-                        block[off(i, j) + r], field.neg(field.one))
-                    rows.append(block)
-    z2 = len(kernel_basis(field, rows, nunk))
-    # coboundaries of 1-cochains b: G -> m: db(s,t) = s.b(t) - b(st) + b(s)
-    width = nunk
-    bspan = SpanBuilder(field, width)
-    for s in m.group.indices():
-        for r in range(dim):
-            b_flat = [field.zero] * width
-            db = [field.zero] * width
-            for i in m.group.indices():
-                for j in m.group.indices():
-                    # contribution of b = e_r at slot s
-                    vec = [field.zero] * dim
-                    if j == s:
-                        acted = m.act(i, [field.one if c == r else field.zero
-                                          for c in range(dim)])
-                        vec = [field.add(a, b2) for a, b2 in zip(vec, acted)]
-                    if m.group.mul(i, j) == s:
-                        vec[r] = field.sub(vec[r], field.one)
-                    if i == s:
-                        vec[r] = field.add(vec[r], field.one)
-                    o = off(i, j)
-                    for c in range(dim):
-                        db[o + c] = field.add(db[o + c], vec[c])
-            bspan.add(db)
-    return z2 - bspan.dim
+    rhs_flat = [x for s in others for x in val(s)]
+    return solve(field, _action_minus_identity(m), rhs_flat)
 
 
 class Cocycle:
@@ -441,10 +361,6 @@ class Cocycle:
                 if tuple(self.module.amb.pres.nf(p) for p in rhs) != lhs:
                     return False
         return True
-
-    def nonzero_values(self):
-        return {i: v for i, v in self.values.items()
-                if any(not p.is_zero() for p in v)}
 
     def __repr__(self):
         parts = [f"s{i} -> ({', '.join(repr(p) for p in v)})"

@@ -37,8 +37,8 @@ from .cohomology import (
 from .fields import Field
 from .gaction import GroupAction
 from .groebner import ModulePresentation, QuotientBasis, quotient_basis
-from .linalg import SpanBuilder, solve
-from .poly import PolyRing, Polynomial, partial
+from .linalg import solve_columns, span_modulo
+from .poly import PolyRing, Polynomial, partial, substitute
 
 
 class DeformationError(ValueError):
@@ -144,27 +144,17 @@ class EpsPoly:
     def map_coeffs(self, fn) -> "EpsPoly":
         return EpsPoly(self.ring, self.order, [fn(c) for c in self.coeffs])
 
+    def const(self, c) -> "EpsPoly":
+        """The constant c over the same ring and base."""
+        return EpsPoly.constant(self.ring, self.order, self.ring.const(c))
+
     def substitute(self, images: dict) -> "EpsPoly":
-        """Exact substitution x_i -> images[x_i] (EpsPoly images)."""
+        """Exact substitution x_i -> images[x_i] (EpsPoly or Polynomial images)."""
         ring = self.ring
-        order = self.order
-        one = EpsPoly.constant(ring, order, ring.one)
-        var_images = []
-        for v in ring.variables:
-            img = images.get(v)
-            if img is None:
-                img = EpsPoly.constant(ring, order, ring.var(v))
-            elif isinstance(img, Polynomial):
-                img = EpsPoly.constant(ring, order, img)
-            var_images.append(img)
-        total = EpsPoly(ring, order, [])
+        full = {v: self._coerce(images.get(v, ring.var(v))) for v in ring.variables}
+        total = EpsPoly(ring, self.order, [])
         for t, c in enumerate(self.coeffs):
-            for m, coeff in c.terms.items():
-                part = EpsPoly.constant(ring, order, ring.const(coeff))
-                for i, e in enumerate(m):
-                    for _ in range(e):
-                        part = part * var_images[i]
-                total = total + part.shift(t)
+            total = total + substitute(c, full).shift(t)
         return total
 
     def __repr__(self):
@@ -184,12 +174,10 @@ class Deformation:
     """An equivariant lift of the base presentation over k[eps]/(eps^(m+1)).
 
     Generators are eps-polynomials reducing to the ambient presentation
-    mod eps; the equivariance certificate stores, per group element, the
-    division data sigma(F_j) = sum_l S[j][l] F_l over the artinian base.
+    mod eps.  Constructors that build a lift run certify_equivariance on it.
     """
 
-    def __init__(self, amb: EquivariantAmbient, base: ArtinianBase, gens,
-                 certificates=None):
+    def __init__(self, amb: EquivariantAmbient, base: ArtinianBase, gens):
         self.amb = amb
         self.base = base
         self.gens = tuple(gens)
@@ -200,7 +188,6 @@ class Deformation:
                 raise DeformationError("generator order does not match the base")
             if g.coeff(0) != f:
                 raise DeformationError("reduction mod eps is not the base presentation")
-        self.certificates = certificates
 
     @property
     def order(self) -> int:
@@ -211,14 +198,14 @@ class Deformation:
         base = ArtinianBase(0, amb.ring.field)
         gens = tuple(EpsPoly.constant(amb.ring, 0, f) for f in amb.pres.gens)
         d = cls(amb, base, gens)
-        d.certificates = certify_equivariance(amb, d.gens, 0)
+        certify_equivariance(amb, d.gens)
         return d
 
     def truncated(self, order: int) -> "Deformation":
         base = ArtinianBase(order, self.base.field)
         gens = tuple(g.truncate(order) for g in self.gens)
         d = Deformation(self.amb, base, gens)
-        d.certificates = certify_equivariance(self.amb, gens, order)
+        certify_equivariance(self.amb, gens)
         return d
 
     def __repr__(self):
@@ -257,21 +244,16 @@ def eps_divide(h: EpsPoly, gens, representer, allow_final_remainder=False):
     return S, None
 
 
-def certify_equivariance(amb: EquivariantAmbient, gens, order: int):
-    """Per group element, the division matrices showing sigma(F_j) lies in
-    the lifted ideal; raises when the lift is not equivariant."""
+def certify_equivariance(amb: EquivariantAmbient, gens) -> None:
+    """Check that every sigma(F_j) divides out over the lifted generators
+    (eps_divide); raises DeformationError when the lift is not equivariant."""
     rep = amb.pres.representer if amb.pres.gens else None
-    certificates = {}
     for i in amb.action.indices():
-        matrices = []
         for g in gens:
             moved = g.map_coeffs(lambda c: amb.action.apply(i, c))
             if rep is None:
                 raise DeformationError("cannot certify without generators")
-            S, _ = eps_divide(moved, list(gens), rep)
-            matrices.append(S)
-        certificates[i] = matrices
-    return certificates
+            eps_divide(moved, list(gens), rep)
 
 
 @dataclass
@@ -297,7 +279,7 @@ def verify_deformation(d: Deformation) -> DeformationCheck:
         failures.append("mod-eps reduction does not match the base generators")
     equi_ok = True
     try:
-        certify_equivariance(d.amb, d.gens, d.order)
+        certify_equivariance(d.amb, d.gens)
     except DeformationError as exc:
         equi_ok = False
         failures.append(f"equivariance: {exc}")
@@ -390,7 +372,7 @@ def shift_lift(d: Deformation, cls: DifferenceClass) -> Deformation:
         correction = EpsPoly.constant(d.amb.ring, m, nu).shift(m)
         gens.append(g - correction)
     out = Deformation(d.amb, d.base, tuple(gens))
-    out.certificates = certify_equivariance(d.amb, out.gens, m)
+    certify_equivariance(d.amb, out.gens)
     return out
 
 
@@ -423,7 +405,7 @@ def apply_flow(d: Deformation, components, sign: int = 1) -> Deformation:
         images[v] = EpsPoly.constant(ring, m, ring.var(v)) + delta
     gens = tuple(g.substitute(images) for g in d.gens)
     out = Deformation(d.amb, d.base, gens)
-    out.certificates = certify_equivariance(d.amb, gens, m)
+    certify_equivariance(d.amb, gens)
     return out
 
 
@@ -447,9 +429,8 @@ def isomorphism_witness(d1: Deformation, d2: Deformation,
     for img in images:
         coords.ensure(img)
     coords.ensure(nu.vector)
-    cols = [coords.row(img) for img in images]
-    rows = [[cols[k][r] for k in range(len(cols))] for r in range(len(coords.keys))]
-    sol = solve(amb.ring.field, rows, coords.row(nu.vector))
+    sol = solve_columns(amb.ring.field, [coords.row(img) for img in images],
+                        coords.row(nu.vector))
     if sol is None:
         return None
     components = [amb.ring.zero] * amb.ring.nvars
@@ -509,12 +490,7 @@ def obstruction_cocycle(d: Deformation, lift_gens) -> Cocycle:
             continue
         raw = mech[action.inv(i)]
         values[i] = tuple(amb.pres.nf(action.apply(i, w)) for w in raw)
-    N = normal_module_of(d)
-    return Cocycle(N, values)
-
-
-def normal_module_of(d: Deformation) -> NormalModule:
-    return NormalModule(d.amb)
+    return Cocycle(NormalModule(amb), values)
 
 
 def is_graded_setup(amb: EquivariantAmbient) -> bool:
@@ -551,9 +527,9 @@ def equivariantize(d: Deformation, lift_gens, trunc: int | None = None,
     base = ArtinianBase(order, amb.ring.field)
     if c.is_zero():
         out = Deformation(amb, base, tuple(lift_gens))
-        out.certificates = certify_equivariance(amb, out.gens, order)
+        certify_equivariance(amb, out.gens)
         return LiftOutcome(True, out, None, "exact")
-    N = normal_module_of(d)
+    N = NormalModule(amb)
     bound = (trunc if trunc is not None else default_truncation(amb)) + slack
     extra = [c.value(i) for i in amb.action.indices()
              if i != amb.action.identity_index]
@@ -575,7 +551,7 @@ def equivariantize(d: Deformation, lift_gens, trunc: int | None = None,
     for g, comp in zip(lift_gens, nu):
         gens.append(g - EpsPoly.constant(amb.ring, order, comp).shift(order))
     out = Deformation(amb, base, tuple(gens))
-    out.certificates = certify_equivariance(amb, out.gens, order)
+    certify_equivariance(amb, out.gens)
     return LiftOutcome(True, out, None, "exact")
 
 
@@ -698,16 +674,9 @@ def tangent_spaces(p: AffinePresentation, g: GroupAction,
     coords = _SliceCoordinates(ring)
     for v in V + U:
         coords.ensure(v)
-    u_span = SpanBuilder(ring.field, len(coords.keys))
-    for u in U:
-        u_span.add(coords.row(u))
-    total = SpanBuilder(ring.field, len(coords.keys))
-    for row in u_span.rows:
-        total.add(row)
-    reps = []
-    for v in V:
-        if total.add(coords.row(v)):
-            reps.append(v)
+    _, kept = span_modulo(ring.field, len(coords.keys),
+                          (coords.row(u) for u in U), (coords.row(v) for v in V))
+    reps = [V[k] for k in kept]
     return TangentReport(amb, D, tame, t0_gens, t0_slice, qb, t1_vectors,
                          len(reps), reps, f"slice:{D}")
 

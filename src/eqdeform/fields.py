@@ -52,9 +52,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     @property
     def zero(self):
         return self.of(0)

@@ -77,9 +77,6 @@ class Substitution:
             L.append(row)
         return L
 
-    def constant_part(self):
-        return [g.constant_coefficient() for g in self.images]
-
     def is_invertible(self) -> bool:
         return matrix_rank(self.ring.field, self.linear_part()) == self.ring.nvars
 
@@ -135,17 +132,6 @@ class GroupAction:
 
     def apply(self, i: int, f: Polynomial) -> Polynomial:
         return self.elements[i].apply(f)
-
-    def apply_vector(self, i: int, vec):
-        return tuple(self.elements[i].apply(p) for p in vec)
-
-    def order_of(self, i: int) -> int:
-        n = 1
-        j = i
-        while j != self.identity_index:
-            j = self.mul(j, i)
-            n += 1
-        return n
 
     def is_tame(self) -> bool:
         """Whether |G| is invertible in the base field."""

@@ -237,9 +237,6 @@ class GroebnerBasis:
         red = reduce_vec(self.ring, vec_from_polys([f]), self._with_lt)
         return vec_to_polys(red, 1, self.ring)[0]
 
-    def contains(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
-
     def is_unit_ideal(self) -> bool:
         return any(g.degree() == 0 for g in self.generators)
 
@@ -479,8 +476,9 @@ def krull_dimension(gb: GroebnerBasis) -> int:
 
 
 def is_regular_sequence(gens, ring: PolyRing | None = None) -> RegularityCertificate:
-    """Dimension-count certificate: gens form a regular sequence iff
-    dim k[x]/(gens) == nvars - len(gens)."""
+    """Dimension-count certificate: dim k[x]/(gens) == nvars - len(gens),
+    i.e. the ideal has height c = len(gens), so gens is Koszul-regular.
+    This does not certify that gens is regular in the given order."""
     gens = list(gens)
     if gens:
         ring = gens[0].ring

@@ -74,8 +74,14 @@ def solve(field: Field, rows: list[list], rhs: list) -> list | None:
     return x
 
 
+def solve_columns(field: Field, columns: list[list], rhs: list) -> list | None:
+    """Coefficients x with sum_k x[k] * columns[k] = rhs, or None (as solve)."""
+    rows = [[col[r] for col in columns] for r in range(len(rhs))]
+    return solve(field, rows, rhs)
+
+
 class SpanBuilder:
-    """Incrementally maintained row space with exact membership tests."""
+    """Incrementally maintained row space in reduced echelon form."""
 
     def __init__(self, field: Field, ncols: int):
         self.field = field
@@ -91,10 +97,6 @@ class SpanBuilder:
                 factor = v[p]
                 v = [field.sub(x, field.mul(factor, y)) for x, y in zip(v, row)]
         return v
-
-    def contains(self, v: list) -> bool:
-        red = self._reduce(v)
-        return all(x == self.field.zero for x in red)
 
     def add(self, v: list) -> bool:
         """Add v to the span; True if it enlarged the space."""
@@ -123,16 +125,13 @@ class SpanBuilder:
     def dim(self) -> int:
         return len(self.rows)
 
-    def coordinates(self, v: list) -> list | None:
-        """Coefficients expressing v over the stored (echelon) basis rows."""
-        field = self.field
-        coeffs = []
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            coeffs.append(c)
-            if c != field.zero:
-                v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
-        if any(x != field.zero for x in v):
-            return None
-        return coeffs
+
+def span_modulo(field: Field, ncols: int, base, vectors) -> tuple[int, list[int]]:
+    """(dim span(base), indices of the vectors that enlarge the span when
+    added in turn after base): the kept vectors are a basis of
+    span(base + vectors) modulo span(base)."""
+    span = SpanBuilder(field, ncols)
+    for u in base:
+        span.add(u)
+    base_dim = span.dim
+    return base_dim, [k for k, v in enumerate(vectors) if span.add(v)]

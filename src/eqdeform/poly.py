@@ -270,21 +270,9 @@ class Polynomial:
     def leading_monomial(self) -> tuple[int, ...]:
         return self.leading_term()[0]
 
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        _, c = self.leading_term()
-        return self.scale(self.ring.field.inv(c))
-
-    def constant_coefficient(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
-
     def sorted_terms(self):
         """Terms in descending active order."""
         return sorted(self.terms.items(), key=lambda t: self.ring.order.key(t[0]), reverse=True)
-
-    def coefficient_of(self, exps: tuple[int, ...]):
-        return self.terms.get(tuple(exps), self.ring.field.zero)
 
     def is_homogeneous(self) -> bool:
         degs = {monomial_degree(m) for m in self.terms}
@@ -294,30 +282,44 @@ class Polynomial:
         return canonical_render(self)
 
 
-def substitute(f: Polynomial, images: dict[str, Polynomial]) -> Polynomial:
-    """Ring-homomorphic substitution; variables absent from images map to themselves."""
+def substitute(f: Polynomial, images: dict):
+    """Ring-homomorphic substitution x -> images[x].
+
+    Variables absent from images map to themselves, so a partial map
+    stays in f's ring.  When every variable has an image, the images may
+    live in another ring, or be other values with a ``ring`` and a
+    ``const(c)`` method (eps-polynomials); all images must agree.  Each
+    term c*x^m becomes const(c) times the cached image powers, left to
+    right, and the terms are summed in f's term order.
+    """
     ring = f.ring
-    for name, g in images.items():
+    for name in images:
         if name not in ring._var_index:
             raise ContextMismatchError(f"unknown variable {name!r} in substitution")
-        if not isinstance(g, Polynomial) or g.ring is not ring:
+    if len(images) == ring.nvars:
+        image_list = [images[v] for v in ring.variables]
+    else:
+        image_list = [images[v] if v in images else ring.var(v) for v in ring.variables]
+    first = image_list[0] if image_list else ring.one
+    kind, home = type(first), first.ring
+    for name, g in zip(ring.variables, image_list):
+        if type(g) is not kind or g.ring is not home:
             raise ContextMismatchError(f"image of {name!r} lives in a different ring")
-    image_list = [images.get(v, ring.var(v)) for v in ring.variables]
-    # cache powers of each image as we go
-    powers: list[dict[int, Polynomial]] = [{0: ring.one, 1: g} for g in image_list]
-
-    def power(i: int, e: int) -> Polynomial:
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = power(i, e - 1) * image_list[i]
-        return cache[e]
-
-    result = ring.zero
+    if kind is Polynomial:
+        const, result = home.const, home.zero
+    else:
+        const = first.const
+        result = const(0)
+    # powers[i][e - 1] is image i to the power e, built one factor at a time
+    powers = [[g] for g in image_list]
     for m, c in f.terms.items():
-        part = ring.const(c)
+        part = const(c)
         for i, e in enumerate(m):
             if e:
-                part = part * power(i, e)
+                cache = powers[i]
+                while len(cache) < e:
+                    cache.append(cache[-1] * image_list[i])
+                part = part * cache[e - 1]
         result = result + part
     return result
 

@@ -4,21 +4,18 @@ import pytest
 
 from eqdeform.ambient import (
     AffinePresentation,
+    NormalModule,
     NotCompleteIntersectionError,
     ambient_vector_slice,
     choose_ambient,
     derivation_action,
-    derivation_slice,
     derivations,
-    kaehler_presentation,
     normal_image,
-    normal_module,
     original_ambient,
     regular_rep_embedding,
 )
 from eqdeform.fields import GF, QQ
 from eqdeform.gaction import close_group, reynolds
-from eqdeform.groebner import quotient_basis
 from eqdeform.linalg import SpanBuilder
 from eqdeform.poly import PolyRing, canonical_render
 
@@ -102,18 +99,6 @@ def test_choose_ambient_policy(ring, cusp, sign):
     assert choose_ambient(cusp, sign, mode="regular").kind == "regular"
 
 
-def test_kaehler_presentation(ring, cusp):
-    x, y = ring.gens()
-    kp = kaehler_presentation(cusp)
-    assert kp.relations == ((-3 * x**2, 2 * y),)
-    node = AffinePresentation.build(ring, [x * y])
-    assert kaehler_presentation(node).relations == ((y, x),)
-    line = AffinePresentation.build(PolyRing(QQ, ["t"]), [])
-    kp2 = kaehler_presentation(line)
-    assert kp2.rank == 1 and kp2.relations == ()
-    assert quotient_basis(kp2, trunc=3).finite is False
-
-
 def test_derivations_cusp(ring, cusp, sign):
     x, y = ring.gens()
     gens, invariant = derivations(cusp, sign)
@@ -142,8 +127,8 @@ def test_derivation_slice_reynolds_cross_check(ring, cusp, sign):
     amb = original_ambient(cusp, sign)
     field = ring.field
     for degree in (2, 3):
-        full = derivation_slice(amb, degree, invariant=False)
-        inv = derivation_slice(amb, degree, invariant=True)
+        full = ambient_vector_slice(amb, degree, tangent=True)
+        inv = ambient_vector_slice(amb, degree, invariant=True, tangent=True)
         from eqdeform.ambient import _SliceCoordinates
 
         coords = _SliceCoordinates(ring)
@@ -169,7 +154,7 @@ def test_derivation_slice_reynolds_cross_check(ring, cusp, sign):
 def test_normal_module_action(ring, cusp, sign):
     x, y = ring.gens()
     amb = original_ambient(cusp, sign)
-    N = normal_module(cusp, sign, amb)
+    N = NormalModule(amb)
     assert N.act(1, (x + y,)) == (x - y,)
     # representation property on random vectors
     rng = random.Random(41)
@@ -186,7 +171,7 @@ def test_normal_module_action(ring, cusp, sign):
 
 def test_normal_module_regular_rep_representation_property(cusp, sign):
     amb = regular_rep_embedding(cusp, sign)
-    N = normal_module(cusp, sign, amb)
+    N = NormalModule(amb)
     ring = amb.ring
     rng = random.Random(42)
     monos = amb.pres.std_monomials_upto(2)
@@ -204,7 +189,7 @@ def test_normal_module_regular_rep_representation_property(cusp, sign):
 def test_semilinearity_of_twist(cusp, sign):
     # sigma(b.psi) = sigma(b).sigma(psi) on the normal module
     amb = original_ambient(cusp, sign)
-    N = normal_module(cusp, sign, amb)
+    N = NormalModule(amb)
     ring = amb.ring
     x, y = ring.gens()
     b = x + y

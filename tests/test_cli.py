@@ -119,6 +119,36 @@ def test_exit_code_input_errors(tmp_path, capsys):
     assert code == 3 and "regular sequence" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["tangent", "problems/node_f2.prob", "--truncate", "-1"],
+    ["obstruction", "problems/node_f2.prob", "--truncate", "-5"],
+    ["lift", "problems/node_q.prob", "--order", "2", "--truncate", "-1"],
+    ["iso", "problems/cusp_lift_zero.prob", "problems/cusp_lift_x.prob",
+     "--truncate", "-1"],
+], ids=lambda a: a[0])
+def test_negative_truncation_is_an_input_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert "--truncate must be non-negative" in err
+
+
+def test_negative_truncate_option_is_an_input_error(tmp_path, capsys):
+    prob = tmp_path / "neg.prob"
+    prob.write_text((ROOT / "problems/node_f2.prob").read_text()
+                    + "option truncate = -2\n")
+    code, _, err = run_cli(["tangent", str(prob)], capsys)
+    assert code == 3 and "option truncate must be non-negative" in err
+
+
+def test_large_exponent_check_and_lift(tmp_path, capsys):
+    prob = tmp_path / "power.prob"
+    prob.write_text("field Q\nvars x\nideal: x^3000\ngen s: x -> -x\n")
+    code, out, _ = run_cli(["check", str(prob)], capsys)
+    assert code == 0 and "regular sequence: ok" in out
+    code, out, _ = run_cli(["lift", str(prob), "--order", "2"], capsys)
+    assert code == 0 and "certified: exact" in out
+
+
 def test_iso_witness_round_trip(tmp_path, capsys):
     # build d2 from d1 by an honest flow and expect an exact witness
     code, out, _ = run_cli(

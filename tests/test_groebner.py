@@ -200,6 +200,7 @@ def test_quotient_basis_examples(ring):
     qb3 = quotient_basis(free, trunc=7)
     assert not qb3.finite
     assert len(qb3.monomials) == 8
+    assert quotient_basis(free, trunc=3).finite is False
 
 
 def test_quotient_basis_matches_slice_oracle(ring):

@@ -90,6 +90,23 @@ def test_substitute_context_mismatch(ring):
         ring.var("x") + other.var("x")
 
 
+def test_substitute_into_another_ring(ring):
+    other = PolyRing(GF(3), ["u"])
+    u = other.var("u")
+    x, y = ring.gens()
+    small = PolyRing(QQ, ["t"])
+    t = small.var("t")
+    assert substitute(x**2 * y - 1, {"x": t + 1, "y": t}) == t**3 + 2 * t**2 + t - 1
+    with pytest.raises(ContextMismatchError):
+        substitute(x * y, {"x": t, "y": u})
+
+
+def test_substitute_large_exponent():
+    r = PolyRing(QQ, ["x"])
+    x = r.var("x")
+    assert substitute(x**3000, {"x": -x}) == x**3000
+
+
 def test_degree_slice_examples(ring):
     x, y = ring.gens()
     f = y**2 - x**3
