@@ -207,7 +207,7 @@ def regular_rep_embedding(p: AffinePresentation, g: GroupAction) -> EquivariantA
             for i in range(n):
                 images[j * n + i] = bigvar(i, target)
         elements.append(Substitution(big, images))
-    big_action = GroupAction(big, elements, g.table, g.inverse)
+    big_action = GroupAction(big, elements, g.table, g.inverse, g.generators)
     amb = EquivariantAmbient(big_pres, big_action, p, g, "regular",
                              var_images, embed_images)
     if not verify_stability(big_gb, big_action):

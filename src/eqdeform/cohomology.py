@@ -26,7 +26,10 @@ class CocycleError(ValueError):
 
 
 class GModuleSlice:
-    """Finite k[G]-module with exact action matrices (rows act on columns)."""
+    """Finite k[G]-module with exact action matrices (rows act on columns).
+
+    With check=True the representation property is verified on the
+    group's generators (see ``_check_representation``)."""
 
     def __init__(self, group: GroupAction, field, matrices, payloads=None,
                  degree_bound=None, check: bool = True):
@@ -41,15 +44,17 @@ class GModuleSlice:
             self._check_representation()
 
     def _check_representation(self):
-        n = len(self.group)
-        e = self.group.identity_index
+        """M_e = I and M_s M_j = M_{sj} for each generator s and every j;
+        every element is a word in the generators, so by induction on its
+        length this gives M_i M_j = M_{ij} for all pairs."""
+        group = self.group
         ident = self._identity_matrix()
-        if self.matrices[e] != ident:
+        if self.matrices[group.identity_index] != ident:
             raise CocycleError("identity does not act as the identity matrix")
-        for i in range(n):
-            for j in range(n):
-                prod = self._matmul(self.matrices[i], self.matrices[j])
-                if prod != self.matrices[self.group.mul(i, j)]:
+        for s in group.generators:
+            for j in group.indices():
+                prod = self._matmul(self.matrices[s], self.matrices[j])
+                if prod != self.matrices[group.mul(s, j)]:
                     raise CocycleError("action matrices violate the representation property")
 
     def _identity_matrix(self):
@@ -57,17 +62,17 @@ class GModuleSlice:
         return [[o if i == j else z for j in range(self.dim)] for i in range(self.dim)]
 
     def _matmul(self, a, b):
+        """a b, each output row the sum of the rows of b that the nonzero
+        entries of the row of a pick out."""
         field = self.field
+        zero = field.zero
         out = []
         for row in a:
-            new = []
-            for c in range(self.dim):
-                s = field.zero
-                for k in range(self.dim):
-                    if row[k] != field.zero:
-                        s = field.add(s, field.mul(row[k], b[k][c]))
-                new.append(s)
-            out.append(new)
+            acc = [zero] * self.dim
+            for x, brow in zip(row, b):
+                if x != zero:
+                    acc = [field.add(s, field.mul(x, y)) for s, y in zip(acc, brow)]
+            out.append(acc)
         return out
 
     def act(self, i: int, coords):
@@ -98,8 +103,9 @@ class GModuleSlice:
             vec = (ring.zero,) * rank if ring is not None else ()
         return vec
 
-    def express(self, vec):
-        """Coordinates of a module vector over the payload basis, or None."""
+    def express(self, vecs) -> list:
+        """For each module vector, its coordinates over the payload basis,
+        or None; one elimination serves the whole list."""
         if self.payloads is None:
             raise ValueError("abstract slice has no payload vectors")
         if self._coords is None:
@@ -108,12 +114,13 @@ class GModuleSlice:
                 coords.ensure(p)
             self._coords = coords
         coords = self._coords
-        for pos, p in enumerate(vec):
-            for m in p.terms:
-                if (pos, m) not in coords.index:
-                    return None
+        inside = [all((pos, m) in coords.index
+                      for pos, p in enumerate(vec) for m in p.terms)
+                  for vec in vecs]
         cols = [coords.row(p) for p in self.payloads]
-        return solve_columns(self.field, cols, coords.row(vec))
+        solved = iter(solve_columns(self.field, cols,
+                                    [coords.row(v) for v, ok in zip(vecs, inside) if ok]))
+        return [next(solved) if ok else None for ok in inside]
 
 
 def slice_of_normal_module(module: NormalModule, degree: int,
@@ -144,18 +151,15 @@ def slice_of_normal_module(module: NormalModule, degree: int,
                           (coords.row(v) for v in orbit))
     payloads = [orbit[k] for k in kept]
 
-    cols = [coords.row(p) for p in payloads]
+    dim = len(payloads)
+    images = [coords.row(module.act(i, p)) for i in group.indices() for p in payloads]
+    sols = solve_columns(field, [coords.row(p) for p in payloads], images)
+    if any(sol is None for sol in sols):
+        raise CocycleError("slice is not closed under the action")
     matrices = []
     for i in group.indices():
-        mat_cols = []
-        for p in payloads:
-            image = module.act(i, p)
-            sol = solve_columns(field, cols, coords.row(image))
-            if sol is None:
-                raise CocycleError("slice is not closed under the action")
-            mat_cols.append(sol)
-        matrices.append([[mat_cols[c][r] for c in range(len(payloads))]
-                         for r in range(len(payloads))])
+        mat_cols = sols[i * dim:(i + 1) * dim]
+        matrices.append([[mat_cols[c][r] for c in range(dim)] for r in range(dim)])
     return GModuleSlice(group, field, matrices, payloads=payloads,
                         degree_bound=degree)
 
@@ -277,12 +281,9 @@ def h1_bounded(m_small: GModuleSlice, m_big: GModuleSlice) -> H1Result:
     z_small = zcocycles(m_small)
     if not z_small:
         return H1Result(0, [], 0, 0)
-    emb = []
-    for p in m_small.payloads:
-        coords = m_big.express(p)
-        if coords is None:
-            raise CocycleError("small slice does not embed in the search slice")
-        emb.append(coords)
+    emb = m_big.express(m_small.payloads)
+    if any(coords is None for coords in emb):
+        raise CocycleError("small slice does not embed in the search slice")
     others_small = _nontrivial(m_small)
     dim_s, dim_b = m_small.dim, m_big.dim
 

@@ -430,7 +430,7 @@ def isomorphism_witness(d1: Deformation, d2: Deformation,
         coords.ensure(img)
     coords.ensure(nu.vector)
     sol = solve_columns(amb.ring.field, [coords.row(img) for img in images],
-                        coords.row(nu.vector))
+                        [coords.row(nu.vector)])[0]
     if sol is None:
         return None
     components = [amb.ring.zero] * amb.ring.nvars
@@ -531,17 +531,13 @@ def equivariantize(d: Deformation, lift_gens, trunc: int | None = None,
         return LiftOutcome(True, out, None, "exact")
     N = NormalModule(amb)
     bound = (trunc if trunc is not None else default_truncation(amb)) + slack
-    extra = [c.value(i) for i in amb.action.indices()
-             if i != amb.action.identity_index]
+    others = [i for i in amb.action.indices() if i != amb.action.identity_index]
+    extra = [c.value(i) for i in others]
     m_search = slice_of_normal_module(N, bound, extra_vectors=extra)
-    cochain = {}
-    for i in amb.action.indices():
-        if i == amb.action.identity_index:
-            continue
-        coords = m_search.express(tuple(-p for p in c.value(i)))
-        if coords is None:
-            raise DeformationError("defect cocycle escapes the search slice")
-        cochain[i] = coords
+    cochain = dict(zip(others, m_search.express(
+        [tuple(-p for p in v) for v in extra])))
+    if any(coords is None for coords in cochain.values()):
+        raise DeformationError("defect cocycle escapes the search slice")
     phi = solve_coboundary(m_search, cochain)
     if phi is None:
         certified = "exact" if is_graded_setup(amb) else f"slice:{bound}"

@@ -30,9 +30,14 @@ def _is_prime(p: int) -> bool:
 
 
 class Field:
-    """Common interface; instances are immutable and hash/compare by kind."""
+    """Common interface; instances are immutable and hash/compare by kind.
+
+    ``zero`` and ``one`` are plain attributes holding the field's units,
+    so the hot loops that compare against them do no coercion."""
 
     characteristic: int
+    zero: object
+    one: object
 
     def of(self, value):
         raise NotImplementedError
@@ -52,14 +57,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    @property
-    def zero(self):
-        return self.of(0)
-
-    @property
-    def one(self):
-        return self.of(1)
-
     def is_invertible_int(self, n: int) -> bool:
         """Whether the integer n is a unit in this field."""
         return self.of(n) != self.zero
@@ -67,6 +64,8 @@ class Field:
 
 class RationalField(Field):
     characteristic = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def of(self, value):
         if isinstance(value, Fraction):
@@ -109,6 +108,8 @@ class PrimeField(Field):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.characteristic = p
+        self.zero = 0
+        self.one = 1
 
     def of(self, value):
         if isinstance(value, int):

@@ -109,14 +109,17 @@ class Substitution:
 
 
 class GroupAction:
-    """A finite group of ring substitutions with its multiplication table."""
+    """A finite group of ring substitutions with its multiplication table.
 
-    def __init__(self, ring: PolyRing, elements, table, inverse):
+    ``generators`` holds the indices of elements that generate the group."""
+
+    def __init__(self, ring: PolyRing, elements, table, inverse, generators):
         self.ring = ring
         self.elements = list(elements)
         self.table = table
         self.inverse = inverse
         self.identity_index = 0
+        self.generators = list(generators)
 
     def __len__(self):
         return len(self.elements)
@@ -165,7 +168,8 @@ def close_group(generators, ring: PolyRing | None = None, bound: int = 512) -> G
     """Close a generator list under composition into a full GroupAction.
 
     Each generator is a Substitution or a {var: image} mapping; raises
-    when a generator is not invertible or the closure exceeds bound.
+    when a generator is not invertible or the closure exceeds bound.  The
+    result records the generators' element indices as ``generators``.
     """
     subs = []
     for g in generators:
@@ -220,7 +224,8 @@ def close_group(generators, ring: PolyRing | None = None, bound: int = 512) -> G
             if table[i][j] == 0:
                 inverse[i] = j
                 break
-    return GroupAction(ring, elements, table, inverse)
+    generator_indices = list(dict.fromkeys(index[g] for g in subs))
+    return GroupAction(ring, elements, table, inverse, generator_indices)
 
 
 def verify_stability(gb: GroebnerBasis, action: GroupAction) -> bool:

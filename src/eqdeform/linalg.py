@@ -1,38 +1,53 @@
-"""Dense exact linear algebra over a Field (Gaussian elimination only)."""
+"""Exact linear algebra over a Field by sparse-row Gaussian elimination.
+
+Rows are kept internally as ``{column: value}`` dicts, so a row operation
+touches only the nonzero entries of the pivot row.  ``SpanBuilder`` holds
+a reduced echelon basis built one row at a time and the one elimination
+step; ``rref`` feeds the rows of a matrix into a ``SpanBuilder``, and
+``rank``, ``kernel_basis``, ``solve`` and ``solve_columns`` go through
+``rref``, while ``span_modulo`` uses a ``SpanBuilder`` directly.
+``solve_columns`` solves many right-hand sides with one elimination.
+Inputs and results are dense lists.
+"""
 
 from __future__ import annotations
+
+from bisect import bisect_left, insort
 
 from .fields import Field
 
 
+def _sparse(field: Field, row) -> dict:
+    zero = field.zero
+    return {c: x for c, x in enumerate(row) if x != zero}
+
+
+def _subtract(field: Field, v: dict, factor, row: dict) -> None:
+    """v -= factor * row in place, dropping the entries that cancel."""
+    zero = field.zero
+    mul, sub = field.mul, field.sub
+    for k, y in row.items():
+        x = sub(v.get(k, zero), mul(factor, y))
+        if x == zero:
+            v.pop(k, None)
+        else:
+            v[k] = x
+
+
 def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    The pivot rows come first, in pivot order, followed by zero rows up to
+    the input's row count."""
     if not rows:
-        return rows, []
+        return [], []
     ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != field.zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != field.zero:
-                factor = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    span = SpanBuilder(field, ncols)
+    for row in rows:
+        span._insert(_sparse(field, row))
+    red = span.dense_rows()
+    red.extend([field.zero] * ncols for _ in range(len(rows) - span.dim))
+    return red, list(span.pivots)
 
 
 def rank(field: Field, rows: list[list]) -> int:
@@ -55,75 +70,95 @@ def kernel_basis(field: Field, rows: list[list], ncols: int) -> list[list]:
     return basis
 
 
+def _solve_augmented(field: Field, aug: list[list], n: int, k: int) -> list:
+    """Canonical solutions (free variables zero) of A x = b for the k
+    right-hand sides b in columns n..n+k-1 of aug = [A | B], None for
+    each inconsistent one."""
+    red, pivots = rref(field, aug)
+    rank_a = bisect_left(pivots, n)
+    zero = field.zero
+    out = []
+    for j in range(n, n + k):
+        # b is solvable iff the rows past rank(A) vanish in its column
+        if any(red[r][j] != zero for r in range(rank_a, len(pivots))):
+            out.append(None)
+            continue
+        x = [zero] * n
+        for r in range(rank_a):
+            x[pivots[r]] = red[r][j]
+        out.append(x)
+    return out
+
+
 def solve(field: Field, rows: list[list], rhs: list) -> list | None:
     """One solution of A x = b, or None.  Returns the canonical solution
     with free variables set to zero (so b = 0 yields x = 0)."""
     if not rows:
         return None
-    ncols = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(field, aug)
-    for r in range(len(red)):
-        if all(x == field.zero for x in red[r][:ncols]) and red[r][ncols] != field.zero:
-            return None
-    x = [field.zero] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = red[r][ncols]
-    return x
+    return _solve_augmented(field, aug, len(rows[0]), 1)[0]
 
 
-def solve_columns(field: Field, columns: list[list], rhs: list) -> list | None:
-    """Coefficients x with sum_k x[k] * columns[k] = rhs, or None (as solve)."""
-    rows = [[col[r] for col in columns] for r in range(len(rhs))]
-    return solve(field, rows, rhs)
+def solve_columns(field: Field, columns: list[list], rhs_list: list[list]) -> list:
+    """For each b in rhs_list, the coefficients x with
+    sum_k x[k] * columns[k] = b, or None (as solve).  One elimination of
+    [A | B] serves every right-hand side."""
+    nrows = len(rhs_list[0]) if rhs_list else 0
+    aug = [[col[r] for col in columns] + [b[r] for b in rhs_list]
+           for r in range(nrows)]
+    if not aug:
+        return [None] * len(rhs_list)
+    return _solve_augmented(field, aug, len(columns), len(rhs_list))
 
 
 class SpanBuilder:
-    """Incrementally maintained row space in reduced echelon form."""
+    """Incrementally maintained row space in reduced echelon form.
+
+    Each row is a sparse dict keyed by its pivot column; it has a one at
+    its pivot and zeros at every other pivot."""
 
     def __init__(self, field: Field, ncols: int):
         self.field = field
         self.ncols = ncols
-        self.rows: list[list] = []
-        self.pivots: list[int] = []
-
-    def _reduce(self, v: list) -> list:
-        field = self.field
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != field.zero:
-                factor = v[p]
-                v = [field.sub(x, field.mul(factor, y)) for x, y in zip(v, row)]
-        return v
+        self.pivots: list[int] = []  # ascending
+        self._rows: dict[int, dict] = {}
 
     def add(self, v: list) -> bool:
         """Add v to the span; True if it enlarged the space."""
+        return self._insert(_sparse(self.field, v))
+
+    def _insert(self, v: dict) -> bool:
         field = self.field
-        red = self._reduce(v)
-        for c in range(self.ncols):
-            if red[c] != field.zero:
-                inv = field.inv(red[c])
-                red = [field.mul(inv, x) for x in red]
-                # back-substitute into the existing rows
-                for i, row in enumerate(self.rows):
-                    if row[c] != field.zero:
-                        factor = row[c]
-                        self.rows[i] = [
-                            field.sub(x, field.mul(factor, y)) for x, y in zip(row, red)
-                        ]
-                self.rows.append(red)
-                self.pivots.append(c)
-                order = sorted(range(len(self.pivots)), key=lambda i: self.pivots[i])
-                self.rows = [self.rows[i] for i in order]
-                self.pivots = [self.pivots[i] for i in order]
-                return True
-        return False
+        rows = self._rows
+        # the basis is reduced, so clearing one pivot leaves the others as they were
+        for p in [c for c in v if c in rows]:
+            _subtract(field, v, v[p], rows[p])
+        if not v:
+            return False
+        c = min(v)
+        inv = field.inv(v[c])
+        v = {k: field.mul(inv, x) for k, x in v.items()}
+        for row in rows.values():
+            if c in row:
+                _subtract(field, row, row[c], v)
+        rows[c] = v
+        insort(self.pivots, c)
+        return True
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
+
+    def dense_rows(self) -> list[list]:
+        """The basis rows as dense lists, in pivot order."""
+        zero = self.field.zero
+        out = []
+        for p in self.pivots:
+            row = [zero] * self.ncols
+            for k, x in self._rows[p].items():
+                row[k] = x
+            out.append(row)
+        return out
 
 
 def span_modulo(field: Field, ncols: int, base, vectors) -> tuple[int, list[int]]:

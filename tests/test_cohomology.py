@@ -1,8 +1,11 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from eqdeform import linalg
 from eqdeform.ambient import AffinePresentation, NormalModule, choose_ambient
+from eqdeform.cli import Workspace
 from eqdeform.cohomology import (
     CocycleError,
     GModuleSlice,
@@ -17,6 +20,9 @@ from eqdeform.cohomology import (
 from eqdeform.fields import GF, QQ
 from eqdeform.gaction import close_group
 from eqdeform.poly import PolyRing
+from eqdeform.problem import parse_problem
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -48,6 +54,51 @@ def test_representation_property_enforced(swap_q):
     bad = [identity_matrix(f, 1), [[f.of(2)]]]  # 2 is not an involution
     with pytest.raises(CocycleError):
         GModuleSlice(swap, f, bad)
+
+
+def test_representation_checked_through_the_generators():
+    """Only M_st is wrong, and st is no generator; the products M_s M_j
+    over the generators s still expose it."""
+    ring = PolyRing(QQ, ["x", "y"])
+    x, y = ring.gens()
+    klein = close_group([{"x": -x}, {"y": -y}], ring=ring)
+    s, t = klein.generators
+    st = klein.mul(s, t)
+    assert len(klein) == 4 and st not in klein.generators
+    sign = {klein.identity_index: 1, s: -1, t: -1, st: 1}
+    good = [[[QQ.of(sign[i])]] for i in klein.indices()]
+    GModuleSlice(klein, QQ, good)
+    bad = list(good)
+    bad[st] = [[QQ.of(-1)]]
+    with pytest.raises(CocycleError):
+        GModuleSlice(klein, QQ, bad)
+
+
+def test_regular_ambient_action_keeps_the_generators():
+    r2 = PolyRing(GF(2), ["x", "y"])
+    node = AffinePresentation.build(r2, [r2.var("x") * r2.var("y")])
+    swap = close_group([{"x": r2.var("y"), "y": r2.var("x")}], ring=r2)
+    amb = choose_ambient(node, swap, "regular")
+    assert amb.action is not swap
+    assert amb.action.generators == swap.generators == [1]
+
+
+def test_slice_factors_the_action_matrices_once(monkeypatch):
+    """One elimination solves every (element, payload) image of the slice."""
+    text = (ROOT / "bench" / "problems" / "klein_f2.prob").read_text(encoding="utf-8")
+    workspace = Workspace(parse_problem(text))
+    module = NormalModule(workspace.ambient)
+    calls = []
+    rref = linalg.rref
+
+    def counted(field, rows):
+        calls.append(len(rows))
+        return rref(field, rows)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    m = slice_of_normal_module(module, 2)
+    assert len(workspace.group) == 4 and m.dim > 1
+    assert len(calls) == 1
 
 
 def _random_involution(field, n, rng):
@@ -137,9 +188,9 @@ def test_wild_node_slice_h1():
         assert h1_bounded(small, big).dimension == 1
     # the constant class is not a coboundary; (x+y)F^* is
     small = slice_of_normal_module(N, 6)
-    one = small.express((r2.one,))
+    (one,) = small.express([(r2.one,)])
     assert solve_coboundary(small, {1: one}) is None
-    xy = small.express((r2.var("x") + r2.var("y"),))
+    (xy,) = small.express([(r2.var("x") + r2.var("y"),)])
     phi = solve_coboundary(small, {1: xy})
     assert phi is not None
     lhs = [GF(2).sub(a, b) for a, b in zip(small.act(1, phi), phi)]

@@ -57,6 +57,15 @@ def test_closure_bound(ring):
         close_group([{"x": x + 1}], ring=ring, bound=64)  # infinite over Q
 
 
+def test_close_group_records_generators(ring):
+    x, y = ring.gens()
+    swap, flip = {"x": y, "y": x}, {"y": -y}
+    g = close_group([swap, flip, swap], ring=ring)
+    assert [g.elements[i] for i in g.generators] == [
+        Substitution.from_map(ring, swap), Substitution.from_map(ring, flip)]
+    assert close_group([], ring=ring).generators == []
+
+
 def test_non_invertible_generator(ring):
     x, y = ring.gens()
     with pytest.raises(NotInvertibleError):

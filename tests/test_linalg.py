@@ -1,0 +1,100 @@
+"""The sparse eliminator in eqdeform.linalg against the dense copy in oracles.
+
+Each seed gives one fixed system, so the cases are the same on every run."""
+
+import inspect
+import random
+from fractions import Fraction
+
+import pytest
+
+import oracles
+from eqdeform import linalg
+from eqdeform.fields import GF, QQ
+
+FIELDS = (GF(2), GF(3), GF(7), QQ)
+SEEDS = range(300)
+
+
+def _scalar(field, rng, density):
+    if rng.random() >= density:
+        return field.zero
+    if field is QQ:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return rng.randrange(field.p)
+
+
+def system(seed):
+    """(field, rows, ncols, rng): up to 8 x 8, dense, sparse or all zero,
+    with zero-width rows when ncols is 0."""
+    rng = random.Random(seed)
+    field = rng.choice(FIELDS)
+    nrows, ncols = rng.randint(0, 8), rng.randint(0, 8)
+    density = rng.choice((0.0, 0.15, 0.4, 1.0))
+    rows = [[_scalar(field, rng, density) for _ in range(ncols)]
+            for _ in range(nrows)]
+    return field, rows, ncols, rng
+
+
+def _image(field, rows, x):
+    out = []
+    for row in rows:
+        total = field.zero
+        for a, b in zip(row, x):
+            total = field.add(total, field.mul(a, b))
+        out.append(total)
+    return out
+
+
+def _right_hand_side(field, rows, ncols, rng):
+    """A x for a random x, or an arbitrary (often inconsistent) b."""
+    if rng.random() < 0.5:
+        return _image(field, rows, [_scalar(field, rng, 0.5) for _ in range(ncols)])
+    return [_scalar(field, rng, 0.5) for _ in rows]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rref_and_kernel_match_the_dense_oracle(seed):
+    field, rows, ncols, _ = system(seed)
+    assert linalg.rref(field, rows) == oracles.rref(field, rows)
+    assert linalg.kernel_basis(field, rows, ncols) == oracles.kernel_basis(field, rows, ncols)
+    assert linalg.rank(field, rows) == len(oracles.rref(field, rows)[1])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_solves_match_the_dense_oracle(seed):
+    field, rows, ncols, rng = system(seed)
+    k = rng.randint(0, 4)
+    rhs_list = [_right_hand_side(field, rows, ncols, rng) for _ in range(k)]
+    expected = [oracles.solve(field, rows, b) for b in rhs_list]
+    assert [linalg.solve(field, rows, b) for b in rhs_list] == expected
+    columns = [[row[c] for row in rows] for c in range(ncols)]
+    assert linalg.solve_columns(field, columns, rhs_list) == expected
+    # k right-hand sides in one call give the k single solves
+    assert [linalg.solve_columns(field, columns, [b])[0] for b in rhs_list] == expected
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_span_modulo_keeps_the_oracle_indices(seed):
+    field, rows, ncols, rng = system(seed)
+    split = rng.randint(0, 8)
+    base, vectors = rows[:split], rows[split:]
+    span = oracles.SpanBuilder(field, ncols)
+    for u in base:
+        span.add(u)
+    base_dim = span.dim
+    kept = [k for k, v in enumerate(vectors) if span.add(v)]
+    assert linalg.span_modulo(field, ncols, base, vectors) == (base_dim, kept)
+
+
+def test_field_units_are_plain_attributes():
+    for p in (2, 3, 7):
+        f = GF(p)
+        assert type(f.zero) is int and f.zero == 0
+        assert type(f.one) is int and f.one == 1
+        assert not isinstance(inspect.getattr_static(type(f), "zero", None), property)
+        assert not isinstance(inspect.getattr_static(type(f), "one", None), property)
+    assert type(QQ.zero) is Fraction and QQ.zero == 0
+    assert type(QQ.one) is Fraction and QQ.one == 1
+    assert not isinstance(inspect.getattr_static(type(QQ), "zero", None), property)
+    assert not isinstance(inspect.getattr_static(type(QQ), "one", None), property)
