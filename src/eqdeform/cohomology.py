@@ -244,11 +244,11 @@ def coboundary_of(m: GModuleSlice, phi_coords):
 
 
 def _unit_coboundaries(m: GModuleSlice):
-    """Coboundaries of the coordinate unit vectors, which span B^1."""
-    field = m.field
+    """Coboundaries of the coordinate unit vectors, which span B^1: the
+    coboundary of e_k is column k of the stacked M_s - I."""
+    rows = _action_minus_identity(m)
     for k in range(m.dim):
-        yield coboundary_of(m, [field.one if j == k else field.zero
-                                for j in range(m.dim)])
+        yield [row[k] for row in rows]
 
 
 @dataclass

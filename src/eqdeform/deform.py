@@ -3,9 +3,13 @@
 All arithmetic over a truncated base is eps-order peeling: every check
 or solve reduces to staged problems over k handled by Groebner normal
 forms, so there is no Groebner theory over non-field coefficients
-anywhere.  Flatness of coefficientwise lifts of a regular sequence is
-structural; verify_deformation re-checks the regular-sequence
-certificate instead of attempting a general flatness test.
+anywhere.  eps_divide keeps only the final remainder, and stage 0 of
+every equivariance division reads the twist cofactors of sigma(f_j)
+(amb.twists.exact) instead of dividing sigma(f_j) again; the group
+acts on nonzero eps coefficients only.  Flatness of coefficientwise
+lifts of a regular sequence is structural; verify_deformation re-checks
+the regular-sequence certificate instead of attempting a general
+flatness test.
 
 Sign conventions, fixed once and exercised by round-trip tests:
 shifting a lift by a class nu replaces F_j by F_j - eps^m nu_j, and the
@@ -213,47 +217,74 @@ class Deformation:
                 + "; ".join(repr(g) for g in self.gens) + ")")
 
 
-def eps_divide(h: EpsPoly, gens, representer, allow_final_remainder=False):
+def eps_divide(h: EpsPoly, gens, representer, allow_final_remainder=False,
+               stage0=None):
     """Stagewise division of h by the lifted generators.
 
-    Returns (S, remainder) with h = sum S_l gens_l + eps^order * remainder
-    exactly over the truncated base; remainder is None on full success.
-    Raises DeformationError when an intermediate stage leaves the ideal.
+    Returns the remainder w with h = sum S_l gens_l + eps^order * w
+    exactly over the truncated base, or None when the division is exact
+    (the quotients S_l are not kept).  Raises DeformationError when an
+    intermediate stage leaves the ideal.
+
+    stage0, when given, holds cofactors of h's eps^0 coefficient over the
+    generators' eps^0 coefficients; stage 0 subtracts them instead of
+    dividing that coefficient again.
     """
-    ring = h.ring
     order = h.order
-    S = [EpsPoly(ring, order, []) for _ in gens]
-    r = h
+    r = list(h.coeffs)
     for t in range(order + 1):
-        rt = r.coeff(t)
-        if rt.is_zero():
+        if t == 0 and stage0 is not None:
+            cof = stage0
+        elif r[t].is_zero():
             continue
-        cof = representer.express(rt)
-        if cof is None:
-            if allow_final_remainder and t == order:
-                return S, rt
-            raise DeformationError(
-                f"eps^{t} coefficient is not in the base ideal"
-            )
-        for l, c in enumerate(cof):
+        else:
+            cof = representer.express(r[t])
+            if cof is None:
+                if allow_final_remainder and t == order:
+                    return r[t]
+                raise DeformationError(
+                    f"eps^{t} coefficient is not in the base ideal"
+                )
+        for c, g in zip(cof, gens):
             if c.is_zero():
                 continue
-            piece = EpsPoly.constant(ring, order, c).shift(t)
-            S[l] = S[l] + piece
-            r = r - piece * gens[l]
-    return S, None
+            for s, gs in enumerate(g.coeffs[: order - t + 1]):
+                if not gs.is_zero():
+                    r[t + s] = r[t + s] - c * gs
+    return None
+
+
+def _equivariance_remainders(amb: EquivariantAmbient, gens,
+                             allow_final_remainder=False):
+    """Per element index i, the final-order remainders of dividing each
+    sigma_i(F_j) by the lifted generators (None where exact).
+
+    The generators must reduce to the ambient presentation mod eps, so
+    the stage-0 cofactors are the twist row of sigma_i(f_j)."""
+    action = amb.action
+    if len(gens) != len(amb.pres.gens) or any(
+            g.coeff(0) != f for g, f in zip(gens, amb.pres.gens)):
+        raise DeformationError("reduction mod eps is not the base presentation")
+    if not gens:
+        return {i: [] for i in action.indices()}
+    rep = amb.pres.representer
+    twist = amb.twists.exact
+    out = {}
+    for i in action.indices():
+        row = []
+        for j, g in enumerate(gens):
+            moved = g.map_coeffs(
+                lambda c: c if c.is_zero() else action.apply(i, c))
+            row.append(eps_divide(moved, gens, rep, allow_final_remainder,
+                                  stage0=twist[i][j]))
+        out[i] = row
+    return out
 
 
 def certify_equivariance(amb: EquivariantAmbient, gens) -> None:
     """Check that every sigma(F_j) divides out over the lifted generators
     (eps_divide); raises DeformationError when the lift is not equivariant."""
-    rep = amb.pres.representer if amb.pres.gens else None
-    for i in amb.action.indices():
-        for g in gens:
-            moved = g.map_coeffs(lambda c: amb.action.apply(i, c))
-            if rep is None:
-                raise DeformationError("cannot certify without generators")
-            eps_divide(moved, list(gens), rep)
+    _equivariance_remainders(amb, tuple(gens))
 
 
 @dataclass
@@ -451,7 +482,8 @@ def default_truncation(amb: EquivariantAmbient) -> int:
 
 
 def _mech_defect(d: Deformation, lift_gens):
-    """Peeling remainders w with sigma(F_j') = sum_l S[j][l] F_l' + eps^M w_j."""
+    """Peeling remainders w with sigma(F_j') = sum_l S[j][l] F_l' + eps^M w_j,
+    and whether every division, the identity's included, was exact."""
     amb = d.amb
     order = d.order + 1
     for g, base_g in zip(lift_gens, d.gens):
@@ -459,18 +491,30 @@ def _mech_defect(d: Deformation, lift_gens):
             raise DeformationError("lift generators have the wrong order")
         if g.truncate(d.order) != base_g:
             raise DeformationError("generators do not lift the given deformation")
-    rep = amb.pres.representer
-    mech = {}
-    for i in amb.action.indices():
-        vec = []
-        for g in lift_gens:
-            moved = g.map_coeffs(lambda c: amb.action.apply(i, c))
-            _, remainder = eps_divide(moved, list(lift_gens), rep,
-                                      allow_final_remainder=True)
-            vec.append(amb.pres.nf(remainder) if remainder is not None
-                       else amb.ring.zero)
-        mech[i] = tuple(vec)
-    return mech
+    remainders = _equivariance_remainders(amb, tuple(lift_gens),
+                                          allow_final_remainder=True)
+    mech = {
+        i: tuple(amb.ring.zero if w is None else amb.pres.nf(w) for w in row)
+        for i, row in remainders.items()
+    }
+    exact = all(w is None for row in remainders.values() for w in row)
+    return mech, exact
+
+
+def _defect_cocycle(d: Deformation, lift_gens):
+    """obstruction_cocycle, and whether the lift is already equivariant
+    (every division of sigma(F_j') exact, so it needs no certification)."""
+    amb = d.amb
+    mech, exact = _mech_defect(d, lift_gens)
+    action = amb.action
+    values = {}
+    for i in action.indices():
+        if i == action.identity_index:
+            continue
+        raw = mech[action.inv(i)]
+        values[i] = tuple(w if w.is_zero() else amb.pres.nf(action.apply(i, w))
+                          for w in raw)
+    return Cocycle(NormalModule(amb), values), exact
 
 
 def obstruction_cocycle(d: Deformation, lift_gens) -> Cocycle:
@@ -481,16 +525,7 @@ def obstruction_cocycle(d: Deformation, lift_gens) -> Cocycle:
     sigma(F_j') by the lifted generators; the standard-form value at
     sigma applies sigma to the raw defect of sigma^(-1), which makes
     c(st) = s.c(t) + c(s) hold on the nose."""
-    amb = d.amb
-    mech = _mech_defect(d, lift_gens)
-    action = amb.action
-    values = {}
-    for i in action.indices():
-        if i == action.identity_index:
-            continue
-        raw = mech[action.inv(i)]
-        values[i] = tuple(amb.pres.nf(action.apply(i, w)) for w in raw)
-    return Cocycle(NormalModule(amb), values)
+    return _defect_cocycle(d, lift_gens)[0]
 
 
 def is_graded_setup(amb: EquivariantAmbient) -> bool:
@@ -520,14 +555,17 @@ def equivariantize(d: Deformation, lift_gens, trunc: int | None = None,
 
     When the defect cocycle c is nonzero we solve s.phi - phi = -c on a
     G-stable slice and replace F_j' by F_j' - eps^(m+1) phi_j, which
-    cancels the defect exactly; the corrected lift is re-certified."""
+    cancels the defect exactly; the corrected lift is re-certified.  A
+    lift whose defect divisions were all exact already passed the same
+    divisions certify_equivariance runs, so it is not certified twice."""
     amb = d.amb
     order = d.order + 1
-    c = obstruction_cocycle(d, lift_gens)
+    c, exact = _defect_cocycle(d, lift_gens)
     base = ArtinianBase(order, amb.ring.field)
     if c.is_zero():
         out = Deformation(amb, base, tuple(lift_gens))
-        certify_equivariance(amb, out.gens)
+        if not exact:
+            certify_equivariance(amb, out.gens)
         return LiftOutcome(True, out, None, "exact")
     N = NormalModule(amb)
     bound = (trunc if trunc is not None else default_truncation(amb)) + slack

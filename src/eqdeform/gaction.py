@@ -243,8 +243,9 @@ class TwistMatrices:
     """Per group element, a c x c matrix T with sigma(f_j) = sum_l T[j][l] f_l.
 
     `exact` entries are an actual division expression in the ambient ring;
-    `reduced` entries are their normal forms mod the ideal (the matrix of
-    the action on the conormal module)."""
+    the lift's equivariance divisions (deform.eps_divide) take them as
+    their stage-0 cofactors.  `reduced` entries are their normal forms mod
+    the ideal (the matrix of the action on the conormal module)."""
 
     def __init__(self, action: GroupAction, exact, reduced):
         self.action = action

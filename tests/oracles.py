@@ -3,11 +3,14 @@
 Everything here works on raw coefficient vectors with its own plain
 dense linear algebra (or honest enumeration over F_2) and never calls
 the Groebner machinery or ``eqdeform.linalg``, so it can vouch for the
-main implementation.
+main implementation.  The one exception is the eps-peeling copy at the
+end, which is handed a Groebner representer: it checks the stage
+bookkeeping of ``eqdeform.deform.eps_divide``, not the membership test.
 """
 
 from __future__ import annotations
 
+from eqdeform.deform import DeformationError, EpsPoly
 from eqdeform.fields import Field
 from eqdeform.poly import PolyRing, Polynomial, monomial_degree
 
@@ -322,3 +325,36 @@ class F2SliceOracle:
         import math
 
         return int(math.log2(len(z_small))) - int(math.log2(len(killed)))
+
+
+# --- eps-order peeling ------------------------------------------------------
+# A copy of the first eps_divide, kept apart from eqdeform.deform: it
+# divides every stage afresh (no stage-0 cofactors), works on whole
+# EpsPoly values instead of one coefficient list, and keeps the quotients.
+
+def eps_divide(h: EpsPoly, gens, representer, allow_final_remainder=False):
+    """(S, remainder) with h = sum S_l gens_l + eps^order * remainder
+    exactly over the truncated base; remainder is None on full success.
+    Raises DeformationError when an intermediate stage leaves the ideal."""
+    ring = h.ring
+    order = h.order
+    S = [EpsPoly(ring, order, []) for _ in gens]
+    r = h
+    for t in range(order + 1):
+        rt = r.coeff(t)
+        if rt.is_zero():
+            continue
+        cof = representer.express(rt)
+        if cof is None:
+            if allow_final_remainder and t == order:
+                return S, rt
+            raise DeformationError(
+                f"eps^{t} coefficient is not in the base ideal"
+            )
+        for l, c in enumerate(cof):
+            if c.is_zero():
+                continue
+            piece = EpsPoly.constant(ring, order, c).shift(t)
+            S[l] = S[l] + piece
+            r = r - piece * gens[l]
+    return S, None

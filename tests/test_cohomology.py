@@ -9,6 +9,7 @@ from eqdeform.cli import Workspace
 from eqdeform.cohomology import (
     CocycleError,
     GModuleSlice,
+    _unit_coboundaries,
     coboundary_of,
     h1,
     h1_bounded,
@@ -81,6 +82,21 @@ def test_regular_ambient_action_keeps_the_generators():
     amb = choose_ambient(node, swap, "regular")
     assert amb.action is not swap
     assert amb.action.generators == swap.generators == [1]
+
+
+@pytest.mark.parametrize("path,degree", [
+    ("bench/problems/klein_f2.prob", 2),
+    ("bench/problems/d4_f2.prob", 3),
+    ("problems/node_q.prob", 3),
+])
+def test_unit_coboundaries_are_the_columns_of_the_action(path, degree):
+    """The coboundary of e_k read off M_s - I equals s.e_k - e_k."""
+    workspace = Workspace(parse_problem((ROOT / path).read_text(encoding="utf-8")))
+    m = slice_of_normal_module(NormalModule(workspace.ambient), degree)
+    units = [[m.field.one if j == k else m.field.zero for j in range(m.dim)]
+             for k in range(m.dim)]
+    assert m.dim > 1
+    assert list(_unit_coboundaries(m)) == [coboundary_of(m, e) for e in units]
 
 
 def test_slice_factors_the_action_matrices_once(monkeypatch):

@@ -1,20 +1,25 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from eqdeform import deform
 from eqdeform.ambient import (
     AffinePresentation,
     choose_ambient,
     normal_image,
     regular_rep_embedding,
 )
+from eqdeform.cli import Workspace
 from eqdeform.deform import (
     ArtinianBase,
     Deformation,
     DeformationError,
     DifferenceClass,
     EpsPoly,
+    _mech_defect,
     apply_flow,
+    certify_equivariance,
     default_truncation,
     difference_class,
     equivariantize,
@@ -29,8 +34,12 @@ from eqdeform.deform import (
     verify_deformation,
 )
 from eqdeform.fields import GF, QQ
-from eqdeform.gaction import close_group
+from eqdeform.gaction import GroupAction, close_group
+from eqdeform.groebner import Representer
 from eqdeform.poly import PolyRing, canonical_render
+from eqdeform.problem import parse_problem
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_case(field, gens_text, group_images):
@@ -452,3 +461,101 @@ def test_regular_rep_lifting_matches_small(cusp_q):
     small_rep = tangent_spaces(p, g, amb=amb)
     big_rep = tangent_spaces(p, g, amb=big)
     assert small_rep.t1_equivariant_dim == big_rep.t1_equivariant_dim
+
+
+def workspace(path):
+    return Workspace(parse_problem((ROOT / path).read_text()))
+
+
+def test_lift_steps_express_only_to_build_the_twists(monkeypatch):
+    """Stage 0 of each equivariance division reads the twist cofactors,
+    and every coefficientwise lift of trans_f3 is equivariant, so ten
+    lift steps call Representer.express only for the twist build."""
+    amb = workspace("bench/problems/trans_f3.prob").ambient
+    calls = []
+    express = Representer.express
+    monkeypatch.setattr(Representer, "express",
+                        lambda self, h: calls.append(h) or express(self, h))
+    d = Deformation.initial(amb)
+    for _ in range(10):
+        out = lift_step(d)
+        assert out.success
+        d = out.deformation
+    assert 0 < len(calls) <= len(amb.action) * len(amb.pres.gens)
+
+
+@pytest.mark.parametrize("path", ["bench/problems/trans_f3.prob",
+                                  "problems/cusp_q.prob",
+                                  "bench/problems/klein_twist_f2.prob"])
+def test_group_never_acts_on_zero_coefficients(monkeypatch, path):
+    """certify_equivariance and _mech_defect skip the zero eps
+    coefficients (here the two appended by a coefficientwise lift)."""
+    d = workspace(path).deformation()
+    amb = d.amb
+    if d.order == 0:
+        d = lift_step(d).deformation
+    lift_gens = tuple(g.lift(d.order + 2) for g in d.gens)
+    handed = []
+    apply = GroupAction.apply
+    monkeypatch.setattr(GroupAction, "apply",
+                        lambda self, i, f: handed.append(f) or apply(self, i, f))
+    try:
+        certify_equivariance(amb, lift_gens)
+    except DeformationError:
+        pass  # klein_twist_f2's coefficientwise lift is not equivariant
+    _mech_defect(d, tuple(g.truncate(d.order + 1) for g in lift_gens))
+    assert handed
+    assert not any(f.is_zero() for f in handed)
+
+
+@pytest.mark.parametrize("path,steps,trunc", [
+    ("bench/problems/trans_f3.prob", 8, None),
+    ("bench/problems/klein_f2.prob", 8, None),
+    ("problems/cusp_q.prob", 8, None),
+    ("bench/problems/klein_twist_f2.prob", 1, 2),
+])
+def test_every_lift_step_passes_the_independent_check(path, steps, trunc):
+    """verify_deformation re-runs the whole certificate, so a step that
+    skipped a failing check would show here."""
+    d = workspace(path).deformation()
+    for _ in range(steps):
+        out = lift_step(d, trunc=trunc)
+        assert out.success
+        assert verify_deformation(out.deformation).ok
+        d = out.deformation
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_zero_defect_lift_is_certified_unless_every_division_was_exact(
+        monkeypatch, cusp_q, exact):
+    """A zero cocycle leaves out the identity element, so only all-exact
+    divisions (the identity's included) make the second check redundant."""
+    _, _, amb = cusp_q
+    d = Deformation.initial(amb)
+    lift_gens = tuple(g.lift(1) for g in d.gens)
+    zero = {i: (amb.ring.zero,) * len(lift_gens) for i in amb.action.indices()}
+    monkeypatch.setattr(deform, "_mech_defect", lambda d, gens: (zero, exact))
+    certified = []
+    monkeypatch.setattr(deform, "certify_equivariance",
+                        lambda amb, gens: certified.append(gens))
+    out = equivariantize(d, lift_gens)
+    assert out.success
+    assert certified == ([] if exact else [lift_gens])
+
+
+def test_identity_division_counts_although_the_cocycle_omits_it(
+        monkeypatch, cusp_q):
+    """A final remainder at the identity alone leaves the cocycle zero
+    but the lift not certified."""
+    _, _, amb = cusp_q
+    d = Deformation.initial(amb)
+    lift_gens = tuple(g.lift(1) for g in d.gens)
+    e = amb.action.identity_index
+    x = amb.ring.var("x")
+    remainders = {i: [x if i == e else None for _ in lift_gens]
+                  for i in amb.action.indices()}
+    monkeypatch.setattr(deform, "_equivariance_remainders",
+                        lambda *args, **kwargs: remainders)
+    mech, exact = _mech_defect(d, lift_gens)
+    assert mech[e] == (x,) and not exact
+    assert obstruction_cocycle(d, lift_gens).is_zero()
