@@ -71,10 +71,9 @@ class AffinePresentation:
         return self.gb.normal_form(f)
 
     @property
-    def representer(self) -> Representer:
-        if self._representer is None:
-            if not self.gens:
-                raise ValueError("no generators to represent over")
+    def representer(self) -> Representer | None:
+        """Cofactors over the generators; None when there are none."""
+        if self._representer is None and self.gens:
             self._representer = Representer(list(self.gens))
         return self._representer
 

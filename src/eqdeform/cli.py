@@ -3,6 +3,13 @@
 Every command prints a deterministic plain-text report (or the JSON
 form with --json) and exits 0 on success, 2 when a lifting step or
 obstruction blocks, 3 on input errors.  All numbers are exact.
+
+A command loads its problem file into a ``Workspace`` (presentation,
+group closure and ambient, with ``Workspace.deformation`` building the
+verified lift a file writes) and fills one ``Report``: each ``put``
+sets a JSON field of ``report.schema.json`` together with its text
+lines, and ``emit`` prints one form or the other.  Library errors reach
+``main``, which maps them to exit 3 with their message.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from .ambient import (
     choose_ambient,
 )
 from .deform import (
-    ArtinianBase,
     Deformation,
     DeformationError,
     DifferenceClass,
@@ -37,15 +43,23 @@ from .gaction import (
     NotInvertibleError,
     StabilityError,
     close_group,
-    verify_stability,
 )
 from .poly import ParseError
 from .problem import ProblemError, ProblemFile, parse_problem
-from .ramify import RootOfUnityError, TruncatedSeriesModule, local_ext1_invariants
+from .ramify import RamifyError, TruncatedSeriesModule, local_ext1_invariants
 
 EXIT_OK = 0
 EXIT_OBSTRUCTED = 2
 EXIT_INPUT = 3
+
+# The JSON report's fields, in the order of report.schema.json.
+REPORT_FIELDS = (
+    "command", "field", "group_order", "t0_dim", "t1_dim",
+    "t1_equivariant_dim", "obstruction_dim", "certified", "lifts", "witness",
+    "variables", "truncation", "ambient", "stable", "regular_sequence",
+    "quotient_dimension", "t1_basis", "t1_equivariant_basis", "t1_infinite",
+    "obstruction_classes", "steps", "ramify_value",
+)
 
 
 class InputError(Exception):
@@ -83,13 +97,8 @@ class Workspace:
     def __init__(self, problem: ProblemFile):
         self.problem = problem
         ring = problem.ring
-        base_gens = []
-        for coeffs in problem.ideal:
-            base_gens.append(coeffs[0])
-        try:
-            self.presentation = AffinePresentation.build(ring, base_gens)
-        except NotCompleteIntersectionError as exc:
-            raise InputError(str(exc)) from exc
+        self.presentation = AffinePresentation.build(
+            ring, [coeffs[0] for coeffs in problem.ideal])
         try:
             bound = int(problem.options.get("bound", 512))
         except ValueError as exc:
@@ -99,15 +108,10 @@ class Workspace:
             self.group = close_group(maps, ring=ring, bound=bound)
         except (NotInvertibleError, ClosureBoundExceededError, ValueError) as exc:
             raise InputError(f"group closure: {exc}") from exc
-        if not verify_stability(self.presentation.gb, self.group):
-            raise InputError("the group does not stabilize the ideal")
         mode = problem.options.get("ambient", "auto")
         if mode not in ("auto", "original", "regular"):
             raise InputError(f"unknown ambient option {mode!r}")
-        try:
-            self.ambient = choose_ambient(self.presentation, self.group, mode)
-        except (StabilityError, NotCompleteIntersectionError) as exc:
-            raise InputError(str(exc)) from exc
+        self.ambient = choose_ambient(self.presentation, self.group, mode)
 
     def truncation(self, override: int | None) -> int:
         """The slice bound: --truncate, else option truncate, else the default."""
@@ -125,184 +129,134 @@ class Workspace:
             raise InputError(f"{source} must be non-negative, got {value}")
         return value
 
-    def deformation(self) -> Deformation:
-        """The deformation written in the file (order 0 when eps-free)."""
+    def deformation(self, problem: ProblemFile, order: int) -> Deformation:
+        """The verified deformation over the ambient, at the given order,
+        whose generators have the eps coefficients written in ``problem``
+        (this workspace's problem or one over the same variables)."""
         amb = self.ambient
-        order = self.problem.eps_order
-        gens = []
-        for coeffs in self.problem.ideal:
-            lifted = [amb.embed(c) for c in coeffs]
-            gens.append(EpsPoly(amb.ring, order, lifted))
-        for extra in amb.pres.gens[len(self.problem.ideal):]:
-            gens.append(EpsPoly.constant(amb.ring, order, extra))
-        try:
-            d = Deformation(amb, ArtinianBase(order, amb.ring.field), tuple(gens))
-            check = verify_deformation(d)
-        except DeformationError as exc:
-            raise InputError(str(exc)) from exc
+        ring = self.problem.ring
+        gens = [EpsPoly(amb.ring, order,
+                        [amb.embed(ring.from_terms(c.terms)) for c in coeffs])
+                for coeffs in problem.ideal]
+        gens += [EpsPoly.constant(amb.ring, order, extra)
+                 for extra in amb.pres.gens[len(problem.ideal):]]
+        d = Deformation(amb, order, gens)
+        check = verify_deformation(d)
         if not check.ok:
             raise InputError("; ".join(check.failures))
         return d
 
 
-def _base_report(command: str, ws: Workspace | None) -> dict:
-    report = {
-        "command": command,
-        "field": None,
-        "group_order": None,
-        "t0_dim": None,
-        "t1_dim": None,
-        "t1_equivariant_dim": None,
-        "obstruction_dim": None,
-        "certified": None,
-        "lifts": None,
-        "witness": None,
-        "variables": None,
-        "truncation": None,
-        "ambient": None,
-        "stable": None,
-        "regular_sequence": None,
-        "quotient_dimension": None,
-        "t1_basis": None,
-        "t1_equivariant_basis": None,
-        "t1_infinite": None,
-        "obstruction_classes": None,
-        "steps": None,
-        "ramify_value": None,
-    }
-    if ws is not None:
-        report["field"] = ws.problem.field_text
-        report["variables"] = list(ws.problem.variables)
-        report["group_order"] = len(ws.group)
-        report["ambient"] = ws.ambient.kind
-    return report
+class Report:
+    """One command's answer: the JSON fields (null unless set) and the
+    text lines, each field set together with its lines."""
 
+    def __init__(self, command: str, ws: Workspace | None = None):
+        self.fields = dict.fromkeys(REPORT_FIELDS)
+        self.lines = []
+        self.put("command", command, f"command: {command}")
+        if ws is not None:
+            problem = ws.problem
+            self.put("field", problem.field_text, f"field: {problem.field_text}")
+            self.put("variables", list(problem.variables),
+                     "variables: " + " ".join(problem.variables))
+            self.put("group_order", len(ws.group), f"group order: {len(ws.group)}")
+            self.put("ambient", ws.ambient.kind, f"ambient: {ws.ambient.kind}")
 
-def _emit(report: dict, lines: list, as_json: bool):
-    if as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    def put(self, key: str, value, *lines: str):
+        if key not in self.fields:
+            raise KeyError(f"{key!r} is not a report field")
+        self.fields[key] = value
+        self.lines.extend(lines)
 
+    def text(self, *lines: str):
+        """Lines that no JSON field carries."""
+        self.lines.extend(lines)
 
-def _common_lines(report: dict) -> list:
-    lines = [f"command: {report['command']}"]
-    if report["field"] is not None:
-        lines.append(f"field: {report['field']}")
-    if report["variables"] is not None:
-        lines.append("variables: " + " ".join(report["variables"]))
-    if report["group_order"] is not None:
-        lines.append(f"group order: {report['group_order']}")
-    if report["ambient"] is not None:
-        lines.append(f"ambient: {report['ambient']}")
-    return lines
+    def emit(self, as_json: bool):
+        print(json.dumps(self.fields, indent=2) if as_json else "\n".join(self.lines))
 
 
 def cmd_check(args) -> int:
     ws = Workspace(_load_problem(args.problem))
     cert = ws.presentation.certificate
-    report = _base_report("check", ws)
-    report["stable"] = True
-    report["regular_sequence"] = cert.regular
-    report["quotient_dimension"] = cert.quotient_dimension
-    lines = _common_lines(report)
-    lines.append("stability: ok")
-    lines.append(
-        f"regular sequence: ok (dim {cert.quotient_dimension} = "
-        f"{cert.nvars} - {cert.ngens})"
-    )
-    _emit(report, lines, args.json)
+    report = Report("check", ws)
+    report.put("stable", True, "stability: ok")
+    report.put("regular_sequence", cert.regular,
+               f"regular sequence: ok (dim {cert.quotient_dimension} = "
+               f"{cert.nvars} - {cert.ngens})")
+    report.put("quotient_dimension", cert.quotient_dimension)
+    report.emit(args.json)
     return EXIT_OK
 
 
 def cmd_tangent(args) -> int:
     ws = Workspace(_load_problem(args.problem))
     trunc = ws.truncation(args.truncate)
-    rep = tangent_spaces(ws.presentation, ws.group, amb=ws.ambient, trunc=trunc)
-    report = _base_report("tangent", ws)
-    report["truncation"] = trunc
-    report["t0_dim"] = rep.t0_dim
-    report["t1_dim"] = rep.t1.dimension
-    report["t1_infinite"] = not rep.t1.finite
-    report["t1_basis"] = [_render_vector(v) for v in rep.t1_basis_vectors]
-    report["t1_equivariant_dim"] = rep.t1_equivariant_dim
-    report["t1_equivariant_basis"] = [
-        _render_vector(v) for v in rep.t1_equivariant_basis
-    ]
-    report["certified"] = rep.certified
-    lines = _common_lines(report)
-    lines.append(f"truncation: {trunc}")
-    lines.append(f"T0 invariant slice dim (deg <= {trunc}): {rep.t0_dim}")
-    if rep.t1.finite:
-        lines.append(f"T1 dim: {rep.t1.dimension}")
-    else:
-        lines.append(f"T1 dim: infinite at bound {trunc}")
-    lines.append("T1 basis: " + (", ".join(report["t1_basis"]) or "-"))
-    lines.append(f"T1_G dim: {rep.t1_equivariant_dim}")
-    lines.append(
-        "T1_G basis: " + (", ".join(report["t1_equivariant_basis"]) or "-")
-    )
-    lines.append(f"certified: {rep.certified}")
-    _emit(report, lines, args.json)
+    rep = tangent_spaces(ws.ambient, trunc=trunc)
+    report = Report("tangent", ws)
+    report.put("truncation", trunc, f"truncation: {trunc}")
+    report.put("t0_dim", rep.t0_dim,
+               f"T0 invariant slice dim (deg <= {trunc}): {rep.t0_dim}")
+    report.put("t1_dim", rep.t1.dimension, f"T1 dim: {rep.t1.dimension}"
+               if rep.t1.finite else f"T1 dim: infinite at bound {trunc}")
+    report.put("t1_infinite", not rep.t1.finite)
+    basis = [_render_vector(v) for v in rep.t1_basis_vectors]
+    report.put("t1_basis", basis, "T1 basis: " + (", ".join(basis) or "-"))
+    report.put("t1_equivariant_dim", rep.t1_equivariant_dim,
+               f"T1_G dim: {rep.t1_equivariant_dim}")
+    basis = [_render_vector(v) for v in rep.t1_equivariant_basis]
+    report.put("t1_equivariant_basis", basis,
+               "T1_G basis: " + (", ".join(basis) or "-"))
+    report.put("certified", rep.certified, f"certified: {rep.certified}")
+    report.emit(args.json)
     return EXIT_OK
 
 
 def cmd_obstruction(args) -> int:
     ws = Workspace(_load_problem(args.problem))
     trunc = ws.truncation(args.truncate)
-    obs = obstruction_space(ws.presentation, ws.group, amb=ws.ambient, trunc=trunc)
-    report = _base_report("obstruction", ws)
-    report["truncation"] = trunc
-    report["obstruction_dim"] = obs.dimension
-    report["certified"] = obs.certified
-    report["obstruction_classes"] = [_render_cocycle(c) for c in obs.representatives]
-    lines = _common_lines(report)
-    lines.append(f"truncation: {trunc}")
-    lines.append(f"obstruction dim: {obs.dimension}")
-    for k, c in enumerate(obs.representatives, start=1):
-        lines.append(f"class {k}: {_render_cocycle(c)}")
-    lines.append(f"certified: {obs.certified}")
-    _emit(report, lines, args.json)
+    obs = obstruction_space(ws.ambient, trunc=trunc)
+    report = Report("obstruction", ws)
+    report.put("truncation", trunc, f"truncation: {trunc}")
+    report.put("obstruction_dim", obs.dimension, f"obstruction dim: {obs.dimension}")
+    classes = [_render_cocycle(c) for c in obs.representatives]
+    report.put("obstruction_classes", classes,
+               *(f"class {k}: {c}" for k, c in enumerate(classes, start=1)))
+    report.put("certified", obs.certified, f"certified: {obs.certified}")
+    report.emit(args.json)
     return EXIT_OK if obs.dimension == 0 else EXIT_OBSTRUCTED
 
 
 def cmd_lift(args) -> int:
     ws = Workspace(_load_problem(args.problem))
     trunc = ws.truncation(args.truncate)
-    d = ws.deformation()
+    d = ws.deformation(ws.problem, ws.problem.eps_order)
     if args.order <= d.order:
         raise InputError(
             f"--order {args.order} does not exceed the input order {d.order}"
         )
-    report = _base_report("lift", ws)
-    report["truncation"] = trunc
+    report = Report("lift", ws)
+    report.put("truncation", trunc, f"truncation: {trunc}")
     steps = []
-    obstructed = None
     while d.order < args.order:
         out = lift_step(d, trunc=trunc)
-        if out.success:
-            steps.append(f"order {d.order} -> {d.order + 1}: ok")
-            d = out.deformation
-        else:
-            steps.append(f"order {d.order} -> {d.order + 1}: obstructed")
-            obstructed = out
+        steps.append(f"order {d.order} -> {d.order + 1}: "
+                     + ("ok" if out.success else "obstructed"))
+        if not out.success:
             break
-    report["steps"] = steps
-    lines = _common_lines(report)
-    lines.append(f"truncation: {trunc}")
-    lines.extend(steps)
-    if obstructed is not None:
-        report["certified"] = obstructed.certified
-        report["obstruction_classes"] = [_render_cocycle(obstructed.obstruction)]
-        lines.append(f"obstruction class: {_render_cocycle(obstructed.obstruction)}")
-        lines.append(f"certified: {obstructed.certified}")
-        _emit(report, lines, args.json)
+        d = out.deformation
+    report.put("steps", steps, *steps)
+    if not out.success:
+        obstruction = _render_cocycle(out.obstruction)
+        report.put("obstruction_classes", [obstruction],
+                   f"obstruction class: {obstruction}")
+        report.put("certified", out.certified, f"certified: {out.certified}")
+        report.emit(args.json)
         return EXIT_OBSTRUCTED
     lifts = [[repr(g) for g in d.gens]]
     if args.enumerate:
-        rep = tangent_spaces(ws.presentation, ws.group, amb=ws.ambient, trunc=trunc)
-        basis = rep.t1_equivariant_basis
+        basis = tangent_spaces(ws.ambient, trunc=trunc).t1_equivariant_basis
         for r in range(1, len(basis) + 1):
             for combo in combinations(range(len(basis)), r):
                 vec = tuple(
@@ -311,21 +265,18 @@ def cmd_lift(args) -> int:
                 )
                 shifted = shift_lift(d, DifferenceClass(ws.ambient, vec))
                 lifts.append([repr(g) for g in shifted.gens])
-    report["lifts"] = lifts
-    report["certified"] = "exact"
-    lines.append(f"lift to order {args.order}: " + "; ".join(lifts[0]))
-    if args.enumerate:
-        for k, extra in enumerate(lifts[1:], start=1):
-            lines.append(f"representative {k}: " + "; ".join(extra))
-    lines.append("certified: exact")
-    _emit(report, lines, args.json)
+    report.put("lifts", lifts, f"lift to order {args.order}: " + ("; ".join(lifts[0]) or "-"),
+               *(f"representative {k}: " + "; ".join(extra)
+                 for k, extra in enumerate(lifts[1:], start=1)))
+    report.put("certified", "exact", "certified: exact")
+    report.emit(args.json)
     return EXIT_OK
 
 
 def cmd_iso(args) -> int:
-    ws1 = Workspace(_load_problem(args.problem))
-    trunc = ws1.truncation(args.truncate)
-    p1 = ws1.problem
+    ws = Workspace(_load_problem(args.problem))
+    trunc = ws.truncation(args.truncate)
+    p1 = ws.problem
     p2 = _load_problem(args.other)
     if p1.field != p2.field or p1.variables != p2.variables:
         raise InputError("problem files use different fields or variables")
@@ -335,78 +286,37 @@ def cmd_iso(args) -> int:
         raise InputError("problem files declare different group actions")
     if len(p1.ideal) != len(p2.ideal):
         raise InputError("problem files present different numbers of generators")
-    d1 = ws1.deformation()
-    # transport the second lift into the first workspace's ambient
-    amb = ws1.ambient
     order = max(p1.eps_order, p2.eps_order)
-    if d1.order < order:
-        d1 = Deformation(
-            amb, ArtinianBase(order, amb.ring.field),
-            tuple(g.lift(order) for g in d1.gens),
-        )
-    gens2 = []
-    for coeffs in p2.ideal:
-        lifted = [amb.embed(p1.ring.from_terms(c.terms)) for c in coeffs]
-        gens2.append(EpsPoly(amb.ring, order, lifted))
-    for extra in amb.pres.gens[len(p2.ideal):]:
-        gens2.append(EpsPoly.constant(amb.ring, order, extra))
-    try:
-        d2 = Deformation(amb, ArtinianBase(order, amb.ring.field), tuple(gens2))
-        check = verify_deformation(d2)
-    except DeformationError as exc:
-        raise InputError(str(exc)) from exc
-    if not check.ok:
-        raise InputError("; ".join(check.failures))
-    try:
-        witness = isomorphism_witness(d1, d2, trunc=trunc)
-    except DeformationError as exc:
-        raise InputError(str(exc)) from exc
-    report = _base_report("iso", ws1)
-    report["truncation"] = trunc
-    lines = _common_lines(report)
-    lines.append(f"truncation: {trunc}")
+    d1 = ws.deformation(p1, order)
+    d2 = ws.deformation(p2, order)
+    witness = isomorphism_witness(d1, d2, trunc=trunc)
+    report = Report("iso", ws)
+    report.put("truncation", trunc, f"truncation: {trunc}")
     if witness is None:
-        report["witness"] = None
-        report["certified"] = f"slice:{trunc}"
-        lines.append(f"witness: none at slice {trunc}")
-        lines.append(f"certified: slice:{trunc}")
+        report.put("witness", None, f"witness: none at slice {trunc}")
+        report.put("certified", f"slice:{trunc}", f"certified: slice:{trunc}")
     else:
-        report["witness"] = [repr(c) for c in witness.components]
-        report["certified"] = "exact"
-        lines.append("witness: " + _render_vector(witness.components))
-        lines.append("certified: exact")
-    _emit(report, lines, args.json)
+        report.put("witness", [repr(c) for c in witness.components],
+                   "witness: " + _render_vector(witness.components))
+        report.put("certified", "exact", "certified: exact")
+    report.emit(args.json)
     return EXIT_OK
 
 
 def cmd_ramify(args) -> int:
-    try:
-        field = GF(args.p)
-    except FieldError as exc:
-        raise InputError(str(exc)) from exc
-    try:
-        value = local_ext1_invariants(args.d, args.m, field)
-        module = TruncatedSeriesModule(args.d, (-(args.d + 1)) % args.m,
-                                       args.m, field)
-        matrix_value = module.invariant_count_by_matrix()
-    except (RootOfUnityError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
-    report = _base_report("ramify", None)
-    report["field"] = f"F {args.p}"
-    report["ramify_value"] = value
-    report["certified"] = "exact"
-    lines = [
-        "command: ramify",
-        f"field: F {args.p}",
-        f"different: {args.d}",
-        f"stabilizer order: {args.m}",
-        f"invariant dim: {value}",
-        f"matrix cross-check: {matrix_value}",
-        "certified: exact",
-    ]
+    field = GF(args.p)
+    value = local_ext1_invariants(args.d, args.m, field)
+    module = TruncatedSeriesModule(args.d, (-(args.d + 1)) % args.m, args.m, field)
+    matrix_value = module.invariant_count_by_matrix()
     if value != matrix_value:
         raise InputError("weight count disagrees with the matrix fixed space")
-    _emit(report, lines, args.json)
+    report = Report("ramify")
+    report.put("field", f"F {args.p}", f"field: F {args.p}")
+    report.text(f"different: {args.d}", f"stabilizer order: {args.m}")
+    report.put("ramify_value", value, f"invariant dim: {value}")
+    report.text(f"matrix cross-check: {matrix_value}")
+    report.put("certified", "exact", "certified: exact")
+    report.emit(args.json)
     return EXIT_OK
 
 
@@ -462,15 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ProblemError, ParseError, DeformationError, StabilityError,
-            NotCompleteIntersectionError, FieldError) as exc:
+    except (InputError, ProblemError, ParseError, DeformationError, StabilityError,
+            NotCompleteIntersectionError, FieldError, RamifyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

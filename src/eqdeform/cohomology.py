@@ -28,20 +28,17 @@ class CocycleError(ValueError):
 class GModuleSlice:
     """Finite k[G]-module with exact action matrices (rows act on columns).
 
-    With check=True the representation property is verified on the
-    group's generators (see ``_check_representation``)."""
+    The representation property is verified on the group's generators
+    (see ``_check_representation``)."""
 
-    def __init__(self, group: GroupAction, field, matrices, payloads=None,
-                 degree_bound=None, check: bool = True):
+    def __init__(self, group: GroupAction, field, matrices, payloads=None):
         self.group = group
         self.field = field
         self.matrices = matrices          # per element: dim x dim, rows
         self.payloads = payloads          # optional module vectors per basis element
-        self.degree_bound = degree_bound
         self.dim = len(matrices[0]) if matrices and matrices[0] else 0
         self._coords = None
-        if check:
-            self._check_representation()
+        self._check_representation()
 
     def _check_representation(self):
         """M_e = I and M_s M_j = M_{sj} for each generator s and every j;
@@ -160,8 +157,7 @@ def slice_of_normal_module(module: NormalModule, degree: int,
     for i in group.indices():
         mat_cols = sols[i * dim:(i + 1) * dim]
         matrices.append([[mat_cols[c][r] for c in range(dim)] for r in range(dim)])
-    return GModuleSlice(group, field, matrices, payloads=payloads,
-                        degree_bound=degree)
+    return GModuleSlice(group, field, matrices, payloads=payloads)
 
 
 def invariants(m: GModuleSlice):
@@ -255,8 +251,6 @@ def _unit_coboundaries(m: GModuleSlice):
 class H1Result:
     dimension: int
     representatives: list  # flat cochain coordinate vectors
-    z_dim: int
-    b_dim: int
 
 
 def h1(m: GModuleSlice) -> H1Result:
@@ -264,11 +258,10 @@ def h1(m: GModuleSlice) -> H1Result:
     field = m.field
     z_basis = zcocycles(m)
     if not z_basis:
-        return H1Result(0, [], 0, 0)
+        return H1Result(0, [])
     b_dim, kept = span_modulo(field, len(z_basis[0]),
                               _unit_coboundaries(m), z_basis)
-    return H1Result(len(z_basis) - b_dim, [z_basis[k] for k in kept],
-                    len(z_basis), b_dim)
+    return H1Result(len(z_basis) - b_dim, [z_basis[k] for k in kept])
 
 
 def h1_bounded(m_small: GModuleSlice, m_big: GModuleSlice) -> H1Result:
@@ -280,7 +273,7 @@ def h1_bounded(m_small: GModuleSlice, m_big: GModuleSlice) -> H1Result:
     field = m_small.field
     z_small = zcocycles(m_small)
     if not z_small:
-        return H1Result(0, [], 0, 0)
+        return H1Result(0, [])
     emb = m_big.express(m_small.payloads)
     if any(coords is None for coords in emb):
         raise CocycleError("small slice does not embed in the search slice")
@@ -300,10 +293,10 @@ def h1_bounded(m_small: GModuleSlice, m_big: GModuleSlice) -> H1Result:
             out.extend(big_block)
         return out
 
-    b_dim, kept = span_modulo(field, len(others_small) * dim_b,
-                              _unit_coboundaries(m_big),
-                              (embed_cochain(z) for z in z_small))
-    return H1Result(len(kept), [z_small[k] for k in kept], len(z_small), b_dim)
+    _, kept = span_modulo(field, len(others_small) * dim_b,
+                          _unit_coboundaries(m_big),
+                          (embed_cochain(z) for z in z_small))
+    return H1Result(len(kept), [z_small[k] for k in kept])
 
 
 def solve_coboundary(m: GModuleSlice, cochain) -> list | None:

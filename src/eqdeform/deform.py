@@ -22,12 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ambient import (
-    AffinePresentation,
     EquivariantAmbient,
     NormalModule,
     _SliceCoordinates,
     ambient_vector_slice,
-    choose_ambient,
     normal_image,
 )
 from .cohomology import (
@@ -38,27 +36,17 @@ from .cohomology import (
     slice_of_normal_module,
     solve_coboundary,
 )
-from .fields import Field
-from .gaction import GroupAction
 from .groebner import ModulePresentation, QuotientBasis, quotient_basis
 from .linalg import solve_columns, span_modulo
 from .poly import PolyRing, Polynomial, partial, substitute
 
 
+# Degrees by which a coboundary or image search slice exceeds the value slice.
+SLACK = 2
+
+
 class DeformationError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ArtinianBase:
-    """k[eps]/(eps^(order+1)); order 0 is the base field itself."""
-
-    order: int
-    field: Field
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
 
 
 class EpsPoly:
@@ -181,34 +169,28 @@ class Deformation:
     mod eps.  Constructors that build a lift run certify_equivariance on it.
     """
 
-    def __init__(self, amb: EquivariantAmbient, base: ArtinianBase, gens):
+    def __init__(self, amb: EquivariantAmbient, order: int, gens):
         self.amb = amb
-        self.base = base
+        self.order = order
         self.gens = tuple(gens)
         if len(self.gens) != len(amb.pres.gens):
             raise DeformationError("wrong number of lifted generators")
         for g, f in zip(self.gens, amb.pres.gens):
-            if g.order != base.order:
+            if g.order != order:
                 raise DeformationError("generator order does not match the base")
             if g.coeff(0) != f:
                 raise DeformationError("reduction mod eps is not the base presentation")
 
-    @property
-    def order(self) -> int:
-        return self.base.order
-
     @classmethod
     def initial(cls, amb: EquivariantAmbient) -> "Deformation":
-        base = ArtinianBase(0, amb.ring.field)
         gens = tuple(EpsPoly.constant(amb.ring, 0, f) for f in amb.pres.gens)
-        d = cls(amb, base, gens)
+        d = cls(amb, 0, gens)
         certify_equivariance(amb, d.gens)
         return d
 
     def truncated(self, order: int) -> "Deformation":
-        base = ArtinianBase(order, self.base.field)
         gens = tuple(g.truncate(order) for g in self.gens)
-        d = Deformation(self.amb, base, gens)
+        d = Deformation(self.amb, order, gens)
         certify_equivariance(self.amb, gens)
         return d
 
@@ -402,7 +384,7 @@ def shift_lift(d: Deformation, cls: DifferenceClass) -> Deformation:
     for g, nu in zip(d.gens, cls.vector):
         correction = EpsPoly.constant(d.amb.ring, m, nu).shift(m)
         gens.append(g - correction)
-    out = Deformation(d.amb, d.base, tuple(gens))
+    out = Deformation(d.amb, d.order, tuple(gens))
     certify_equivariance(d.amb, out.gens)
     return out
 
@@ -435,13 +417,13 @@ def apply_flow(d: Deformation, components, sign: int = 1) -> Deformation:
         delta = EpsPoly.constant(ring, m, comp if sign > 0 else -comp).shift(m)
         images[v] = EpsPoly.constant(ring, m, ring.var(v)) + delta
     gens = tuple(g.substitute(images) for g in d.gens)
-    out = Deformation(d.amb, d.base, gens)
+    out = Deformation(d.amb, d.order, gens)
     certify_equivariance(d.amb, gens)
     return out
 
 
 def isomorphism_witness(d1: Deformation, d2: Deformation,
-                        trunc: int | None = None, slack: int = 2):
+                        trunc: int | None = None):
     """An invariant ambient derivation whose normal image is the
     difference class of the lifts, or None at this slice.
 
@@ -451,7 +433,7 @@ def isomorphism_witness(d1: Deformation, d2: Deformation,
     amb = d1.amb
     if nu.is_zero():
         return DerivationWitness(amb, (amb.ring.zero,) * amb.ring.nvars)
-    bound = (trunc if trunc is not None else default_truncation(amb)) + slack
+    bound = (trunc if trunc is not None else default_truncation(amb)) + SLACK
     basis = ambient_vector_slice(amb, bound, invariant=True, tangent=False)
     if not basis:
         return None
@@ -548,8 +530,8 @@ class LiftOutcome:
     certified: str
 
 
-def equivariantize(d: Deformation, lift_gens, trunc: int | None = None,
-                   slack: int = 2) -> LiftOutcome:
+def equivariantize(d: Deformation, lift_gens,
+                   trunc: int | None = None) -> LiftOutcome:
     """Correct a lift of d to an equivariant one, or report the
     obstruction class.
 
@@ -561,14 +543,13 @@ def equivariantize(d: Deformation, lift_gens, trunc: int | None = None,
     amb = d.amb
     order = d.order + 1
     c, exact = _defect_cocycle(d, lift_gens)
-    base = ArtinianBase(order, amb.ring.field)
     if c.is_zero():
-        out = Deformation(amb, base, tuple(lift_gens))
+        out = Deformation(amb, order, tuple(lift_gens))
         if not exact:
             certify_equivariance(amb, out.gens)
         return LiftOutcome(True, out, None, "exact")
     N = NormalModule(amb)
-    bound = (trunc if trunc is not None else default_truncation(amb)) + slack
+    bound = (trunc if trunc is not None else default_truncation(amb)) + SLACK
     others = [i for i in amb.action.indices() if i != amb.action.identity_index]
     extra = [c.value(i) for i in others]
     m_search = slice_of_normal_module(N, bound, extra_vectors=extra)
@@ -584,24 +565,20 @@ def equivariantize(d: Deformation, lift_gens, trunc: int | None = None,
     gens = []
     for g, comp in zip(lift_gens, nu):
         gens.append(g - EpsPoly.constant(amb.ring, order, comp).shift(order))
-    out = Deformation(amb, base, tuple(gens))
+    out = Deformation(amb, order, tuple(gens))
     certify_equivariance(amb, out.gens)
     return LiftOutcome(True, out, None, "exact")
 
 
-def lift_step(d: Deformation, trunc: int | None = None,
-              slack: int = 2) -> LiftOutcome:
+def lift_step(d: Deformation, trunc: int | None = None) -> LiftOutcome:
     """One equivariant lifting step: take the coefficientwise lift
     (always a lift, rarely equivariant) and equivariantize it."""
     lift_gens = tuple(g.lift(d.order + 1) for g in d.gens)
-    return equivariantize(d, lift_gens, trunc=trunc, slack=slack)
+    return equivariantize(d, lift_gens, trunc=trunc)
 
 
 @dataclass
 class TangentReport:
-    amb: EquivariantAmbient
-    trunc: int
-    tame: bool
     t0_generators: list
     t0_invariant_basis: list
     t1: QuotientBasis
@@ -625,10 +602,9 @@ def _basis_vector(ring: PolyRing, rank: int, pos: int, mono) -> tuple:
     return tuple(vec)
 
 
-def tangent_spaces(p: AffinePresentation, g: GroupAction,
-                   amb: EquivariantAmbient | None = None,
-                   trunc: int | None = None, slack: int = 2) -> TangentReport:
-    """T^0_G, T^1 and T^1_G of the presentation through the given ambient.
+def tangent_spaces(amb: EquivariantAmbient,
+                   trunc: int | None = None) -> TangentReport:
+    """T^0_G, T^1 and T^1_G of the presentation through the ambient.
 
     T^1 comes from the standard-monomial count of B^c modulo the
     Jacobian image (exact regardless of grading).  T^1_G is the fixed
@@ -636,8 +612,6 @@ def tangent_spaces(p: AffinePresentation, g: GroupAction,
     finite; otherwise it is the slice quotient of invariant normal
     vectors by images of invariant ambient derivations.
     """
-    if amb is None:
-        amb = choose_ambient(p, g)
     pres = amb.pres
     ring = amb.ring
     D = trunc if trunc is not None else default_truncation(amb)
@@ -649,8 +623,7 @@ def tangent_spaces(p: AffinePresentation, g: GroupAction,
     rank = len(pres.gens)
     if rank == 0:
         empty = QuotientBasis(True, 0, (), None)
-        return TangentReport(amb, D, amb.action.is_tame(), t0_gens, t0_slice,
-                             empty, [], 0, [], "exact")
+        return TangentReport(t0_gens, t0_slice, empty, [], 0, [], "exact")
     relations = tuple(
         tuple(partial(f, i) for f in pres.gens) for i in range(ring.nvars)
     )
@@ -658,9 +631,10 @@ def tangent_spaces(p: AffinePresentation, g: GroupAction,
     qb = quotient_basis(t1_pres, D)
     t1_vectors = [_basis_vector(ring, rank, pos, m) for (pos, m) in qb.monomials]
 
-    tame = amb.action.is_tame()
     N = NormalModule(amb)
-    if tame and qb.finite:
+    if amb.action.is_tame() and qb.finite:
+        if not qb.monomials:
+            return TangentReport(t0_gens, t0_slice, qb, [], 0, [], "exact")
         module_gb = t1_pres.groebner()
         index = {bm: k for k, bm in enumerate(qb.monomials)}
         field = ring.field
@@ -676,13 +650,8 @@ def tangent_spaces(p: AffinePresentation, g: GroupAction,
                         col[index[(p_idx, mono)]] = coeff
                 cols.append(col)
             matrices.append([[cols[c][r] for c in range(len(cols))]
-                             for r in range(len(cols))] if cols else [])
-        m_t1 = GModuleSlice(amb.action, field, matrices, check=True) \
-            if qb.monomials else None
-        if m_t1 is None:
-            return TangentReport(amb, D, tame, t0_gens, t0_slice, qb, [],
-                                 0, [], "exact")
-        fixed = invariants(m_t1)
+                             for r in range(len(cols))])
+        fixed = invariants(GModuleSlice(amb.action, field, matrices))
         # invariant vector representatives via averaging
         scale = field.inv(field.of(len(amb.action)))
         reps = []
@@ -696,14 +665,14 @@ def tangent_spaces(p: AffinePresentation, g: GroupAction,
             for i in amb.action.indices():
                 avg = tuple(a + b for a, b in zip(avg, N.act(i, vec)))
             reps.append(tuple(pres.nf(p.scale(scale)) for p in avg))
-        return TangentReport(amb, D, tame, t0_gens, t0_slice, qb, t1_vectors,
+        return TangentReport(t0_gens, t0_slice, qb, t1_vectors,
                              len(fixed), reps, "exact")
 
     # slice route (wild case, or infinite T^1)
     m_small = slice_of_normal_module(N, D)
     inv_coords = invariants(m_small)
     V = [m_small.materialize(c) for c in inv_coords]
-    U_src = ambient_vector_slice(amb, D + slack, invariant=True, tangent=False)
+    U_src = ambient_vector_slice(amb, D + SLACK, invariant=True, tangent=False)
     U = [normal_image(amb, v) for v in U_src]
     coords = _SliceCoordinates(ring)
     for v in V + U:
@@ -711,34 +680,26 @@ def tangent_spaces(p: AffinePresentation, g: GroupAction,
     _, kept = span_modulo(ring.field, len(coords.keys),
                           (coords.row(u) for u in U), (coords.row(v) for v in V))
     reps = [V[k] for k in kept]
-    return TangentReport(amb, D, tame, t0_gens, t0_slice, qb, t1_vectors,
+    return TangentReport(t0_gens, t0_slice, qb, t1_vectors,
                          len(reps), reps, f"slice:{D}")
 
 
 @dataclass
 class ObstructionReport:
-    amb: EquivariantAmbient
-    trunc: int
-    tame: bool
     dimension: int
     representatives: list
     certified: str
 
 
-def obstruction_space(p: AffinePresentation, g: GroupAction,
-                      amb: EquivariantAmbient | None = None,
-                      trunc: int | None = None, slack: int = 2) -> ObstructionReport:
+def obstruction_space(amb: EquivariantAmbient,
+                      trunc: int | None = None) -> ObstructionReport:
     """H^1(G, normal module) on slices; exactly zero in the tame case."""
-    if amb is None:
-        amb = choose_ambient(p, g)
     D = trunc if trunc is not None else default_truncation(amb)
-    if amb.action.is_tame():
-        return ObstructionReport(amb, D, True, 0, [], "exact")
-    if len(amb.pres.gens) == 0:
-        return ObstructionReport(amb, D, False, 0, [], "exact")
+    if amb.action.is_tame() or not amb.pres.gens:
+        return ObstructionReport(0, [], "exact")
     N = NormalModule(amb)
     m_small = slice_of_normal_module(N, D)
-    m_big = slice_of_normal_module(N, D + slack)
+    m_big = slice_of_normal_module(N, D + SLACK)
     res = h1_bounded(m_small, m_big)
     others = [i for i in amb.action.indices() if i != amb.action.identity_index]
     dim = m_small.dim
@@ -749,7 +710,7 @@ def obstruction_space(p: AffinePresentation, g: GroupAction,
             block = flat[k * dim:(k + 1) * dim]
             values[s] = m_small.materialize(block)
         reps.append(Cocycle(N, values))
-    return ObstructionReport(amb, D, False, res.dimension, reps, f"slice:{D}")
+    return ObstructionReport(res.dimension, reps, f"slice:{D}")
 
 
 def invariant_normal_slice(amb: EquivariantAmbient, degree: int):

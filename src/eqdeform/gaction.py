@@ -262,9 +262,10 @@ class TwistMatrices:
 
 def twist_matrices(gens, action: GroupAction, gb: GroebnerBasis,
                    representer: Representer | None = None) -> TwistMatrices:
-    """Division matrices for sigma(f_j) over the generator list itself."""
+    """Division matrices for sigma(f_j) over the generator list itself
+    (empty matrices when the list is empty)."""
     gens = list(gens)
-    if representer is None:
+    if representer is None and gens:
         representer = Representer(gens)
     exact = []
     reduced = []

@@ -19,14 +19,18 @@ from .fields import Field, FieldError, GF, QQ
 from .linalg import kernel_basis
 
 
-class RootOfUnityError(ValueError):
+class RamifyError(ValueError):
+    """Parameters for which no local count is defined."""
+
+
+class RootOfUnityError(RamifyError):
     pass
 
 
 def primitive_root_of_unity(field: Field, m: int):
     """A primitive m-th root of unity in the field, or raise."""
     if m < 1:
-        raise ValueError("m must be positive")
+        raise RamifyError("m must be positive")
     if m == 1:
         return field.one
     if field.characteristic == 0:
@@ -62,9 +66,9 @@ class TruncatedSeriesModule:
 
     def __post_init__(self):
         if self.modulus_degree < 0:
-            raise ValueError("modulus degree must be >= 0")
+            raise RamifyError("modulus degree must be >= 0")
         if self.cyclic_order < 1:
-            raise ValueError("cyclic order must be >= 1")
+            raise RamifyError("cyclic order must be >= 1")
         primitive_root_of_unity(self.field, self.cyclic_order)
 
     def invariant_count(self) -> int:
@@ -111,9 +115,9 @@ def local_ext1_invariants(d: int, m: int, field: Field | None = None) -> int:
     Ext^1 = (R/(t^d)) e_1^* with e_1^* of weight -(d+1); when
     d = -1 mod m the count is ceil(d/m), the tame per-point value."""
     if d < 0:
-        raise ValueError("different must be >= 0")
+        raise RamifyError("different must be >= 0")
     if m < 2:
-        raise ValueError("stabilizer order must be >= 2")
+        raise RamifyError("stabilizer order must be >= 2")
     if field is None:
         field = QQ if m <= 2 else _smallest_prime_field(m)
     module = TruncatedSeriesModule(d, (-(d + 1)) % m, m, field)
@@ -136,5 +140,5 @@ def _smallest_prime_field(m: int):
 def tame_different(m: int) -> int:
     """The local different of a tame cyclic stabilizer of order m."""
     if m < 1:
-        raise ValueError("stabilizer order must be >= 1")
+        raise RamifyError("stabilizer order must be >= 1")
     return m - 1

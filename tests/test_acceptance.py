@@ -80,7 +80,7 @@ def test_criterion_1_cusp_tangent():
         )
         assert oracle_t1 == 2
         p, g, amb = make_case(QQ, ["y^2 - x^3"], [{"y": "-y"}])
-        rep = tangent_spaces(p, g, amb=amb)
+        rep = tangent_spaces(amb)
         ok = (
             rep.t1.dimension == oracle_t1 == 2
             and [canonical_render(v[0]) for v in rep.t1_basis_vectors] == ["1", "x"]
@@ -93,7 +93,7 @@ def test_criterion_1_cusp_tangent():
         N = NormalModule(amb)
         for v in rep.t1_basis_vectors:
             ok = ok and N.act(1, v) == v
-        obs = obstruction_space(p, g, amb=amb)
+        obs = obstruction_space(amb)
         ok = ok and obs.dimension == 0 and obs.certified == "exact"
     record_criterion(1, "cusp tangent/obstruction golden values", ok, t.elapsed)
     assert ok
@@ -108,7 +108,7 @@ def test_criterion_2_node_lift():
         oracle_t1 = module_quotient_slice_dim(ring, 1, [(y,), (x,)], [x * y], 4)
         assert oracle_t1 == 1
         p, g, amb = make_case(QQ, ["x*y"], [{"x": "y", "y": "x"}])
-        rep = tangent_spaces(p, g, amb=amb)
+        rep = tangent_spaces(amb)
         ok = rep.t1.dimension == oracle_t1 and rep.t1_equivariant_dim == 1
         d = Deformation.initial(amb)
         for _ in range(2):
@@ -134,10 +134,10 @@ def test_criterion_3_wild_node_obstruction():
         ok = True
         for D in (2, 3, 4, 5, 6):
             oracle = F2SliceOracle(D).h1_dimension(D + 2)
-            pipeline = obstruction_space(p, g, amb=amb, trunc=D).dimension
+            pipeline = obstruction_space(amb, trunc=D).dimension
             ok = ok and oracle == pipeline == 1
         # the representative is the constant class sigma -> 1 F^*
-        obs = obstruction_space(p, g, amb=amb, trunc=4)
+        obs = obstruction_space(amb, trunc=4)
         ok = ok and [canonical_render(c.value(1)[0]) for c in obs.representatives] \
             == ["1"]
     record_criterion(3, "wild node obstruction = 1 at D=2..6 (oracle match)",
@@ -153,7 +153,7 @@ def test_criterion_4_free_translation():
         p, g, amb = make_case(GF(2), [], [{"x": "x + 1"}], names=("x",))
         ok = amb.kind == "regular"
         for D in (2, 3, 4, 5, 6):
-            ok = ok and obstruction_space(p, g, amb=amb, trunc=D).dimension == 0
+            ok = ok and obstruction_space(amb, trunc=D).dimension == 0
         slice_vecs = invariant_normal_slice(amb, 3)
         d = Deformation.initial(amb)
         for step in range(3):
@@ -315,8 +315,8 @@ def test_criterion_6_ambient_independence():
         ok = True
         for field, gens_text, group_images in cases:
             p, g, amb = make_case(field, gens_text, group_images)
-            small = tangent_spaces(p, g, amb=amb)
-            big = tangent_spaces(p, g, amb=regular_rep_embedding(p, g))
+            small = tangent_spaces(amb)
+            big = tangent_spaces(regular_rep_embedding(p, g))
             ok = ok and small.t1_dim == big.t1_dim
             ok = ok and small.t1_equivariant_dim == big.t1_equivariant_dim
     record_criterion(6, "T1_G equal through original and regular ambients",
@@ -399,10 +399,7 @@ def test_criterion_7_exhaustive_equivalence():
 
         # bijection between brute-forced ideals and enumerated lifts
         def as_deformation(gpoly):
-            from eqdeform.deform import ArtinianBase
-
-            d = Deformation(amb, ArtinianBase(1, ring.field),
-                            (EpsPoly(ring, 1, [x * y, gpoly]),))
+            d = Deformation(amb, 1, (EpsPoly(ring, 1, [x * y, gpoly]),))
             assert verify_deformation(d).ok
             return d
 
@@ -425,7 +422,7 @@ def test_criterion_7_exhaustive_equivalence():
                     break
             if not placed:
                 classes.append([d])
-        rep_t = tangent_spaces(p, g, amb=amb, trunc=4)
+        rep_t = tangent_spaces(amb, trunc=4)
         ok = ok and len(classes) == 2 ** rep_t.t1_equivariant_dim == 2
         ok = ok and sorted(len(c) for c in classes) == [4, 4]
     record_criterion(7, "exhaustive F_2 node lifts match the torsor enumeration",

@@ -1,9 +1,14 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+import eqdeform.cli
+from eqdeform.ambient import NormalModule
 from eqdeform.cli import main
+from eqdeform.cohomology import Cocycle
+from eqdeform.deform import LiftOutcome
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -24,6 +29,17 @@ GOLDEN_CASES = [
     (["tangent", "problems/cusp_q.prob", "--json"], "tangent_cusp.json", 0),
     (["obstruction", "problems/node_f2.prob", "--truncate", "4", "--json"],
      "obstruction_node_f2.json", 2),
+    (["check", "problems/cusp_q.prob", "--json"], "check_cusp.json", 0),
+    (["lift", "problems/node_q.prob", "--order", "2", "--json"],
+     "lift_node.json", 0),
+    (["lift", "problems/cusp_q.prob", "--order", "1", "--enumerate", "--json"],
+     "lift_cusp_enum.json", 0),
+    (["iso", "problems/cusp_lift_zero.prob", "problems/cusp_lift_x.prob", "--json"],
+     "iso_cusp_none.json", 0),
+    (["iso", "problems/cusp_lift_zero.prob", "problems/cusp_lift_zero.prob",
+      "--json"], "iso_cusp_self.json", 0),
+    (["ramify", "--d", "1", "--m", "2", "--p", "5", "--json"],
+     "ramify_1_2_5.json", 0),
 ]
 
 
@@ -80,6 +96,50 @@ def test_json_reports_validate(argv, capsys):
     report = json.loads(out)
     jsonschema.validate(report, schema)
     assert report["command"] == argv[0]
+
+
+def test_report_fields_follow_the_schema():
+    assert list(eqdeform.cli.REPORT_FIELDS) == list(_schema()["properties"])
+
+
+# How each scalar JSON field reads in the text report: a line pattern
+# whose group is the rendered value, and the rendering of the JSON value.
+TEXT_OF_FIELD = {
+    "command": (r"command: (.+)", str),
+    "field": (r"field: (.+)", str),
+    "group_order": (r"group order: (\d+)", str),
+    "ambient": (r"ambient: (.+)", str),
+    "truncation": (r"truncation: (\d+)", str),
+    "t0_dim": (r"T0 invariant slice dim \(deg <= \d+\): (\d+)", str),
+    "t1_dim": (r"T1 dim: (\d+)", str),
+    "t1_infinite": (r"T1 dim: (infinite) at bound \d+|T1 dim: \d+()",
+                    lambda v: "infinite" if v else ""),
+    "t1_equivariant_dim": (r"T1_G dim: (\d+)", str),
+    "obstruction_dim": (r"obstruction dim: (\d+)", str),
+    "certified": (r"certified: (.+)", str),
+    "stable": (r"stability: (ok)", lambda v: "ok" if v else "failed"),
+    "regular_sequence": (r"regular sequence: (ok) .*",
+                         lambda v: "ok" if v else "failed"),
+    "quotient_dimension": (r"regular sequence: ok \(dim (\d+) = .*", str),
+    "ramify_value": (r"invariant dim: (\d+)", str),
+}
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=lambda a: " ".join(a[:2]))
+def test_text_and_json_agree(argv, capsys):
+    code_json, out_json, _ = run_cli(argv, capsys)
+    code_text, out_text, _ = run_cli([a for a in argv if a != "--json"], capsys)
+    assert code_json == code_text
+    report = json.loads(out_json)
+    lines = out_text.splitlines()
+    scalars = {k: v for k, v in report.items()
+               if v is not None and not isinstance(v, list)}
+    assert set(scalars) <= set(TEXT_OF_FIELD)
+    for key, value in scalars.items():
+        pattern, render = TEXT_OF_FIELD[key]
+        shown = [m.group(m.lastindex) for m in map(
+            re.compile(pattern).fullmatch, lines) if m is not None]
+        assert shown == [render(value)], (key, value, shown)
 
 
 def test_json_values_cusp(capsys):
@@ -193,3 +253,76 @@ def test_ambient_option(tmp_path, capsys):
     report = json.loads(out)
     assert report["ambient"] == "regular"
     assert report["t1_dim"] == 2 and report["t1_equivariant_dim"] == 2
+
+
+def _obstructed_step(d, trunc=None):
+    """A lift step that reports an obstruction class, as no shipped input does."""
+    values = {i: (d.amb.ring.var("x"),) for i in d.amb.action.indices()}
+    return LiftOutcome(False, None, Cocycle(NormalModule(d.amb), values),
+                       f"slice:{trunc}")
+
+
+def test_lift_obstructed_branch(monkeypatch, capsys):
+    monkeypatch.setattr(eqdeform.cli, "lift_step", _obstructed_step)
+    argv = ["lift", "problems/node_q.prob", "--order", "2"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 2 and "obstruction class: g1 -> x" in out.splitlines()
+    assert out == (GOLDEN / "lift_node_obstructed.txt").read_text()
+    code, out, _ = run_cli(argv + ["--json"], capsys)
+    assert code == 2
+    assert out == (GOLDEN / "lift_node_obstructed.json").read_text()
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validate(json.loads(out), _schema())
+
+
+@pytest.mark.parametrize("text", [
+    "field Q\nvars x\nideal:\ngen s: x -> -x\n",
+    "field F 2\nvars x\nideal:\ngen s: x -> x + 1\n",
+], ids=["original", "regular"])
+def test_rank_zero_lift_and_iso(text, tmp_path, capsys):
+    prob = tmp_path / "empty.prob"
+    prob.write_text(text)
+    for argv in (["lift", str(prob), "--order", "2", "--json"],
+                 ["iso", str(prob), str(prob), "--json"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["certified"] == "exact"
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(report, _schema())
+
+
+EDGE_INPUTS = {
+    "empty_ideal_original": "field Q\nvars x\nideal:\ngen s: x -> -x\n",
+    "empty_ideal_regular": "field F 2\nvars x\nideal:\ngen s: x -> x + 1\n",
+    "no_gen": "field Q\nvars x y\nideal: x*y\n",
+    "unit_ideal": "field Q\nvars x\nideal: 1\ngen s: x -> -x\n",
+    "bound_zero": "field Q\nvars x y\nideal: x*y\ngen s: x -> y, y -> x\n"
+                  "option bound = 0\n",
+    "ambient_foo": "field Q\nvars x\nideal: x\ngen s: x -> -x\n"
+                   "option ambient = foo\n",
+    "not_invertible": "field Q\nvars x\nideal: x\ngen s: x -> 0\n",
+    "infinite_order": "field Q\nvars x\nideal:\ngen t: x -> x + 1\n",
+}
+
+
+@pytest.mark.parametrize("name", [*EDGE_INPUTS, "unreadable"])
+def test_edge_inputs_never_raise(name, tmp_path):
+    if name == "unreadable":
+        prob = tmp_path  # a directory cannot be read as a problem file
+    else:
+        prob = tmp_path / f"{name}.prob"
+        prob.write_text(EDGE_INPUTS[name])
+    for argv in (["check", str(prob)], ["tangent", str(prob)],
+                 ["obstruction", str(prob)], ["lift", str(prob), "--order", "3"],
+                 ["iso", str(prob), str(prob)]):
+        assert main(argv) in (0, 2, 3), argv
+
+
+@pytest.mark.parametrize("first,second", [
+    ("problems/cusp_q.prob", "problems/cusp_lift_x.prob"),
+    ("problems/cusp_lift_x.prob", "problems/cusp_q.prob"),
+], ids=["lower_first", "higher_first"])
+def test_iso_with_mismatched_eps_orders(first, second, capsys):
+    code, out, _ = run_cli(["iso", first, second], capsys)
+    assert code == 0 and "witness: none at slice 6" in out.splitlines()

@@ -12,7 +12,6 @@ from eqdeform.ambient import (
 )
 from eqdeform.cli import Workspace
 from eqdeform.deform import (
-    ArtinianBase,
     Deformation,
     DeformationError,
     DifferenceClass,
@@ -93,18 +92,18 @@ def test_eps_poly_arithmetic():
 
 def test_tangent_cusp(cusp_q):
     p, g, amb = cusp_q
-    rep = tangent_spaces(p, g, amb=amb)
+    rep = tangent_spaces(amb)
     assert rep.t1.dimension == 2
     assert [canonical_render(v[0]) for v in rep.t1_basis_vectors] == ["1", "x"]
     assert rep.t1_equivariant_dim == 2
     assert rep.certified == "exact"
-    obs = obstruction_space(p, g, amb=amb)
+    obs = obstruction_space(amb)
     assert obs.dimension == 0 and obs.certified == "exact"
 
 
 def test_tangent_node(node_q):
     p, g, amb = node_q
-    rep = tangent_spaces(p, g, amb=amb)
+    rep = tangent_spaces(amb)
     assert rep.t1.dimension == 1
     assert rep.t1_equivariant_dim == 1
 
@@ -113,7 +112,7 @@ def test_tangent_smooth_line_trivial_group():
     ring = PolyRing(QQ, ["t"])
     p = AffinePresentation.build(ring, [])
     g = close_group([], ring=ring)
-    rep = tangent_spaces(p, g, amb=choose_ambient(p, g))
+    rep = tangent_spaces(choose_ambient(p, g))
     assert rep.t1.dimension == 0 and rep.t1_equivariant_dim == 0
 
 
@@ -123,7 +122,7 @@ def test_infinite_t1_reported():
     x, y = ring.gens()
     p = AffinePresentation.build(ring, [x**2])
     g = close_group([], ring=ring)
-    rep = tangent_spaces(p, g, amb=choose_ambient(p, g), trunc=3)
+    rep = tangent_spaces(choose_ambient(p, g), trunc=3)
     assert not rep.t1.finite
     assert rep.t1.dimension is None
     assert rep.certified == "slice:3"
@@ -287,20 +286,18 @@ def test_verify_deformation_failures(node_q):
     ring = amb.ring
     x, y = ring.gens()
     # hand-made non-equivariant lift fails the equivariance check
-    bad = Deformation(amb, ArtinianBase(1, ring.field),
-                      (EpsPoly(ring, 1, [x * y, x]),))
+    bad = Deformation(amb, 1, (EpsPoly(ring, 1, [x * y, x]),))
     check = verify_deformation(bad)
     assert not check.equivariance_ok and not check.ok
     # wrong generator list fails at construction
     with pytest.raises(DeformationError):
-        Deformation(amb, ArtinianBase(0, ring.field),
-                    (EpsPoly.constant(ring, 0, x),))
+        Deformation(amb, 0, (EpsPoly.constant(ring, 0, x),))
 
 
 def test_enumeration_matches_cusp_example(cusp_q):
     p, g, amb = cusp_q
     d1 = lift_step(Deformation.initial(amb)).deformation
-    rep = tangent_spaces(p, g, amb=amb)
+    rep = tangent_spaces(amb)
     rendered = {repr(d1.gens[0])}
     from itertools import combinations
 
@@ -413,7 +410,7 @@ def test_automorphism_flows_fix_the_lift(cusp_q, node_q):
     """Flows along invariant derivations (the infinitesimal automorphisms)
     carry a lift to itself; the automorphism group is the T0_G slice."""
     for p, g, amb in (cusp_q, node_q):
-        rep = tangent_spaces(p, g, amb=amb, trunc=3)
+        rep = tangent_spaces(amb, trunc=3)
         d = lift_step(Deformation.initial(amb)).deformation
         assert rep.t0_invariant_basis, "expected invariant derivations"
         for tangent_vec in rep.t0_invariant_basis:
@@ -458,13 +455,18 @@ def test_regular_rep_lifting_matches_small(cusp_q):
     out = lift_step(d)
     assert out.success
     assert verify_deformation(out.deformation).ok
-    small_rep = tangent_spaces(p, g, amb=amb)
-    big_rep = tangent_spaces(p, g, amb=big)
+    small_rep = tangent_spaces(amb)
+    big_rep = tangent_spaces(big)
     assert small_rep.t1_equivariant_dim == big_rep.t1_equivariant_dim
 
 
 def workspace(path):
     return Workspace(parse_problem((ROOT / path).read_text()))
+
+
+def file_deformation(path):
+    ws = workspace(path)
+    return ws.deformation(ws.problem, ws.problem.eps_order)
 
 
 def test_lift_steps_express_only_to_build_the_twists(monkeypatch):
@@ -490,7 +492,7 @@ def test_lift_steps_express_only_to_build_the_twists(monkeypatch):
 def test_group_never_acts_on_zero_coefficients(monkeypatch, path):
     """certify_equivariance and _mech_defect skip the zero eps
     coefficients (here the two appended by a coefficientwise lift)."""
-    d = workspace(path).deformation()
+    d = file_deformation(path)
     amb = d.amb
     if d.order == 0:
         d = lift_step(d).deformation
@@ -517,7 +519,7 @@ def test_group_never_acts_on_zero_coefficients(monkeypatch, path):
 def test_every_lift_step_passes_the_independent_check(path, steps, trunc):
     """verify_deformation re-runs the whole certificate, so a step that
     skipped a failing check would show here."""
-    d = workspace(path).deformation()
+    d = file_deformation(path)
     for _ in range(steps):
         out = lift_step(d, trunc=trunc)
         assert out.success

@@ -16,7 +16,6 @@ import pytest
 import oracles
 from eqdeform.cli import Workspace
 from eqdeform.deform import (
-    ArtinianBase,
     Deformation,
     DeformationError,
     EpsPoly,
@@ -124,7 +123,7 @@ def test_equivariance_remainders_match_the_oracle(seed):
     expected = _oracle_remainders(amb, gens, allow_final_remainder=True)
     order = gens[0].order
     if order and expected[0] == "remainder":
-        below = Deformation(amb, ArtinianBase(order - 1, amb.ring.field),
+        below = Deformation(amb, order - 1,
                             tuple(g.truncate(order - 1) for g in gens))
         mech, exact = _mech_defect(below, gens)
         assert exact == all(w is None for row in expected[1].values()
