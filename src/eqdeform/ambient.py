@@ -20,7 +20,6 @@ from .groebner import (
     GroebnerBasis,
     RegularityCertificate,
     Representer,
-    buchberger,
     is_regular_sequence,
     module_kernel,
 )
@@ -37,6 +36,10 @@ from .poly import (
 
 
 class NotCompleteIntersectionError(ValueError):
+    pass
+
+
+class VariableNameCollisionError(ValueError):
     pass
 
 
@@ -60,8 +63,7 @@ class AffinePresentation:
                 f"generators are not a regular sequence: quotient dimension "
                 f"{cert.quotient_dimension}, expected {cert.expected_dimension}"
             )
-        gb = buchberger(gens, ring=ring)
-        return cls(ring, gens, gb, cert)
+        return cls(ring, gens, cert.gb, cert)
 
     @property
     def nvars(self) -> int:
@@ -99,12 +101,10 @@ class EquivariantAmbient:
     """A presentation together with a compatible ambient group action."""
 
     def __init__(self, pres: AffinePresentation, action: GroupAction,
-                 origin: AffinePresentation, origin_action: GroupAction,
-                 kind: str, var_images, embed_images):
+                 origin: AffinePresentation, kind: str, var_images, embed_images):
         self.pres = pres
         self.action = action
         self.origin = origin
-        self.origin_action = origin_action
         self.kind = kind  # "original" | "regular"
         self.var_images = tuple(var_images)    # phi': ambient variable -> element of origin B
         self.embed_images = tuple(embed_images)  # origin variable -> ambient polynomial
@@ -150,7 +150,7 @@ def original_ambient(p: AffinePresentation, g: GroupAction) -> EquivariantAmbien
     if not verify_stability(p.gb, g):
         raise StabilityError("the group does not stabilize the ideal")
     variables = p.ring.gens()
-    return EquivariantAmbient(p, g, p, g, "original", variables, variables)
+    return EquivariantAmbient(p, g, p, "original", variables, variables)
 
 
 def regular_rep_embedding(p: AffinePresentation, g: GroupAction) -> EquivariantAmbient:
@@ -167,7 +167,8 @@ def regular_rep_embedding(p: AffinePresentation, g: GroupAction) -> EquivariantA
     if len(set(names)) != len(names) or (
         size > 1 and set(names) & set(ring.variables)
     ):
-        raise ValueError("ambient variable names collide; rename the input variables")
+        raise VariableNameCollisionError(
+            "ambient variable names collide; rename the input variables")
     big = PolyRing(ring.field, names, MonomialOrder(ring.order.kind))
     n = ring.nvars
 
@@ -193,8 +194,7 @@ def regular_rep_embedding(p: AffinePresentation, g: GroupAction) -> EquivariantA
             "regular-representation embedding lost the regular sequence "
             f"(dim {cert.quotient_dimension}, expected {cert.expected_dimension})"
         )
-    big_gb = buchberger(gens, ring=big)
-    big_pres = AffinePresentation(big, gens, big_gb, cert)
+    big_pres = AffinePresentation(big, gens, cert.gb, cert)
 
     # left translation on the sigma index keeps phi' equivariant for the
     # covariant composition convention of GroupAction
@@ -207,9 +207,9 @@ def regular_rep_embedding(p: AffinePresentation, g: GroupAction) -> EquivariantA
                 images[j * n + i] = bigvar(i, target)
         elements.append(Substitution(big, images))
     big_action = GroupAction(big, elements, g.table, g.inverse, g.generators)
-    amb = EquivariantAmbient(big_pres, big_action, p, g, "regular",
+    amb = EquivariantAmbient(big_pres, big_action, p, "regular",
                              var_images, embed_images)
-    if not verify_stability(big_gb, big_action):
+    if not verify_stability(cert.gb, big_action):
         raise StabilityError("regular-representation ideal is not stable")
     return amb
 
@@ -273,8 +273,8 @@ def derivation_action(amb: EquivariantAmbient, i: int, vec):
     out = []
     for row in L:
         total = ring.zero
-        for k, coeff in enumerate(row):
-            if coeff != ring.field.zero and not vec[k].is_zero():
+        for k, coeff in row.items():
+            if not vec[k].is_zero():
                 total = total + action.apply(i, vec[k]).scale(coeff)
         out.append(nf(total))
     return tuple(out)
@@ -296,28 +296,17 @@ def normal_image(amb: EquivariantAmbient, vec):
 
 
 class _SliceCoordinates:
-    """Coordinatizes vectors of normal-form polynomials in B^rank over the
-    (position, standard monomial) keys that actually occur."""
+    """Coordinatizes vectors of normal-form polynomials in B^rank as sparse
+    rows, numbering each (position, standard monomial) key the first time
+    it occurs."""
 
-    def __init__(self, ring: PolyRing):
-        self.ring = ring
-        self.keys: list = []
+    def __init__(self):
         self.index: dict = {}
 
-    def ensure(self, vec):
-        for pos, p in enumerate(vec):
-            for m in p.terms:
-                key = (pos, m)
-                if key not in self.index:
-                    self.index[key] = len(self.keys)
-                    self.keys.append(key)
-
-    def row(self, vec):
-        out = [self.ring.field.zero] * len(self.keys)
-        for pos, p in enumerate(vec):
-            for m, c in p.terms.items():
-                out[self.index[(pos, m)]] = c
-        return out
+    def row(self, vec) -> dict:
+        index = self.index
+        return {index.setdefault((pos, m), len(index)): c
+                for pos, p in enumerate(vec) for m, c in p.terms.items()}
 
 
 def ambient_vector_slice(amb: EquivariantAmbient, degree: int,
@@ -343,37 +332,23 @@ def ambient_vector_slice(amb: EquivariantAmbient, degree: int,
     if not (invariant or tangent):
         return vectors
 
-    # one constraint block at a time, all padded over a shared key space
-    coords = _SliceCoordinates(ring)
-    blocks = []
-    if tangent:
-        images = [normal_image(amb, v) for v in vectors]
-        for img in images:
-            coords.ensure(img)
-        blocks.append(images)
-    if invariant:
-        for g_idx in amb.action.indices():
-            if g_idx == amb.action.identity_index:
-                continue
-            diffs = []
-            for v in vectors:
-                diff = tuple(
-                    a - b for a, b in zip(derivation_action(amb, g_idx, v), v)
-                )
-                coords.ensure(diff)
-                diffs.append(diff)
-            blocks.append(diffs)
+    # one sparse constraint row per (block, position, monomial)
+    rows: dict = {}
 
-    columns = []
-    for idx in range(len(unknowns)):
-        col = []
-        for block in blocks:
-            col.extend(coords.row(block[idx]))
-        columns.append(col)
-    height = max(len(c) for c in columns)
-    columns = [c + [ring.field.zero] * (height - len(c)) for c in columns]
-    matrix = [[columns[u][r] for u in range(len(unknowns))] for r in range(height)]
-    kb = kernel_basis(ring.field, matrix, len(unknowns))
+    def constrain(block, u, vec):
+        for pos, p in enumerate(vec):
+            for m, c in p.terms.items():
+                rows.setdefault((block, pos, m), {})[u] = c
+
+    others = [i for i in amb.action.indices() if i != amb.action.identity_index]
+    for u, v in enumerate(vectors):
+        if tangent:
+            constrain(None, u, normal_image(amb, v))
+        if invariant:
+            for g_idx in others:
+                constrain(g_idx, u, tuple(
+                    a - b for a, b in zip(derivation_action(amb, g_idx, v), v)))
+    kb = kernel_basis(ring.field, list(rows.values()), len(unknowns))
     basis = []
     for sol in kb:
         vec = [ring.zero] * ring.nvars

@@ -22,6 +22,7 @@ from itertools import combinations
 from .ambient import (
     AffinePresentation,
     NotCompleteIntersectionError,
+    VariableNameCollisionError,
     choose_ambient,
 )
 from .deform import (
@@ -376,7 +377,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InputError, ProblemError, ParseError, DeformationError, StabilityError,
-            NotCompleteIntersectionError, FieldError, RamifyError) as exc:
+            NotCompleteIntersectionError, VariableNameCollisionError, FieldError,
+            RamifyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

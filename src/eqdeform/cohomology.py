@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .ambient import NormalModule, _SliceCoordinates
 from .gaction import GroupAction
-from .linalg import kernel_basis, solve, solve_columns, span_modulo
+from .linalg import add_scaled, kernel_basis, solve, solve_columns, span_modulo
 
 
 class CocycleError(ValueError):
@@ -28,16 +28,16 @@ class CocycleError(ValueError):
 class GModuleSlice:
     """Finite k[G]-module with exact action matrices (rows act on columns).
 
-    The representation property is verified on the group's generators
-    (see ``_check_representation``)."""
+    Each matrix is a list of ``dim`` sparse rows ``{column: value}`` that
+    hold no zero values.  The representation property is verified on the
+    group's generators (see ``_check_representation``)."""
 
     def __init__(self, group: GroupAction, field, matrices, payloads=None):
         self.group = group
         self.field = field
-        self.matrices = matrices          # per element: dim x dim, rows
+        self.matrices = matrices          # per element: dim sparse rows
         self.payloads = payloads          # optional module vectors per basis element
         self.dim = len(matrices[0]) if matrices and matrices[0] else 0
-        self._coords = None
         self._check_representation()
 
     def _check_representation(self):
@@ -45,8 +45,8 @@ class GModuleSlice:
         every element is a word in the generators, so by induction on its
         length this gives M_i M_j = M_{ij} for all pairs."""
         group = self.group
-        ident = self._identity_matrix()
-        if self.matrices[group.identity_index] != ident:
+        if self.matrices[group.identity_index] != [{r: self.field.one}
+                                                   for r in range(self.dim)]:
             raise CocycleError("identity does not act as the identity matrix")
         for s in group.generators:
             for j in group.indices():
@@ -54,33 +54,25 @@ class GModuleSlice:
                 if prod != self.matrices[group.mul(s, j)]:
                     raise CocycleError("action matrices violate the representation property")
 
-    def _identity_matrix(self):
-        z, o = self.field.zero, self.field.one
-        return [[o if i == j else z for j in range(self.dim)] for i in range(self.dim)]
-
     def _matmul(self, a, b):
-        """a b, each output row the sum of the rows of b that the nonzero
-        entries of the row of a pick out."""
-        field = self.field
-        zero = field.zero
+        """a b, each output row the sum of the rows of b that the entries
+        of the row of a pick out."""
         out = []
         for row in a:
-            acc = [zero] * self.dim
-            for x, brow in zip(row, b):
-                if x != zero:
-                    acc = [field.add(s, field.mul(x, y)) for s, y in zip(acc, brow)]
+            acc = {}
+            for k, x in row.items():
+                add_scaled(self.field, acc, x, b[k])
             out.append(acc)
         return out
 
     def act(self, i: int, coords):
+        """M_i times the dense coordinate vector coords, as a dense list."""
         field = self.field
-        mat = self.matrices[i]
         out = []
-        for row in mat:
+        for row in self.matrices[i]:
             s = field.zero
-            for k, c in enumerate(coords):
-                if c != field.zero and row[k] != field.zero:
-                    s = field.add(s, field.mul(row[k], c))
+            for k, x in row.items():
+                s = field.add(s, field.mul(x, coords[k]))
             out.append(s)
         return out
 
@@ -105,19 +97,10 @@ class GModuleSlice:
         or None; one elimination serves the whole list."""
         if self.payloads is None:
             raise ValueError("abstract slice has no payload vectors")
-        if self._coords is None:
-            coords = _SliceCoordinates(self.payloads[0][0].ring)
-            for p in self.payloads:
-                coords.ensure(p)
-            self._coords = coords
-        coords = self._coords
-        inside = [all((pos, m) in coords.index
-                      for pos, p in enumerate(vec) for m in p.terms)
-                  for vec in vecs]
+        coords = _SliceCoordinates()
         cols = [coords.row(p) for p in self.payloads]
-        solved = iter(solve_columns(self.field, cols,
-                                    [coords.row(v) for v, ok in zip(vecs, inside) if ok]))
-        return [next(solved) if ok else None for ok in inside]
+        rhs = [coords.row(v) for v in vecs]
+        return solve_columns(self.field, cols, rhs, len(coords.index))
 
 
 def slice_of_normal_module(module: NormalModule, degree: int,
@@ -141,35 +124,27 @@ def slice_of_normal_module(module: NormalModule, degree: int,
     for i in group.indices():
         for s in seeds:
             orbit.append(module.act(i, s) if i != group.identity_index else s)
-    coords = _SliceCoordinates(ring)
-    for v in orbit:
-        coords.ensure(v)
-    _, kept = span_modulo(field, len(coords.keys), (),
-                          (coords.row(v) for v in orbit))
+    coords = _SliceCoordinates()
+    rows = [coords.row(v) for v in orbit]
+    _, kept = span_modulo(field, (), rows)
     payloads = [orbit[k] for k in kept]
 
     dim = len(payloads)
     images = [coords.row(module.act(i, p)) for i in group.indices() for p in payloads]
-    sols = solve_columns(field, [coords.row(p) for p in payloads], images)
+    sols = solve_columns(field, [rows[k] for k in kept], images, len(coords.index))
     if any(sol is None for sol in sols):
         raise CocycleError("slice is not closed under the action")
     matrices = []
     for i in group.indices():
         mat_cols = sols[i * dim:(i + 1) * dim]
-        matrices.append([[mat_cols[c][r] for c in range(dim)] for r in range(dim)])
+        matrices.append([{c: col[r] for c, col in enumerate(mat_cols) if col[r] != field.zero}
+                         for r in range(dim)])
     return GModuleSlice(group, field, matrices, payloads=payloads)
 
 
 def invariants(m: GModuleSlice):
     """Coordinate basis of the simultaneous fixed space H^0."""
-    if m.dim == 0:
-        return []
-    field = m.field
-    rows = _action_minus_identity(m)
-    if not rows:
-        return [[field.one if j == i else field.zero for j in range(m.dim)]
-                for i in range(m.dim)]
-    return kernel_basis(field, rows, m.dim)
+    return kernel_basis(m.field, _action_minus_identity(m), m.dim)
 
 
 def _nontrivial(m: GModuleSlice):
@@ -177,56 +152,47 @@ def _nontrivial(m: GModuleSlice):
 
 
 def _action_minus_identity(m: GModuleSlice):
-    """The rows of M_s - I, stacked over the elements s != e in index order."""
+    """The sparse rows of M_s - I, stacked over the elements s != e in
+    index order."""
     field = m.field
-    ident = m._identity_matrix()
-    return [[field.sub(a, b) for a, b in zip(m.matrices[s][r], ident[r])]
-            for s in _nontrivial(m) for r in range(m.dim)]
+    minus = field.neg(field.one)
+    rows = []
+    for s in _nontrivial(m):
+        for r, row in enumerate(m.matrices[s]):
+            row = dict(row)
+            add_scaled(field, row, minus, {r: field.one})
+            rows.append(row)
+    return rows
 
 
 def _cocycle_rows(m: GModuleSlice):
-    """Linear conditions on (c(s))_{s != e} from c(st) = s.c(t) + c(s)."""
+    """Linear conditions on (c(s))_{s != e} from c(st) = s.c(t) + c(s), as
+    sparse rows over the flat unknowns, one dim-block per s != e."""
     field = m.field
-    others = _nontrivial(m)
-    slot = {s: k for k, s in enumerate(others)}
-    dim = m.dim
-    nunk = dim * len(others)
+    minus = field.neg(field.one)
+    offset = {s: k * m.dim for k, s in enumerate(_nontrivial(m))}
     rows = []
+
+    def put(row, s, factor, entries):
+        if s in offset:  # c(e) = 0
+            add_scaled(field, row, factor,
+                       {offset[s] + c: x for c, x in entries.items()})
+
     for i in m.group.indices():
         for j in m.group.indices():
-            ij = m.group.mul(i, j)
-            base = [[field.zero] * nunk for _ in range(dim)]
-
-            def add_block(s, coeff_matrix=None, sign=1):
-                if s not in slot:
-                    return  # c(e) = 0
-                off = slot[s] * dim
-                for r in range(dim):
-                    for c in range(dim):
-                        val = (coeff_matrix[r][c] if coeff_matrix is not None
-                               else (field.one if r == c else field.zero))
-                        if val == field.zero:
-                            continue
-                        if sign < 0:
-                            val = field.neg(val)
-                        base[r][off + c] = field.add(base[r][off + c], val)
-
-            add_block(ij)
-            add_block(j, m.matrices[i], sign=-1)
-            add_block(i, sign=-1)
-            if any(any(x != field.zero for x in row) for row in base):
-                rows.extend(base)
-    return rows, others, nunk
+            for r in range(m.dim):
+                row = {}
+                put(row, m.group.mul(i, j), field.one, {r: field.one})
+                put(row, j, minus, m.matrices[i][r])
+                put(row, i, minus, {r: field.one})
+                if row:
+                    rows.append(row)
+    return rows
 
 
 def zcocycles(m: GModuleSlice):
     """Basis of Z^1 as flat coordinate vectors, one dim-block per s != e."""
-    if m.dim == 0:
-        return []
-    rows, _, nunk = _cocycle_rows(m)
-    if not rows:
-        return []
-    return kernel_basis(m.field, rows, nunk)
+    return kernel_basis(m.field, _cocycle_rows(m), m.dim * len(_nontrivial(m)))
 
 
 def coboundary_of(m: GModuleSlice, phi_coords):
@@ -241,10 +207,12 @@ def coboundary_of(m: GModuleSlice, phi_coords):
 
 def _unit_coboundaries(m: GModuleSlice):
     """Coboundaries of the coordinate unit vectors, which span B^1: the
-    coboundary of e_k is column k of the stacked M_s - I."""
-    rows = _action_minus_identity(m)
-    for k in range(m.dim):
-        yield [row[k] for row in rows]
+    coboundary of e_k is column k of the stacked M_s - I, a sparse row."""
+    cols = [{} for _ in range(m.dim)]
+    for r, row in enumerate(_action_minus_identity(m)):
+        for k, x in row.items():
+            cols[k][r] = x
+    return cols
 
 
 @dataclass
@@ -259,8 +227,9 @@ def h1(m: GModuleSlice) -> H1Result:
     z_basis = zcocycles(m)
     if not z_basis:
         return H1Result(0, [])
-    b_dim, kept = span_modulo(field, len(z_basis[0]),
-                              _unit_coboundaries(m), z_basis)
+    b_dim, kept = span_modulo(field, _unit_coboundaries(m),
+                              ({k: x for k, x in enumerate(z) if x != field.zero}
+                               for z in z_basis))
     return H1Result(len(z_basis) - b_dim, [z_basis[k] for k in kept])
 
 
@@ -277,24 +246,19 @@ def h1_bounded(m_small: GModuleSlice, m_big: GModuleSlice) -> H1Result:
     emb = m_big.express(m_small.payloads)
     if any(coords is None for coords in emb):
         raise CocycleError("small slice does not embed in the search slice")
-    others_small = _nontrivial(m_small)
     dim_s, dim_b = m_small.dim, m_big.dim
 
     def embed_cochain(flat):
-        out = []
-        for k in range(len(others_small)):
-            block = flat[k * dim_s:(k + 1) * dim_s]
-            big_block = [field.zero] * dim_b
-            for c, e in zip(block, emb):
-                if c == field.zero:
-                    continue
-                for idx, val in enumerate(e):
-                    big_block[idx] = field.add(big_block[idx], field.mul(c, val))
-            out.extend(big_block)
+        """A flat cochain of m_small as a sparse cochain row of m_big."""
+        out = {}
+        for k in range(len(_nontrivial(m_small))):
+            for c, e in zip(flat[k * dim_s:(k + 1) * dim_s], emb):
+                if c != field.zero:
+                    add_scaled(field, out, c, {k * dim_b + idx: x for idx, x in enumerate(e)
+                                               if x != field.zero})
         return out
 
-    _, kept = span_modulo(field, len(others_small) * dim_b,
-                          _unit_coboundaries(m_big),
+    _, kept = span_modulo(field, _unit_coboundaries(m_big),
                           (embed_cochain(z) for z in z_small))
     return H1Result(len(kept), [z_small[k] for k in kept])
 
@@ -322,7 +286,7 @@ def solve_coboundary(m: GModuleSlice, cochain) -> list | None:
     if m.dim == 0:
         return []
     rhs_flat = [x for s in others for x in val(s)]
-    return solve(field, _action_minus_identity(m), rhs_flat)
+    return solve(field, _action_minus_identity(m), m.dim, rhs_flat)
 
 
 class Cocycle:

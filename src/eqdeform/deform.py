@@ -307,7 +307,7 @@ def verify_deformation(d: Deformation) -> DeformationCheck:
 
 def ideal_equal(d1: Deformation, d2: Deformation) -> bool:
     """Equality of the lifted ideals via mutual membership (eps-peeling)."""
-    _check_compatible(d1, d2, same_order=True)
+    _check_compatible(d1, d2)
     rep = d1.amb.pres.representer
     for a, b in ((d1, d2), (d2, d1)):
         for g in a.gens:
@@ -318,10 +318,10 @@ def ideal_equal(d1: Deformation, d2: Deformation) -> bool:
     return True
 
 
-def _check_compatible(d1: Deformation, d2: Deformation, same_order=True):
+def _check_compatible(d1: Deformation, d2: Deformation):
     if d1.amb is not d2.amb:
         raise DeformationError("deformations over different ambients")
-    if same_order and d1.order != d2.order:
+    if d1.order != d2.order:
         raise DeformationError("deformations over different bases")
 
 
@@ -399,9 +399,6 @@ class DerivationWitness:
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.components)
 
-    def normal_image(self):
-        return normal_image(self.amb, self.components)
-
     def __repr__(self):
         return "DerivationWitness(" + ", ".join(repr(p) for p in self.components) + ")"
 
@@ -437,13 +434,10 @@ def isomorphism_witness(d1: Deformation, d2: Deformation,
     basis = ambient_vector_slice(amb, bound, invariant=True, tangent=False)
     if not basis:
         return None
-    coords = _SliceCoordinates(amb.ring)
-    images = [normal_image(amb, v) for v in basis]
-    for img in images:
-        coords.ensure(img)
-    coords.ensure(nu.vector)
-    sol = solve_columns(amb.ring.field, [coords.row(img) for img in images],
-                        [coords.row(nu.vector)])[0]
+    coords = _SliceCoordinates()
+    images = [coords.row(normal_image(amb, v)) for v in basis]
+    sol = solve_columns(amb.ring.field, images, [coords.row(nu.vector)],
+                        len(coords.index))[0]
     if sol is None:
         return None
     components = [amb.ring.zero] * amb.ring.nvars
@@ -640,17 +634,13 @@ def tangent_spaces(amb: EquivariantAmbient,
         field = ring.field
         matrices = []
         for i in amb.action.indices():
-            cols = []
-            for (pos, m) in qb.monomials:
+            rows = [{} for _ in qb.monomials]
+            for c, (pos, m) in enumerate(qb.monomials):
                 acted = N.act(i, _basis_vector(ring, rank, pos, m))
-                reduced = module_gb.reduce_polys(acted)
-                col = [field.zero] * len(qb.monomials)
-                for p_idx, poly in enumerate(reduced):
+                for p_idx, poly in enumerate(module_gb.reduce_polys(acted)):
                     for mono, coeff in poly.terms.items():
-                        col[index[(p_idx, mono)]] = coeff
-                cols.append(col)
-            matrices.append([[cols[c][r] for c in range(len(cols))]
-                             for r in range(len(cols))])
+                        rows[index[(p_idx, mono)]][c] = coeff
+            matrices.append(rows)
         fixed = invariants(GModuleSlice(amb.action, field, matrices))
         # invariant vector representatives via averaging
         scale = field.inv(field.of(len(amb.action)))
@@ -674,11 +664,9 @@ def tangent_spaces(amb: EquivariantAmbient,
     V = [m_small.materialize(c) for c in inv_coords]
     U_src = ambient_vector_slice(amb, D + SLACK, invariant=True, tangent=False)
     U = [normal_image(amb, v) for v in U_src]
-    coords = _SliceCoordinates(ring)
-    for v in V + U:
-        coords.ensure(v)
-    _, kept = span_modulo(ring.field, len(coords.keys),
-                          (coords.row(u) for u in U), (coords.row(v) for v in V))
+    coords = _SliceCoordinates()
+    _, kept = span_modulo(ring.field, (coords.row(u) for u in U),
+                          (coords.row(v) for v in V))
     reps = [V[k] for k in kept]
     return TangentReport(t0_gens, t0_slice, qb, t1_vectors,
                          len(reps), reps, f"slice:{D}")

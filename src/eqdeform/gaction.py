@@ -64,18 +64,9 @@ class Substitution:
         return Substitution(self.ring, [self.apply(g) for g in other.images])
 
     def linear_part(self):
-        """Matrix L with image_i = sum_k L[i][k] x_k + const_i."""
-        ring = self.ring
-        zero = ring.field.zero
-        L = []
-        for g in self.images:
-            row = [zero] * ring.nvars
-            for m, c in g.terms.items():
-                for k, e in enumerate(m):
-                    if e:
-                        row[k] = c
-            L.append(row)
-        return L
+        """Matrix L with image_i = sum_k L[i][k] x_k + const_i, as sparse rows."""
+        return [{k: c for m, c in g.terms.items() for k, e in enumerate(m) if e}
+                for g in self.images]
 
     def is_invertible(self) -> bool:
         return matrix_rank(self.ring.field, self.linear_part()) == self.ring.nvars
@@ -251,7 +242,6 @@ class TwistMatrices:
         self.action = action
         self.exact = exact
         self.reduced = reduced
-        self.size = len(exact[0]) if exact else 0
 
     def reduced_for(self, i: int):
         return self.reduced[i]

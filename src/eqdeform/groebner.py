@@ -79,11 +79,9 @@ def _vec_canonical_key(ring: PolyRing, v: Vec):
     return tuple((t[0][0], ring.order.key(t[0][1]), repr(t[1])) for t in items)
 
 
-def reduce_vec(ring: PolyRing, v: Vec, basis: list[tuple], full: bool = True) -> Vec:
-    """Normal form of v against basis entries (vec, lt) pairs.
-
-    With full=True no remaining term is divisible by any leading term.
-    """
+def reduce_vec(ring: PolyRing, v: Vec, basis: list[tuple]) -> Vec:
+    """Normal form of v against basis entries (vec, lt) pairs: no
+    remaining term is divisible by any leading term."""
     field = ring.field
     work = dict(v)
     done: Vec = {}
@@ -99,9 +97,6 @@ def reduce_vec(ring: PolyRing, v: Vec, basis: list[tuple], full: bool = True) ->
                 break
         if not reduced:
             done[t] = work.pop(t)
-            if not full:
-                done.update(work)
-                return done
     return done
 
 
@@ -254,7 +249,7 @@ class GroebnerBasis:
         return "GroebnerBasis(" + ", ".join(repr(g) for g in self.generators) + ")"
 
 
-def buchberger(gens, order=None, ring: PolyRing | None = None) -> GroebnerBasis:
+def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
     The active order is the ring's; pass a ring explicitly to build the
@@ -452,6 +447,7 @@ class RegularityCertificate:
     expected_dimension: int
     nvars: int
     ngens: int
+    gb: GroebnerBasis | None  # the basis the dimension was read from
 
 
 def krull_dimension(gb: GroebnerBasis) -> int:
@@ -485,9 +481,10 @@ def is_regular_sequence(gens, ring: PolyRing | None = None) -> RegularityCertifi
     if ring is None:
         raise ValueError("empty generator list needs an explicit ring")
     if any(g.is_zero() for g in gens):
-        return RegularityCertificate(False, -2, ring.nvars - len(gens), ring.nvars, len(gens))
+        return RegularityCertificate(False, -2, ring.nvars - len(gens), ring.nvars,
+                                     len(gens), None)
     gb = buchberger(gens, ring=ring)
     dim = krull_dimension(gb) if gens else ring.nvars
     expected = ring.nvars - len(gens)
     return RegularityCertificate(dim == expected and dim >= 0, dim, expected,
-                                 ring.nvars, len(gens))
+                                 ring.nvars, len(gens), gb)

@@ -79,34 +79,26 @@ class TruncatedSeriesModule:
         )
 
     def action_matrix(self):
-        """The diagonal action of the chosen generator on the t^i e basis."""
+        """The diagonal action of the chosen generator on the t^i e basis,
+        as sparse rows."""
         z = primitive_root_of_unity(self.field, self.cyclic_order)
         field = self.field
         N = self.modulus_degree
         rows = []
         for i in range(N):
-            row = [field.zero] * N
             entry = field.one
             for _ in range((i + self.weight) % self.cyclic_order):
                 entry = field.mul(entry, z)
             # z^(i+w) = z^((i+w) mod m)
-            row[i] = entry
-            rows.append(row)
+            rows.append({i: entry})
         return rows
 
     def invariant_count_by_matrix(self) -> int:
         """Fixed-space dimension of the explicit action matrix (oracle)."""
         field = self.field
-        mat = self.action_matrix()
-        N = self.modulus_degree
-        if N == 0:
-            return 0
-        rows = [
-            [field.sub(mat[r][c], field.one if r == c else field.zero)
-             for c in range(N)]
-            for r in range(N)
-        ]
-        return len(kernel_basis(field, rows, N))
+        rows = [{r: field.sub(x, field.one) for r, x in row.items() if x != field.one}
+                for row in self.action_matrix()]
+        return len(kernel_basis(field, rows, self.modulus_degree))
 
 
 def local_ext1_invariants(d: int, m: int, field: Field | None = None) -> int:

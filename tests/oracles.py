@@ -84,6 +84,12 @@ def solve(field: Field, rows: list[list], rhs: list) -> list | None:
     return x
 
 
+def sparse(field: Field, row: list) -> dict:
+    """The dense row as the ``{column: value}`` dict, without zero values,
+    that ``eqdeform.linalg`` takes."""
+    return {c: x for c, x in enumerate(row) if x != field.zero}
+
+
 class SpanBuilder:
     """Incrementally maintained row space in reduced echelon form."""
 

@@ -47,6 +47,7 @@ from oracles import (
     bounded_kernel_elements,
     bounded_membership,
     module_quotient_slice_dim,
+    sparse,
 )
 
 
@@ -363,7 +364,7 @@ def _brute_force_equivariant_lifts_f2(ring):
         rows = [[cols[u][r] for u in range(len(cols))]
                 for r in range(2 * len(monos5))]
         rhs = coeffs(base) + coeffs(moved)
-        if solve(field, rows, rhs) is not None:
+        if solve(field, [sparse(field, row) for row in rows], len(cols), rhs) is not None:
             survivors.append(gpoly)
     # dedupe by equality of ideals: g ~ g + xy within degree <= 2
     classes = []

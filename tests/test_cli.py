@@ -180,6 +180,18 @@ def test_exit_code_input_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["check"], ["tangent"], ["obstruction"], ["lift", "--order", "2"],
+], ids=lambda a: a[0])
+def test_colliding_ambient_names_are_an_input_error(argv, tmp_path, capsys):
+    """x_g1 is also the regular-representation name of x at element 1."""
+    prob = tmp_path / "collide.prob"
+    prob.write_text("field F 2\nvars x x_g1\nideal:\ngen s: x -> x + 1\n")
+    code, out, err = run_cli([argv[0], str(prob), *argv[1:]], capsys)
+    assert code == 3 and out == ""
+    assert "ambient variable names collide" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["tangent", "problems/node_f2.prob", "--truncate", "-1"],
     ["obstruction", "problems/node_f2.prob", "--truncate", "-5"],
     ["lift", "problems/node_q.prob", "--order", "2", "--truncate", "-1"],

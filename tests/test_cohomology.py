@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from eqdeform import linalg
 from eqdeform.ambient import AffinePresentation, NormalModule, choose_ambient
 from eqdeform.cli import Workspace
@@ -36,16 +37,22 @@ def identity_matrix(field, n):
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
+def gmodule(group, field, matrices):
+    """GModuleSlice from dense action matrices."""
+    return GModuleSlice(group, field, [[oracles.sparse(field, row) for row in mat]
+                                       for mat in matrices])
+
+
 def test_invariants_examples(swap_q):
     ring, swap = swap_q
     f = QQ
     ident = identity_matrix(f, 2)
-    m_triv = GModuleSlice(swap, f, [ident, ident])
+    m_triv = gmodule(swap, f, [ident, ident])
     assert len(invariants(m_triv)) == 2
-    m_swap = GModuleSlice(swap, f, [ident, [[f.zero, f.one], [f.one, f.zero]]])
+    m_swap = gmodule(swap, f, [ident, [[f.zero, f.one], [f.one, f.zero]]])
     inv = invariants(m_swap)
     assert len(inv) == 1 and inv[0] == [f.one, f.one]
-    m_sign = GModuleSlice(swap, f, [[[f.one]], [[f.neg(f.one)]]])
+    m_sign = gmodule(swap, f, [[[f.one]], [[f.neg(f.one)]]])
     assert invariants(m_sign) == []
 
 
@@ -54,7 +61,7 @@ def test_representation_property_enforced(swap_q):
     f = QQ
     bad = [identity_matrix(f, 1), [[f.of(2)]]]  # 2 is not an involution
     with pytest.raises(CocycleError):
-        GModuleSlice(swap, f, bad)
+        gmodule(swap, f, bad)
 
 
 def test_representation_checked_through_the_generators():
@@ -68,11 +75,11 @@ def test_representation_checked_through_the_generators():
     assert len(klein) == 4 and st not in klein.generators
     sign = {klein.identity_index: 1, s: -1, t: -1, st: 1}
     good = [[[QQ.of(sign[i])]] for i in klein.indices()]
-    GModuleSlice(klein, QQ, good)
+    gmodule(klein, QQ, good)
     bad = list(good)
     bad[st] = [[QQ.of(-1)]]
     with pytest.raises(CocycleError):
-        GModuleSlice(klein, QQ, bad)
+        gmodule(klein, QQ, bad)
 
 
 def test_regular_ambient_action_keeps_the_generators():
@@ -96,7 +103,8 @@ def test_unit_coboundaries_are_the_columns_of_the_action(path, degree):
     units = [[m.field.one if j == k else m.field.zero for j in range(m.dim)]
              for k in range(m.dim)]
     assert m.dim > 1
-    assert list(_unit_coboundaries(m)) == [coboundary_of(m, e) for e in units]
+    assert list(_unit_coboundaries(m)) == [oracles.sparse(m.field, coboundary_of(m, e))
+                                           for e in units]
 
 
 def test_slice_factors_the_action_matrices_once(monkeypatch):
@@ -123,7 +131,7 @@ def _random_involution(field, n, rng):
 
     while True:
         S = [[field.of(rng.randrange(-3, 4)) for _ in range(n)] for _ in range(n)]
-        _, pivots = rref(field, [row[:] for row in S])
+        _, pivots = rref(field, [oracles.sparse(field, row) for row in S])
         if len(pivots) == n:
             break
     D = [[field.of(1 if i <= n // 2 else -1) if i == j else field.zero
@@ -134,7 +142,7 @@ def _random_involution(field, n, rng):
     cols = []
     for k in range(n):
         e = [field.one if i == k else field.zero for i in range(n)]
-        cols.append(solve(field, [row[:] for row in S], e))
+        cols.append(solve(field, [oracles.sparse(field, row) for row in S], n, e))
     S_inv = [[cols[c][r] for c in range(n)] for r in range(n)]
 
     def matmul(a, b):
@@ -158,7 +166,7 @@ def test_tame_h1_vanishes_on_random_involutions(swap_q):
         for n in (1, 2, 3):
             for _ in range(3):
                 A = _random_involution(field, n, rng)
-                m = GModuleSlice(swap, field, [identity_matrix(field, n), A])
+                m = gmodule(swap, field, [identity_matrix(field, n), A])
                 res = h1(m)
                 assert res.dimension == 0
                 # Reynolds splitting oracle: every cocycle is
@@ -188,7 +196,7 @@ def test_tame_h1_vanishes_order3():
     g1 = rot.mul(rot.identity_index, 1)
     mats[1] = P
     mats[rot.mul(1, 1)] = P2
-    m = GModuleSlice(rot, f, [mats[i] for i in rot.indices()])
+    m = gmodule(rot, f, [mats[i] for i in rot.indices()])
     assert h1(m).dimension == 0
 
 
@@ -213,6 +221,52 @@ def test_wild_node_slice_h1():
     assert lhs == xy
 
 
+def test_express_marks_vectors_outside_the_slice():
+    """One call: None for a vector with a monomial no payload has,
+    coordinates for a vector inside the slice."""
+    r2 = PolyRing(GF(2), ["x", "y"])
+    x, y = r2.gens()
+    node = AffinePresentation.build(r2, [x * y])
+    swap = close_group([{"x": y, "y": x}], ring=r2)
+    small = slice_of_normal_module(NormalModule(choose_ambient(node, swap)), 2)
+    outside, inside = small.express([(x**5,), (x + y,)])
+    assert outside is None
+    assert small.materialize(inside) == (x + y,)
+
+
+def test_slice_with_images_outside_the_orbit_span_is_rejected(monkeypatch):
+    """The identity's images gain a monomial no orbit vector has, so the
+    action matrices have no solution."""
+    text = (ROOT / "problems" / "node_f2.prob").read_text(encoding="utf-8")
+    module = NormalModule(Workspace(parse_problem(text)).ambient)
+    ring = module.ring
+    stray = module.amb.pres.nf(ring.var(ring.variables[0]) ** 40)
+    act = NormalModule.act
+
+    def stray_act(self, i, vec):
+        out = act(self, i, vec)
+        if i == self.amb.action.identity_index:
+            out = (out[0] + stray,) + out[1:]
+        return out
+
+    monkeypatch.setattr(NormalModule, "act", stray_act)
+    with pytest.raises(CocycleError, match="slice is not closed under the action"):
+        slice_of_normal_module(module, 2)
+
+
+def test_trivial_action_in_characteristic_two_has_h1():
+    """Every cochain of Z/2 acting trivially on F_2 is a cocycle and only
+    zero is a coboundary, so H^1 = Hom(Z/2, F_2) has dimension 1; over Q
+    the cocycle condition 2 c(s) = 0 leaves nothing."""
+    ring = PolyRing(QQ, ["x", "y"])
+    swap = close_group([{"x": ring.var("y"), "y": ring.var("x")}], ring=ring)
+    f2 = GF(2)
+    m = gmodule(swap, f2, [[[f2.one]], [[f2.one]]])
+    assert zcocycles(m) == [[f2.one]]
+    assert h1(m).dimension == 1
+    assert h1(gmodule(swap, QQ, [[[QQ.one]], [[QQ.one]]])).dimension == 0
+
+
 def test_translation_line_free_module():
     r1 = PolyRing(GF(2), ["x"])
     line = AffinePresentation.build(r1, [])
@@ -234,7 +288,7 @@ def test_solve_coboundary_round_trip(swap_q):
     f = QQ
     rng = random.Random(52)
     A = [[f.zero, f.one], [f.one, f.zero]]
-    m = GModuleSlice(swap, f, [identity_matrix(f, 2), A])
+    m = gmodule(swap, f, [identity_matrix(f, 2), A])
     for _ in range(10):
         phi = [f.of(rng.randrange(-3, 4)) for _ in range(2)]
         flat = coboundary_of(m, phi)
@@ -253,7 +307,7 @@ def test_invariants_have_zero_coboundary(swap_q):
     ring, swap = swap_q
     f = QQ
     A = [[f.zero, f.one], [f.one, f.zero]]
-    m = GModuleSlice(swap, f, [identity_matrix(f, 2), A])
+    m = gmodule(swap, f, [identity_matrix(f, 2), A])
     for v in invariants(m):
         assert all(x == f.zero for x in coboundary_of(m, v))
 

@@ -53,12 +53,24 @@ def _right_hand_side(field, rows, ncols, rng):
     return [_scalar(field, rng, 0.5) for _ in rows]
 
 
+def _sparse_rows(field, rows):
+    return [oracles.sparse(field, row) for row in rows]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rref_and_kernel_match_the_dense_oracle(seed):
     field, rows, ncols, _ = system(seed)
-    assert linalg.rref(field, rows) == oracles.rref(field, rows)
-    assert linalg.kernel_basis(field, rows, ncols) == oracles.kernel_basis(field, rows, ncols)
-    assert linalg.rank(field, rows) == len(oracles.rref(field, rows)[1])
+    sparse_rows = _sparse_rows(field, rows)
+    red, pivots = linalg.rref(field, sparse_rows)
+    assert all(field.zero not in row.values() for row in red)
+    # densified, with the zero rows padded back, as the oracle returns them
+    dense = [[row.get(c, field.zero) for c in range(ncols)] for row in red]
+    dense += [[field.zero] * ncols for _ in range(len(rows) - len(red))]
+    assert (dense, pivots) == oracles.rref(field, rows)
+    assert linalg.kernel_basis(field, sparse_rows, ncols) == oracles.kernel_basis(field, rows, ncols)
+    assert linalg.rank(field, sparse_rows) == len(oracles.rref(field, rows)[1])
+    # no function changes its input rows
+    assert sparse_rows == _sparse_rows(field, rows)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -67,11 +79,21 @@ def test_solves_match_the_dense_oracle(seed):
     k = rng.randint(0, 4)
     rhs_list = [_right_hand_side(field, rows, ncols, rng) for _ in range(k)]
     expected = [oracles.solve(field, rows, b) for b in rhs_list]
-    assert [linalg.solve(field, rows, b) for b in rhs_list] == expected
-    columns = [[row[c] for row in rows] for c in range(ncols)]
-    assert linalg.solve_columns(field, columns, rhs_list) == expected
+    sparse_rows = _sparse_rows(field, rows)
+    assert [linalg.solve(field, sparse_rows, ncols, b) for b in rhs_list] == expected
+    columns = _sparse_rows(field, ([row[c] for row in rows] for c in range(ncols)))
+    rhs_columns = _sparse_rows(field, rhs_list)
+    assert linalg.solve_columns(field, columns, rhs_columns, len(rows)) == expected
     # k right-hand sides in one call give the k single solves
-    assert [linalg.solve_columns(field, columns, [b])[0] for b in rhs_list] == expected
+    assert [linalg.solve_columns(field, columns, [b], len(rows))[0]
+            for b in rhs_columns] == expected
+    assert sparse_rows == _sparse_rows(field, rows)
+
+
+def test_systems_without_rows_have_no_solution():
+    for field in FIELDS:
+        assert linalg.solve(field, [], 3, []) is None
+        assert linalg.solve_columns(field, [{}, {}], [{}, {}], 0) == [None, None]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -84,7 +106,8 @@ def test_span_modulo_keeps_the_oracle_indices(seed):
         span.add(u)
     base_dim = span.dim
     kept = [k for k, v in enumerate(vectors) if span.add(v)]
-    assert linalg.span_modulo(field, ncols, base, vectors) == (base_dim, kept)
+    assert linalg.span_modulo(field, _sparse_rows(field, base),
+                              _sparse_rows(field, vectors)) == (base_dim, kept)
 
 
 def test_field_units_are_plain_attributes():
