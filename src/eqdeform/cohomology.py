@@ -7,7 +7,9 @@ standard-monomial vectors up to a degree bound, so they are honestly
 G-stable even when the twist matrices are non-constant.
 
 The cocycle convention is c(s*t) = s.c(t) + c(s) and the coboundary of
-phi is s -> s.phi - phi.  For a filtered module, a vanishing answer
+phi is s -> s.phi - phi.  A cocycle, a fixed vector and a representation
+are each determined by, and checked on, the group's generators: every
+element is a word in them.  For a filtered module, a vanishing answer
 from ``solve_coboundary`` is exact; non-vanishing is certified only up
 to the slice bound unless the setup is graded (see deform).
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 from .ambient import NormalModule, _SliceCoordinates
 from .gaction import GroupAction
-from .linalg import add_scaled, kernel_basis, solve, solve_columns, span_modulo
+from .linalg import add_scaled, kernel_basis, rref, solve, span_modulo, transpose
 
 
 class CocycleError(ValueError):
@@ -93,20 +95,24 @@ class GModuleSlice:
         return vec
 
     def express(self, vecs) -> list:
-        """For each module vector, its coordinates over the payload basis,
-        or None; one elimination serves the whole list."""
+        """For each module vector, its coordinates over the payload basis
+        as a sparse ``{payload index: value}`` dict, or None; one
+        elimination serves the whole list."""
         if self.payloads is None:
             raise ValueError("abstract slice has no payload vectors")
         coords = _SliceCoordinates()
         cols = [coords.row(p) for p in self.payloads]
         rhs = [coords.row(v) for v in vecs]
-        return solve_columns(self.field, cols, rhs, len(coords.index))
+        return solve(self.field, cols, rhs, len(coords.index))
 
 
 def slice_of_normal_module(module: NormalModule, degree: int,
                            extra_vectors=()) -> GModuleSlice:
     """G-stable slice of the normal module: span of the G-orbit of all
-    standard-monomial vectors of degree <= degree (plus extra seeds)."""
+    standard-monomial vectors of degree <= degree (plus extra seeds).
+
+    The payloads are the pivot columns of the one elimination of the
+    orbit vectors, and M_i sends payload j.s to orbit vector (ij).s."""
     pres = module.amb.pres
     ring = module.ring
     group = module.amb.action
@@ -120,44 +126,46 @@ def slice_of_normal_module(module: NormalModule, degree: int,
     for v in extra_vectors:
         seeds.append(tuple(pres.nf(p) for p in v))
 
+    # orbit[i * len(seeds) + k] is element i applied to seed k
     orbit = []
     for i in group.indices():
         for s in seeds:
             orbit.append(module.act(i, s) if i != group.identity_index else s)
     coords = _SliceCoordinates()
-    rows = [coords.row(v) for v in orbit]
-    _, kept = span_modulo(field, (), rows)
-    payloads = [orbit[k] for k in kept]
+    columns = [coords.row(v) for v in orbit]
+    red, kept = rref(field, transpose(columns, len(coords.index)))
+    orbit_coords = transpose(red, len(orbit))
 
-    dim = len(payloads)
-    images = [coords.row(module.act(i, p)) for i in group.indices() for p in payloads]
-    sols = solve_columns(field, [rows[k] for k in kept], images, len(coords.index))
-    if any(sol is None for sol in sols):
-        raise CocycleError("slice is not closed under the action")
-    matrices = []
-    for i in group.indices():
-        mat_cols = sols[i * dim:(i + 1) * dim]
-        matrices.append([{c: col[r] for c, col in enumerate(mat_cols) if col[r] != field.zero}
-                         for r in range(dim)])
-    return GModuleSlice(group, field, matrices, payloads=payloads)
+    def image(i, k):
+        """Orbit index of element i applied to orbit vector k."""
+        j, seed = divmod(k, len(seeds))
+        return group.mul(i, j) * len(seeds) + seed
+
+    for g in group.generators:
+        for k in kept:
+            if module.act(g, orbit[k]) != orbit[image(g, k)]:
+                raise CocycleError("slice is not closed under the action")
+    matrices = [transpose([orbit_coords[image(i, k)] for k in kept], len(kept))
+                for i in group.indices()]
+    return GModuleSlice(group, field, matrices, payloads=[orbit[k] for k in kept])
 
 
 def invariants(m: GModuleSlice):
     """Coordinate basis of the simultaneous fixed space H^0."""
-    return kernel_basis(m.field, _action_minus_identity(m), m.dim)
+    return kernel_basis(m.field, _action_minus_identity(m, m.group.generators), m.dim)
 
 
 def _nontrivial(m: GModuleSlice):
     return [i for i in m.group.indices() if i != m.group.identity_index]
 
 
-def _action_minus_identity(m: GModuleSlice):
-    """The sparse rows of M_s - I, stacked over the elements s != e in
-    index order."""
+def _action_minus_identity(m: GModuleSlice, elements):
+    """The sparse rows of M_s - I, stacked over the given elements in
+    order."""
     field = m.field
     minus = field.neg(field.one)
     rows = []
-    for s in _nontrivial(m):
+    for s in elements:
         for r, row in enumerate(m.matrices[s]):
             row = dict(row)
             add_scaled(field, row, minus, {r: field.one})
@@ -166,8 +174,9 @@ def _action_minus_identity(m: GModuleSlice):
 
 
 def _cocycle_rows(m: GModuleSlice):
-    """Linear conditions on (c(s))_{s != e} from c(st) = s.c(t) + c(s), as
-    sparse rows over the flat unknowns, one dim-block per s != e."""
+    """Linear conditions on (c(s))_{s != e} from c(st) = s.c(t) + c(s) for
+    generators s, as sparse rows over the flat unknowns, one dim-block per
+    s != e; with c(e) = 0 they give it for all s, by induction on words."""
     field = m.field
     minus = field.neg(field.one)
     offset = {s: k * m.dim for k, s in enumerate(_nontrivial(m))}
@@ -178,7 +187,7 @@ def _cocycle_rows(m: GModuleSlice):
             add_scaled(field, row, factor,
                        {offset[s] + c: x for c, x in entries.items()})
 
-    for i in m.group.indices():
+    for i in m.group.generators:
         for j in m.group.indices():
             for r in range(m.dim):
                 row = {}
@@ -208,11 +217,7 @@ def coboundary_of(m: GModuleSlice, phi_coords):
 def _unit_coboundaries(m: GModuleSlice):
     """Coboundaries of the coordinate unit vectors, which span B^1: the
     coboundary of e_k is column k of the stacked M_s - I, a sparse row."""
-    cols = [{} for _ in range(m.dim)]
-    for r, row in enumerate(_action_minus_identity(m)):
-        for k, x in row.items():
-            cols[k][r] = x
-    return cols
+    return transpose(_action_minus_identity(m, _nontrivial(m)), m.dim)
 
 
 @dataclass
@@ -254,8 +259,7 @@ def h1_bounded(m_small: GModuleSlice, m_big: GModuleSlice) -> H1Result:
         for k in range(len(_nontrivial(m_small))):
             for c, e in zip(flat[k * dim_s:(k + 1) * dim_s], emb):
                 if c != field.zero:
-                    add_scaled(field, out, c, {k * dim_b + idx: x for idx, x in enumerate(e)
-                                               if x != field.zero})
+                    add_scaled(field, out, c, {k * dim_b + idx: x for idx, x in e.items()})
         return out
 
     _, kept = span_modulo(field, _unit_coboundaries(m_big),
@@ -269,24 +273,27 @@ def solve_coboundary(m: GModuleSlice, cochain) -> list | None:
     cochain maps nonidentity element indices to coordinate vectors; the
     cocycle identity is validated first."""
     field = m.field
-    others = _nontrivial(m)
+    group = m.group
     zero = [field.zero] * m.dim
 
     def val(i):
-        if i == m.group.identity_index:
+        if i == group.identity_index:
             return zero
         return cochain[i]
 
-    for i in m.group.indices():
-        for j in m.group.indices():
-            lhs = val(m.group.mul(i, j))
+    for i in group.generators:
+        for j in group.indices():
+            lhs = val(group.mul(i, j))
             rhs = [field.add(a, b) for a, b in zip(m.act(i, val(j)), val(i))]
             if lhs != rhs:
                 raise CocycleError("input does not satisfy the cocycle identity")
     if m.dim == 0:
         return []
-    rhs_flat = [x for s in others for x in val(s)]
-    return solve(field, _action_minus_identity(m), m.dim, rhs_flat)
+    gens = group.generators
+    flat = [x for s in gens for x in val(s)]
+    (phi,) = solve(field, transpose(_action_minus_identity(m, gens), m.dim),
+                   [{r: x for r, x in enumerate(flat) if x != field.zero}], len(flat))
+    return None if phi is None else [phi.get(k, field.zero) for k in range(m.dim)]
 
 
 class Cocycle:
@@ -311,7 +318,7 @@ class Cocycle:
 
     def check_identity(self) -> bool:
         group = self.module.amb.action
-        for i in group.indices():
+        for i in group.generators:
             for j in group.indices():
                 lhs = self.value(group.mul(i, j))
                 acted = self.module.act(i, self.value(j))

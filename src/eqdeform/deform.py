@@ -37,7 +37,7 @@ from .cohomology import (
     solve_coboundary,
 )
 from .groebner import ModulePresentation, QuotientBasis, quotient_basis
-from .linalg import solve_columns, span_modulo
+from .linalg import solve, span_modulo
 from .poly import PolyRing, Polynomial, partial, substitute
 
 
@@ -366,7 +366,7 @@ def difference_class(d1: Deformation, d2: Deformation,
     cls = DifferenceClass(d1.amb, vec)
     if require_invariant:
         N = NormalModule(d1.amb)
-        for i in d1.amb.action.indices():
+        for i in d1.amb.action.generators:
             if N.act(i, cls.vector) != cls.vector:
                 raise DeformationError(
                     "difference class is not invariant; are both lifts equivariant?"
@@ -436,15 +436,13 @@ def isomorphism_witness(d1: Deformation, d2: Deformation,
         return None
     coords = _SliceCoordinates()
     images = [coords.row(normal_image(amb, v)) for v in basis]
-    sol = solve_columns(amb.ring.field, images, [coords.row(nu.vector)],
-                        len(coords.index))[0]
+    (sol,) = solve(amb.ring.field, images, [coords.row(nu.vector)], len(coords.index))
     if sol is None:
         return None
     components = [amb.ring.zero] * amb.ring.nvars
-    for c, vec in zip(sol, basis):
-        if c != amb.ring.field.zero:
-            for i, p in enumerate(vec):
-                components[i] = components[i] + p.scale(c)
+    for k, c in sol.items():
+        for i, p in enumerate(basis[k]):
+            components[i] = components[i] + p.scale(c)
     witness = DerivationWitness(amb, tuple(amb.pres.nf(p) for p in components))
     moved = apply_flow(d2, witness.components, sign=1)
     if not ideal_equal(moved, d1):
@@ -547,11 +545,12 @@ def equivariantize(d: Deformation, lift_gens,
     others = [i for i in amb.action.indices() if i != amb.action.identity_index]
     extra = [c.value(i) for i in others]
     m_search = slice_of_normal_module(N, bound, extra_vectors=extra)
-    cochain = dict(zip(others, m_search.express(
-        [tuple(-p for p in v) for v in extra])))
-    if any(coords is None for coords in cochain.values()):
+    coords = m_search.express([tuple(-p for p in v) for v in extra])
+    if any(x is None for x in coords):
         raise DeformationError("defect cocycle escapes the search slice")
-    phi = solve_coboundary(m_search, cochain)
+    zero = amb.ring.field.zero
+    phi = solve_coboundary(m_search, {i: [x.get(k, zero) for k in range(m_search.dim)]
+                                      for i, x in zip(others, coords)})
     if phi is None:
         certified = "exact" if is_graded_setup(amb) else f"slice:{bound}"
         return LiftOutcome(False, None, c, certified)
@@ -621,15 +620,14 @@ def tangent_spaces(amb: EquivariantAmbient,
     relations = tuple(
         tuple(partial(f, i) for f in pres.gens) for i in range(ring.nvars)
     )
-    t1_pres = ModulePresentation(ring, rank, relations, pres.gb)
-    qb = quotient_basis(t1_pres, D)
+    module_gb = ModulePresentation(ring, rank, relations, pres.gb).groebner()
+    qb = quotient_basis(module_gb, D)
     t1_vectors = [_basis_vector(ring, rank, pos, m) for (pos, m) in qb.monomials]
 
     N = NormalModule(amb)
     if amb.action.is_tame() and qb.finite:
         if not qb.monomials:
             return TangentReport(t0_gens, t0_slice, qb, [], 0, [], "exact")
-        module_gb = t1_pres.groebner()
         index = {bm: k for k, bm in enumerate(qb.monomials)}
         field = ring.field
         matrices = []

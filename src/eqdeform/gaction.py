@@ -102,7 +102,8 @@ class Substitution:
 class GroupAction:
     """A finite group of ring substitutions with its multiplication table.
 
-    ``generators`` holds the indices of elements that generate the group."""
+    ``generators`` holds the indices of nonidentity elements that generate
+    the group (none for the trivial group)."""
 
     def __init__(self, ring: PolyRing, elements, table, inverse, generators):
         self.ring = ring
@@ -160,7 +161,8 @@ def close_group(generators, ring: PolyRing | None = None, bound: int = 512) -> G
 
     Each generator is a Substitution or a {var: image} mapping; raises
     when a generator is not invertible or the closure exceeds bound.  The
-    result records the generators' element indices as ``generators``.
+    result records the element indices of the nonidentity generators as
+    ``generators``.
     """
     subs = []
     for g in generators:
@@ -215,7 +217,7 @@ def close_group(generators, ring: PolyRing | None = None, bound: int = 512) -> G
             if table[i][j] == 0:
                 inverse[i] = j
                 break
-    generator_indices = list(dict.fromkeys(index[g] for g in subs))
+    generator_indices = list(dict.fromkeys(index[g] for g in subs if index[g] != 0))
     return GroupAction(ring, elements, table, inverse, generator_indices)
 
 

@@ -407,21 +407,21 @@ def _position_finite(ring: PolyRing, lead_monomials) -> bool:
     return True
 
 
-def quotient_basis(pres: ModulePresentation, trunc: int | None = None) -> QuotientBasis:
-    """Standard monomials of the quotient; exact dimension when finite,
+def quotient_basis(gb: ModuleGB, trunc: int | None = None) -> QuotientBasis:
+    """Standard monomials of the quotient module with the Groebner basis
+    gb (``ModulePresentation.groebner``); exact dimension when finite,
     otherwise all standard monomials up to trunc with the infinite flag."""
-    gb = pres.groebner()
-    ring = pres.ring
-    by_pos: dict[int, list] = {p: [] for p in range(pres.rank)}
+    ring = gb.ring
+    by_pos: dict[int, list] = {p: [] for p in range(gb.rank)}
     for (pos, m) in gb.leading_terms():
         by_pos[pos].append(m)
-    finite = all(_position_finite(ring, by_pos[p]) for p in range(pres.rank))
+    finite = all(_position_finite(ring, by_pos[p]) for p in range(gb.rank))
     monomials = []
     d = 0
     while True:
         level = []
         for m in ring.monomials_of_degree(d):
-            for p in range(pres.rank):
+            for p in range(gb.rank):
                 if not any(monomial_divides(lm, m) for lm in by_pos[p]):
                     level.append((p, m))
         level.sort(key=lambda t: (t[0], ring.order.key(t[1])))

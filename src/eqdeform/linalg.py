@@ -2,15 +2,16 @@
 
 A matrix is a list of sparse rows: ``{column: value}`` dicts that hold no
 zero values, so a row operation touches only the nonzero entries of the
-pivot row.  A matrix given by columns is a list of ``{row: value}`` dicts.
-The side of the shape that the list does not carry is passed explicitly.
-``SpanBuilder`` holds a reduced echelon basis built one row at a time and
-the one elimination step; ``rref`` feeds the rows of a matrix into a
-``SpanBuilder``, and ``rank``, ``kernel_basis``, ``solve`` and
-``solve_columns`` go through ``rref``, while ``span_modulo`` uses a
-``SpanBuilder`` directly.  ``solve_columns`` solves many right-hand sides
-with one elimination.  No function changes its input rows.  Kernel
-vectors and solutions are dense lists.
+pivot row.  A matrix given by columns is a list of ``{row: value}`` dicts,
+and ``transpose`` turns one form into the other.  The side of the shape
+that the list does not carry is passed explicitly.  ``SpanBuilder`` holds
+a reduced echelon basis built one row at a time and the one elimination
+step; ``rref`` feeds the rows of a matrix into a ``SpanBuilder``, and
+``rank``, ``kernel_basis`` and ``solve`` go through ``rref``, while
+``span_modulo`` uses a ``SpanBuilder`` directly.  ``solve`` is the one
+solver: it eliminates the columns and all right-hand sides together,
+once per call.  No function changes its input rows.  Kernel vectors are
+dense lists; solutions are sparse ``{column: value}`` dicts.
 """
 
 from __future__ import annotations
@@ -63,49 +64,37 @@ def kernel_basis(field: Field, rows: list[dict], ncols: int) -> list[list]:
     return basis
 
 
-def _solve_augmented(field: Field, aug: list[dict], n: int, k: int) -> list:
-    """Canonical solutions (free variables zero) of A x = b for the k
-    right-hand sides b in columns n..n+k-1 of aug = [A | B], None for
-    each inconsistent one."""
-    red, pivots = rref(field, aug)
-    rank_a = bisect_left(pivots, n)
-    zero = field.zero
-    out = []
-    for j in range(n, n + k):
-        # b is solvable iff the rows past rank(A) vanish in its column
-        if any(j in red[r] for r in range(rank_a, len(pivots))):
-            out.append(None)
-            continue
-        x = [zero] * n
-        for r in range(rank_a):
-            x[pivots[r]] = red[r].get(j, zero)
-        out.append(x)
+def transpose(rows: list[dict], ncols: int) -> list[dict]:
+    """The same sparse matrix by columns (or, given columns and the row
+    count, by rows)."""
+    out = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            out[c][r] = x
     return out
 
 
-def solve(field: Field, rows: list[dict], ncols: int, rhs: list) -> list | None:
-    """One solution of A x = b, or None, for b a dense list with one
-    value per row.  Returns the canonical solution with free variables
-    set to zero (so b = 0 yields x = 0)."""
-    if not rows:
-        return None
-    aug = [{**row, ncols: b} if b != field.zero else row
-           for row, b in zip(rows, rhs)]
-    return _solve_augmented(field, aug, ncols, 1)[0]
-
-
-def solve_columns(field: Field, columns: list[dict], rhs_list: list[dict],
-                  nrows: int) -> list:
+def solve(field: Field, columns: list[dict], rhs_list: list[dict],
+          nrows: int) -> list:
     """For each column b in rhs_list, the coefficients x with
-    sum_k x[k] * columns[k] = b, or None (as solve).  One elimination of
-    [A | B] serves every right-hand side."""
+    sum_k x[k] * columns[k] = b as a sparse ``{k: x[k]}`` dict, or None
+    when b is outside the span of the columns; None for every b when
+    nrows is 0.  Each x is the canonical solution, with the free
+    variables zero (so b = 0 yields {}).  One elimination of [A | B]
+    serves every right-hand side."""
     if not nrows:
         return [None] * len(rhs_list)
-    aug = [{} for _ in range(nrows)]
-    for c, col in enumerate(columns + rhs_list):
-        for r, x in col.items():
-            aug[r][c] = x
-    return _solve_augmented(field, aug, len(columns), len(rhs_list))
+    n = len(columns)
+    red, pivots = rref(field, transpose(columns + rhs_list, nrows))
+    rank_a = bisect_left(pivots, n)
+    out = []
+    for j in range(n, n + len(rhs_list)):
+        # b is solvable iff the rows past rank(A) vanish in its column
+        if any(j in red[r] for r in range(rank_a, len(pivots))):
+            out.append(None)
+        else:
+            out.append({pivots[r]: red[r][j] for r in range(rank_a) if j in red[r]})
+    return out
 
 
 class SpanBuilder:

@@ -10,6 +10,7 @@ bookkeeping of ``eqdeform.deform.eps_divide``, not the membership test.
 
 from __future__ import annotations
 
+from eqdeform.cohomology import CocycleError
 from eqdeform.deform import DeformationError, EpsPoly
 from eqdeform.fields import Field
 from eqdeform.poly import PolyRing, Polynomial, monomial_degree
@@ -331,6 +332,97 @@ class F2SliceOracle:
         import math
 
         return int(math.log2(len(z_small))) - int(math.log2(len(killed)))
+
+
+
+# --- group cohomology over all pairs of elements ----------------------------
+# The cocycle, fixed-vector and coboundary conditions written out over
+# every pair of group elements, with dense matrices and the dense
+# eliminator above.  eqdeform.cohomology imposes them on the generators
+# only; these copies are its reference.
+
+def _action_matrix(m, i) -> list[list]:
+    """M_i of the GModuleSlice m as dense rows."""
+    return [[row.get(c, m.field.zero) for c in range(m.dim)] for row in m.matrices[i]]
+
+
+def _act(m, i, v) -> list:
+    field = m.field
+    out = []
+    for row in _action_matrix(m, i):
+        total = field.zero
+        for a, b in zip(row, v):
+            total = field.add(total, field.mul(a, b))
+        out.append(total)
+    return out
+
+
+def _nonidentity(m) -> list[int]:
+    return [s for s in m.group.indices() if s != m.group.identity_index]
+
+
+def _minus_identity_rows(m) -> list[list]:
+    """The rows of M_s - I, stacked over all s != e in index order."""
+    field = m.field
+    rows = []
+    for s in _nonidentity(m):
+        for r, row in enumerate(_action_matrix(m, s)):
+            rows.append([field.sub(x, field.one) if c == r else x for c, x in enumerate(row)])
+    return rows
+
+
+def invariants(m) -> list[list]:
+    """Basis of the vectors fixed by every element s != e."""
+    return kernel_basis(m.field, _minus_identity_rows(m), m.dim)
+
+
+def cocycle_rows(m, elements) -> list[list]:
+    """Dense rows of c(st) = s.c(t) + c(s) for the given s and every t,
+    over the flat cochains (c(s))_{s != e}, one dim-block per s != e,
+    with c(e) = 0."""
+    field = m.field
+    group = m.group
+    offset = {s: k * m.dim for k, s in enumerate(_nonidentity(m))}
+    ncols = m.dim * len(offset)
+    rows = []
+    for i in elements:
+        mat = _action_matrix(m, i)
+        for j in group.indices():
+            for r in range(m.dim):
+                row = [field.zero] * ncols
+                terms = [(group.mul(i, j), r, field.one), (i, r, field.neg(field.one))]
+                terms += [(j, c, field.neg(x)) for c, x in enumerate(mat[r])]
+                for s, c, x in terms:
+                    if s in offset:
+                        row[offset[s] + c] = field.add(row[offset[s] + c], x)
+                rows.append(row)
+    return rows
+
+
+def zcocycles(m) -> list[list]:
+    """Basis of Z^1 as flat cochains, from the identity on all pairs."""
+    return kernel_basis(m.field, cocycle_rows(m, m.group.indices()),
+                        m.dim * len(_nonidentity(m)))
+
+
+def solve_coboundary(m, cochain) -> list | None:
+    """phi with s.phi - phi = c(s) for every s != e, or None; the cocycle
+    identity of the cochain (a dense vector per s != e) is checked on all
+    |G|^2 pairs first, raising CocycleError."""
+    field = m.field
+    group = m.group
+
+    def val(i):
+        return [field.zero] * m.dim if i == group.identity_index else cochain[i]
+
+    for i in group.indices():
+        for j in group.indices():
+            rhs = [field.add(a, b) for a, b in zip(_act(m, i, val(j)), val(i))]
+            if val(group.mul(i, j)) != rhs:
+                raise CocycleError("input does not satisfy the cocycle identity")
+    if m.dim == 0:
+        return []
+    return solve(field, _minus_identity_rows(m), [x for s in _nonidentity(m) for x in val(s)])
 
 
 # --- eps-order peeling ------------------------------------------------------

@@ -361,10 +361,10 @@ def _brute_force_equivariant_lifts_f2(ring):
         for m in monos3:  # C1 columns: order-1 block base*m
             unknowns.append(("c1", m))
             cols.append([field.zero] * len(monos5) + coeffs(base.mul_monomial(m)))
-        rows = [[cols[u][r] for u in range(len(cols))]
-                for r in range(2 * len(monos5))]
         rhs = coeffs(base) + coeffs(moved)
-        if solve(field, [sparse(field, row) for row in rows], len(cols), rhs) is not None:
+        (sol,) = solve(field, [sparse(field, col) for col in cols], [sparse(field, rhs)],
+                       len(rhs))
+        if sol is not None:
             survivors.append(gpoly)
     # dedupe by equality of ideals: g ~ g + xy within degree <= 2
     classes = []

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from eqdeform import linalg
+from eqdeform import cohomology, linalg
 from eqdeform.ambient import AffinePresentation, NormalModule, choose_ambient
 from eqdeform.cli import Workspace
 from eqdeform.cohomology import (
@@ -35,6 +35,12 @@ def swap_q():
 
 def identity_matrix(field, n):
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+
+
+def dense_coords(m, coords):
+    """The sparse coordinates that GModuleSlice.express returns, as the
+    dense vector that the cohomology functions take."""
+    return [coords.get(k, m.field.zero) for k in range(m.dim)]
 
 
 def gmodule(group, field, matrices):
@@ -108,21 +114,31 @@ def test_unit_coboundaries_are_the_columns_of_the_action(path, degree):
 
 
 def test_slice_factors_the_action_matrices_once(monkeypatch):
-    """One elimination solves every (element, payload) image of the slice."""
+    """One elimination of the orbit matrix gives every action matrix: the
+    module acts once per (nonidentity element, seed) and once per
+    (generator, payload)."""
     text = (ROOT / "bench" / "problems" / "klein_f2.prob").read_text(encoding="utf-8")
     workspace = Workspace(parse_problem(text))
     module = NormalModule(workspace.ambient)
-    calls = []
-    rref = linalg.rref
+    seeds = len(module.amb.pres.std_monomials_upto(2)) * module.rank
+    rref_calls, act_calls = [], []
+    rref, act = cohomology.rref, NormalModule.act
 
-    def counted(field, rows):
-        calls.append(len(rows))
+    def counted_rref(field, rows):
+        rref_calls.append(len(rows))
         return rref(field, rows)
 
-    monkeypatch.setattr(linalg, "rref", counted)
+    def counted_act(self, i, vec):
+        act_calls.append(i)
+        return act(self, i, vec)
+
+    monkeypatch.setattr(cohomology, "rref", counted_rref)
+    monkeypatch.setattr(NormalModule, "act", counted_act)
     m = slice_of_normal_module(module, 2)
-    assert len(workspace.group) == 4 and m.dim > 1
-    assert len(calls) == 1
+    group = workspace.group
+    assert len(group) == 4 and len(group.generators) == 2 and m.dim > 1
+    assert len(rref_calls) == 1
+    assert len(act_calls) == (len(group) - 1) * seeds + len(group.generators) * m.dim
 
 
 def _random_involution(field, n, rng):
@@ -139,11 +155,9 @@ def _random_involution(field, n, rng):
     # invert S by solving
     from eqdeform.linalg import solve
 
-    cols = []
-    for k in range(n):
-        e = [field.one if i == k else field.zero for i in range(n)]
-        cols.append(solve(field, [oracles.sparse(field, row) for row in S], n, e))
-    S_inv = [[cols[c][r] for c in range(n)] for r in range(n)]
+    columns = [oracles.sparse(field, [row[c] for row in S]) for c in range(n)]
+    cols = solve(field, columns, [{k: field.one} for k in range(n)], n)
+    S_inv = [[cols[c].get(r, field.zero) for c in range(n)] for r in range(n)]
 
     def matmul(a, b):
         return [[sum_field(field, (field.mul(a[i][k], b[k][j]) for k in range(n)))
@@ -212,9 +226,9 @@ def test_wild_node_slice_h1():
         assert h1_bounded(small, big).dimension == 1
     # the constant class is not a coboundary; (x+y)F^* is
     small = slice_of_normal_module(N, 6)
-    (one,) = small.express([(r2.one,)])
+    one, xy = (dense_coords(small, x)
+               for x in small.express([(r2.one,), (r2.var("x") + r2.var("y"),)]))
     assert solve_coboundary(small, {1: one}) is None
-    (xy,) = small.express([(r2.var("x") + r2.var("y"),)])
     phi = solve_coboundary(small, {1: xy})
     assert phi is not None
     lhs = [GF(2).sub(a, b) for a, b in zip(small.act(1, phi), phi)]
@@ -231,21 +245,22 @@ def test_express_marks_vectors_outside_the_slice():
     small = slice_of_normal_module(NormalModule(choose_ambient(node, swap)), 2)
     outside, inside = small.express([(x**5,), (x + y,)])
     assert outside is None
-    assert small.materialize(inside) == (x + y,)
+    assert small.materialize(dense_coords(small, inside)) == (x + y,)
 
 
-def test_slice_with_images_outside_the_orbit_span_is_rejected(monkeypatch):
-    """The identity's images gain a monomial no orbit vector has, so the
-    action matrices have no solution."""
+def test_slice_with_a_stray_generator_image_is_rejected(monkeypatch):
+    """A generator's image gains a monomial, so its image of a payload
+    is not the orbit vector that the group table predicts."""
     text = (ROOT / "problems" / "node_f2.prob").read_text(encoding="utf-8")
     module = NormalModule(Workspace(parse_problem(text)).ambient)
     ring = module.ring
+    (g,) = module.amb.action.generators
     stray = module.amb.pres.nf(ring.var(ring.variables[0]) ** 40)
     act = NormalModule.act
 
     def stray_act(self, i, vec):
         out = act(self, i, vec)
-        if i == self.amb.action.identity_index:
+        if i == g:
             out = (out[0] + stray,) + out[1:]
         return out
 
@@ -324,3 +339,113 @@ def test_h1_representatives_are_cocycles():
     for flat in res.representatives:
         # single nontrivial group element: the identity reduces to (1+s)c = 0
         assert small.act(1, flat) == flat
+
+
+# --- the generator-based conditions against the all-pairs oracle -------------
+
+def _agrees_with_the_oracle(m, rng):
+    """Asserts that zcocycles, invariants and solve_coboundary equal the
+    all-pairs copies in oracles on m, for a random cocycle, a random
+    coboundary, a random cochain and a random cochain that satisfies the
+    identity for the first generator; returns how many of the cochains
+    were not cocycles and how many had no coboundary solution."""
+    field = m.field
+    z_basis = zcocycles(m)
+    assert z_basis == oracles.zcocycles(m)
+    assert invariants(m) == oracles.invariants(m)
+    others = [s for s in m.group.indices() if s != m.group.identity_index]
+    ncols = m.dim * len(others)
+
+    def scalar():
+        return field.of(rng.randrange(-2, 3))
+
+    def combination(basis):
+        out = [field.zero] * ncols
+        for v in basis:
+            c = scalar()
+            out = [field.add(a, field.mul(c, b)) for a, b in zip(out, v)]
+        return out
+
+    first = oracles.cocycle_rows(m, m.group.generators[:1])
+    cochains = [combination(z_basis), coboundary_of(m, [scalar() for _ in range(m.dim)]),
+                [scalar() for _ in range(ncols)],
+                combination(oracles.kernel_basis(field, first, ncols))]
+    non_cocycles = unsolved = 0
+    for flat in cochains:
+        cochain = {s: flat[k * m.dim:(k + 1) * m.dim] for k, s in enumerate(others)}
+        try:
+            expected = oracles.solve_coboundary(m, cochain)
+        except CocycleError:
+            non_cocycles += 1
+            with pytest.raises(CocycleError):
+                solve_coboundary(m, cochain)
+            continue
+        assert solve_coboundary(m, cochain) == expected
+        unsolved += expected is None
+    return non_cocycles, unsolved
+
+
+def _sign(perm):
+    """Parity of a permutation as +1 or -1, from its cycle lengths."""
+    seen, sign = set(), 1
+    for start in range(len(perm)):
+        k, length = start, 0
+        while k not in seen:
+            seen.add(k)
+            k, length = perm[k], length + 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _permutation_module(rng):
+    """A random group of permutations of n <= 4 points acting on k^n by
+    permuting the basis over F2, F3 or Q, sometimes plus a second copy
+    twisted by the sign character; n = 1 gives the trivial group."""
+    field = rng.choice((GF(2), GF(3), QQ))
+    n = rng.randint(1, 4)
+    ring = PolyRing(field, [f"x{i}" for i in range(n)])
+    gens = []
+    for _ in range(1 if n == 4 else rng.randint(1, 2)):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        gens.append({f"x{i}": ring.var(f"x{perm[i]}") for i in range(n)})
+    group = close_group(gens, ring=ring)
+    twisted = rng.random() < 0.5
+    matrices = []
+    for sub in group.elements:
+        perm = sub.is_variable_permutation()
+        columns = [{perm[c]: field.one} for c in range(n)]
+        if twisted:
+            columns += [{n + perm[c]: field.of(_sign(perm))} for c in range(n)]
+        matrices.append(linalg.transpose(columns, len(columns)))
+    return GModuleSlice(group, field, matrices)
+
+
+def test_permutation_modules_match_the_all_pairs_oracle():
+    rng = random.Random(71)
+    non_cocycles = unsolved = trivial = 0
+    for _ in range(60):
+        m = _permutation_module(rng)
+        trivial += len(m.group) == 1
+        counts = _agrees_with_the_oracle(m, rng)
+        non_cocycles += counts[0]
+        unsolved += counts[1]
+    assert non_cocycles and unsolved and trivial
+
+
+@pytest.mark.parametrize("path,degree", [
+    *((f"problems/{name}.prob", d)
+      for name in ("cusp_lift_x", "cusp_lift_zero", "cusp_q", "line_f2", "node_f2", "node_q")
+      for d in (1, 2, 3)),
+    ("bench/problems/klein_f2.prob", 2),
+    ("bench/problems/klein_twist_f2.prob", 1),
+    ("bench/problems/d4_f2.prob", 3),
+    ("bench/problems/cyc3_f3.prob", 2),
+    ("bench/problems/trans_f3.prob", 1),
+    ("bench/problems/cubic_q.prob", 2),
+])
+def test_normal_module_slices_match_the_all_pairs_oracle(path, degree):
+    workspace = Workspace(parse_problem((ROOT / path).read_text(encoding="utf-8")))
+    m = slice_of_normal_module(NormalModule(workspace.ambient), degree)
+    _agrees_with_the_oracle(m, random.Random(f"{path}:{degree}"))

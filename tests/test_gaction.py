@@ -64,6 +64,9 @@ def test_close_group_records_generators(ring):
     assert [g.elements[i] for i in g.generators] == [
         Substitution.from_map(ring, swap), Substitution.from_map(ring, flip)]
     assert close_group([], ring=ring).generators == []
+    # an identity generator is not recorded, so the trivial group has none
+    assert close_group([{"x": x}], ring=ring).generators == []
+    assert close_group([{"x": x}, swap], ring=ring).generators == [1]
 
 
 def test_non_invertible_generator(ring):

@@ -187,20 +187,20 @@ def test_quotient_basis_examples(ring):
     x, y = ring.gens()
     gb_cusp = buchberger([y**2 - x**3])
     pres = ModulePresentation(ring, 1, ((3 * x**2,), (2 * y,)), gb_cusp)
-    qb = quotient_basis(pres)
+    qb = quotient_basis(pres.groebner())
     assert qb.finite and qb.dimension == 2
     assert qb.monomials == ((0, (0, 0)), (0, (1, 0)))
 
     pres_node = ModulePresentation(ring, 1, ((y,), (x,)), buchberger([x * y]))
-    qb2 = quotient_basis(pres_node)
+    qb2 = quotient_basis(pres_node.groebner())
     assert qb2.finite and qb2.dimension == 1
 
     r1 = PolyRing(QQ, ["x"])
     free = ModulePresentation(r1, 1, (), buchberger([], ring=r1))
-    qb3 = quotient_basis(free, trunc=7)
+    qb3 = quotient_basis(free.groebner(), trunc=7)
     assert not qb3.finite
     assert len(qb3.monomials) == 8
-    assert quotient_basis(free, trunc=3).finite is False
+    assert quotient_basis(free.groebner(), trunc=3).finite is False
 
 
 def test_quotient_basis_matches_slice_oracle(ring):
@@ -212,7 +212,7 @@ def test_quotient_basis_matches_slice_oracle(ring):
     ]
     for ideal_gens, relations, rank in cases:
         gb = buchberger(ideal_gens)
-        qb = quotient_basis(ModulePresentation(ring, rank, relations, gb))
+        qb = quotient_basis(ModulePresentation(ring, rank, relations, gb).groebner())
         assert qb.finite
         oracle = module_quotient_slice_dim(ring, rank, relations, ideal_gens, 4)
         assert qb.dimension == oracle
@@ -225,7 +225,7 @@ def test_quotient_basis_permutation_invariant(ring):
     dims = set()
     for perm in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
         pres = ModulePresentation(ring, 1, tuple(rels[i] for i in perm), gb)
-        dims.add(quotient_basis(pres).dimension)
+        dims.add(quotient_basis(pres.groebner()).dimension)
     assert len(dims) == 1
 
 

@@ -79,21 +79,26 @@ def test_solves_match_the_dense_oracle(seed):
     k = rng.randint(0, 4)
     rhs_list = [_right_hand_side(field, rows, ncols, rng) for _ in range(k)]
     expected = [oracles.solve(field, rows, b) for b in rhs_list]
-    sparse_rows = _sparse_rows(field, rows)
-    assert [linalg.solve(field, sparse_rows, ncols, b) for b in rhs_list] == expected
     columns = _sparse_rows(field, ([row[c] for row in rows] for c in range(ncols)))
     rhs_columns = _sparse_rows(field, rhs_list)
-    assert linalg.solve_columns(field, columns, rhs_columns, len(rows)) == expected
+
+    def dense(solutions):
+        assert all(x is None or field.zero not in x.values() for x in solutions)
+        return [None if x is None else [x.get(c, field.zero) for c in range(ncols)]
+                for x in solutions]
+
+    assert dense(linalg.solve(field, columns, rhs_columns, len(rows))) == expected
     # k right-hand sides in one call give the k single solves
-    assert [linalg.solve_columns(field, columns, [b], len(rows))[0]
+    assert [dense(linalg.solve(field, columns, [b], len(rows)))[0]
             for b in rhs_columns] == expected
-    assert sparse_rows == _sparse_rows(field, rows)
+    assert columns == _sparse_rows(field, ([row[c] for row in rows] for c in range(ncols)))
+    assert rhs_columns == _sparse_rows(field, rhs_list)
 
 
 def test_systems_without_rows_have_no_solution():
     for field in FIELDS:
-        assert linalg.solve(field, [], 3, []) is None
-        assert linalg.solve_columns(field, [{}, {}], [{}, {}], 0) == [None, None]
+        assert linalg.solve(field, [{}, {}, {}], [{}], 0) == [None]
+        assert linalg.solve(field, [{}, {}], [{}, {}], 0) == [None, None]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
