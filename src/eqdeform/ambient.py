@@ -13,6 +13,7 @@ per (coordinate, group element) pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 from .gaction import GroupAction, StabilityError, Substitution, TwistMatrices, \
     twist_matrices, verify_stability
@@ -90,11 +91,12 @@ class AffinePresentation:
             self._std_cache[degree] = out
         return self._std_cache[degree]
 
-    def jacobian(self):
-        """c x n matrix J[j][i] = d f_j / d x_i."""
-        return [
-            [partial(f, i) for i in range(self.ring.nvars)] for f in self.gens
-        ]
+    @cached_property
+    def jacobian(self) -> tuple:
+        """c x n matrix J[j][i] = d f_j / d x_i, derived once."""
+        return tuple(
+            tuple(partial(f, i) for i in range(self.ring.nvars)) for f in self.gens
+        )
 
 
 class EquivariantAmbient:
@@ -283,7 +285,7 @@ def derivation_action(amb: EquivariantAmbient, i: int, vec):
 def normal_image(amb: EquivariantAmbient, vec):
     """Image of an ambient derivation vector in the normal module:
     F_j -> sum_i dF_j/dX_i * D_i, mod I."""
-    jac = amb.pres.jacobian()
+    jac = amb.pres.jacobian
     nf = amb.pres.nf
     out = []
     for j in range(amb.rank):
@@ -340,21 +342,20 @@ def ambient_vector_slice(amb: EquivariantAmbient, degree: int,
             for m, c in p.terms.items():
                 rows.setdefault((block, pos, m), {})[u] = c
 
-    others = [i for i in amb.action.indices() if i != amb.action.identity_index]
+    # derivation_action is a homomorphism: fixed by the generators is fixed by all
     for u, v in enumerate(vectors):
         if tangent:
             constrain(None, u, normal_image(amb, v))
         if invariant:
-            for g_idx in others:
+            for g_idx in amb.action.generators:
                 constrain(g_idx, u, tuple(
                     a - b for a, b in zip(derivation_action(amb, g_idx, v), v)))
-    kb = kernel_basis(ring.field, list(rows.values()), len(unknowns))
     basis = []
-    for sol in kb:
+    for sol in kernel_basis(ring.field, list(rows.values()), len(unknowns)):
         vec = [ring.zero] * ring.nvars
-        for coeff, (i, m) in zip(sol, unknowns):
-            if coeff != ring.field.zero:
-                vec[i] = vec[i] + ring.monomial(m, coeff)
+        for u, coeff in sol.items():
+            i, m = unknowns[u]
+            vec[i] = vec[i] + ring.monomial(m, coeff)
         basis.append(tuple(vec))
     return basis
 
@@ -367,17 +368,14 @@ def derivations(p: AffinePresentation, g: GroupAction, trunc: int | None = None)
     tame case and a degree-bounded linear solve otherwise (the solve is
     also used when trunc is given explicitly).
     """
-    if not verify_stability(p.gb, g):
-        raise StabilityError("the group does not stabilize the ideal")
+    amb = original_ambient(p, g)  # checks that g stabilizes the ideal
     if p.gens:
-        jac = p.jacobian()
-        gens = module_kernel(jac, p.gb)
+        gens = module_kernel(p.jacobian, p.gb)
     else:
         gens = [
             tuple(p.ring.one if j == i else p.ring.zero for j in range(p.ring.nvars))
             for i in range(p.ring.nvars)
         ]
-    amb = original_ambient(p, g)
     if g.is_tame() and trunc is None:
         field = p.ring.field
         scale = field.inv(field.of(len(g)))

@@ -9,9 +9,13 @@ G-stable even when the twist matrices are non-constant.
 The cocycle convention is c(s*t) = s.c(t) + c(s) and the coboundary of
 phi is s -> s.phi - phi.  A cocycle, a fixed vector and a representation
 are each determined by, and checked on, the group's generators: every
-element is a word in them.  For a filtered module, a vanishing answer
-from ``solve_coboundary`` is exact; non-vanishing is certified only up
-to the slice bound unless the setup is graded (see deform).
+element is a word in them.  A coordinate vector is a sparse
+``{basis index: value}`` dict with no zero values, the one vector format
+of ``linalg``; a flat cochain is one such dict over (c(s))_{s != e},
+one dim-block per s != e in index order.  For a filtered module, a
+vanishing answer from ``solve_coboundary`` is exact; non-vanishing is
+certified only up to the slice bound unless the setup is graded (see
+deform).
 """
 
 from __future__ import annotations
@@ -67,31 +71,15 @@ class GModuleSlice:
             out.append(acc)
         return out
 
-    def act(self, i: int, coords):
-        """M_i times the dense coordinate vector coords, as a dense list."""
-        field = self.field
-        out = []
-        for row in self.matrices[i]:
-            s = field.zero
-            for k, x in row.items():
-                s = field.add(s, field.mul(x, coords[k]))
-            out.append(s)
-        return out
-
     def materialize(self, coords):
         """Module vector for a coordinate vector (payload slices only)."""
         if self.payloads is None:
             raise ValueError("abstract slice has no payload vectors")
-        vec = None
-        for c, payload in zip(coords, self.payloads):
-            if c == self.field.zero:
-                continue
-            scaled = tuple(p.scale(c) for p in payload)
-            vec = scaled if vec is None else tuple(a + b for a, b in zip(vec, scaled))
-        if vec is None:
-            rank = len(self.payloads[0]) if self.payloads else 0
-            ring = self.payloads[0][0].ring if self.payloads else None
-            vec = (ring.zero,) * rank if ring is not None else ()
+        if not self.payloads:
+            return ()
+        vec = tuple(p.ring.zero for p in self.payloads[0])
+        for k, c in coords.items():
+            vec = tuple(a + p.scale(c) for a, p in zip(vec, self.payloads[k]))
         return vec
 
     def express(self, vecs) -> list:
@@ -159,6 +147,23 @@ def _nontrivial(m: GModuleSlice):
     return [i for i in m.group.indices() if i != m.group.identity_index]
 
 
+def cochain_values(m: GModuleSlice, flat) -> dict:
+    """The flat cochain as {s: coordinate vector c(s)} over every s != e."""
+    nontrivial = _nontrivial(m)
+    values = {s: {} for s in nontrivial}
+    for col, x in flat.items():
+        k, r = divmod(col, m.dim)
+        values[nontrivial[k]][r] = x
+    return values
+
+
+def flat_cochain(m: GModuleSlice, values) -> dict:
+    """The flat cochain with c(s) = values[s], the inverse of
+    cochain_values."""
+    return {k * m.dim + r: x for k, s in enumerate(_nontrivial(m))
+            for r, x in values[s].items()}
+
+
 def _action_minus_identity(m: GModuleSlice, elements):
     """The sparse rows of M_s - I, stacked over the given elements in
     order."""
@@ -176,41 +181,38 @@ def _action_minus_identity(m: GModuleSlice, elements):
 def _cocycle_rows(m: GModuleSlice):
     """Linear conditions on (c(s))_{s != e} from c(st) = s.c(t) + c(s) for
     generators s, as sparse rows over the flat unknowns, one dim-block per
-    s != e; with c(e) = 0 they give it for all s, by induction on words."""
+    s != e; with c(e) = 0 they give it for all s, by induction on words.
+    The rows are yielded one at a time."""
     field = m.field
     minus = field.neg(field.one)
     offset = {s: k * m.dim for k, s in enumerate(_nontrivial(m))}
-    rows = []
 
-    def put(row, s, factor, entries):
-        if s in offset:  # c(e) = 0
-            add_scaled(field, row, factor,
-                       {offset[s] + c: x for c, x in entries.items()})
-
-    for i in m.group.generators:
+    for i in m.group.generators:  # nonidentity, so i*j != j
         for j in m.group.indices():
+            ij = m.group.mul(i, j)
             for r in range(m.dim):
-                row = {}
-                put(row, m.group.mul(i, j), field.one, {r: field.one})
-                put(row, j, minus, m.matrices[i][r])
-                put(row, i, minus, {r: field.one})
+                # c(ij) - i.c(j) - c(i) at coordinate r, with c(e) = 0
+                row = ({offset[j] + c: field.neg(x) for c, x in m.matrices[i][r].items()}
+                       if j in offset else {})
+                if ij in offset:
+                    row[offset[ij] + r] = field.one
+                add_scaled(field, row, minus, {offset[i] + r: field.one})
                 if row:
-                    rows.append(row)
-    return rows
+                    yield row
 
 
 def zcocycles(m: GModuleSlice):
-    """Basis of Z^1 as flat coordinate vectors, one dim-block per s != e."""
-    return kernel_basis(m.field, _cocycle_rows(m), m.dim * len(_nontrivial(m)))
+    """Basis of Z^1 as flat cochains."""
+    return kernel_basis(m.field, list(_cocycle_rows(m)), m.dim * len(_nontrivial(m)))
 
 
-def coboundary_of(m: GModuleSlice, phi_coords):
-    """The flat cochain (s.phi - phi)_{s != e}."""
-    field = m.field
-    out = []
-    for s in _nontrivial(m):
-        img = m.act(s, phi_coords)
-        out.extend([field.sub(a, b) for a, b in zip(img, phi_coords)])
+def coboundary_of(m: GModuleSlice, phi):
+    """The flat cochain (s.phi - phi)_{s != e} of the coordinate vector
+    phi: the combination of the unit coboundaries with its values."""
+    units = _unit_coboundaries(m)
+    out = {}
+    for k, x in phi.items():
+        add_scaled(m.field, out, x, units[k])
     return out
 
 
@@ -223,18 +225,15 @@ def _unit_coboundaries(m: GModuleSlice):
 @dataclass
 class H1Result:
     dimension: int
-    representatives: list  # flat cochain coordinate vectors
+    representatives: list  # flat cochains, sparse dicts
 
 
 def h1(m: GModuleSlice) -> H1Result:
     """Plain H^1(G, m) for the finite module m."""
-    field = m.field
     z_basis = zcocycles(m)
     if not z_basis:
         return H1Result(0, [])
-    b_dim, kept = span_modulo(field, _unit_coboundaries(m),
-                              ({k: x for k, x in enumerate(z) if x != field.zero}
-                               for z in z_basis))
+    b_dim, kept = span_modulo(m.field, _unit_coboundaries(m), z_basis)
     return H1Result(len(z_basis) - b_dim, [z_basis[k] for k in kept])
 
 
@@ -251,49 +250,44 @@ def h1_bounded(m_small: GModuleSlice, m_big: GModuleSlice) -> H1Result:
     emb = m_big.express(m_small.payloads)
     if any(coords is None for coords in emb):
         raise CocycleError("small slice does not embed in the search slice")
-    dim_s, dim_b = m_small.dim, m_big.dim
 
     def embed_cochain(flat):
-        """A flat cochain of m_small as a sparse cochain row of m_big."""
-        out = {}
-        for k in range(len(_nontrivial(m_small))):
-            for c, e in zip(flat[k * dim_s:(k + 1) * dim_s], emb):
-                if c != field.zero:
-                    add_scaled(field, out, c, {k * dim_b + idx: x for idx, x in e.items()})
-        return out
+        """A flat cochain of m_small as a flat cochain of m_big."""
+        values = {}
+        for s, coords in cochain_values(m_small, flat).items():
+            values[s] = {}
+            for r, c in coords.items():
+                add_scaled(field, values[s], c, emb[r])
+        return flat_cochain(m_big, values)
 
     _, kept = span_modulo(field, _unit_coboundaries(m_big),
                           (embed_cochain(z) for z in z_small))
     return H1Result(len(kept), [z_small[k] for k in kept])
 
 
-def solve_coboundary(m: GModuleSlice, cochain) -> list | None:
-    """phi with s.phi - phi = c(s) for all s, or None at this slice.
+def solve_coboundary(m: GModuleSlice, cochain) -> dict | None:
+    """The coordinate vector phi with s.phi - phi = c(s) for all s, or
+    None at this slice.
 
-    cochain maps nonidentity element indices to coordinate vectors; the
-    cocycle identity is validated first."""
+    cochain is a flat cochain; it must satisfy the ``_cocycle_rows``
+    conditions, so it is a cocycle and phi is solved for on the
+    generators' blocks."""
     field = m.field
-    group = m.group
-    zero = [field.zero] * m.dim
-
-    def val(i):
-        if i == group.identity_index:
-            return zero
-        return cochain[i]
-
-    for i in group.generators:
-        for j in group.indices():
-            lhs = val(group.mul(i, j))
-            rhs = [field.add(a, b) for a, b in zip(m.act(i, val(j)), val(i))]
-            if lhs != rhs:
-                raise CocycleError("input does not satisfy the cocycle identity")
+    for row in _cocycle_rows(m):
+        total = field.zero
+        for k, x in row.items():
+            if k in cochain:
+                total = field.add(total, field.mul(x, cochain[k]))
+        if total != field.zero:
+            raise CocycleError("input does not satisfy the cocycle identity")
     if m.dim == 0:
-        return []
-    gens = group.generators
-    flat = [x for s in gens for x in val(s)]
+        return {}
+    gens = m.group.generators
+    values = cochain_values(m, cochain)
+    rhs = {g * m.dim + r: x for g, s in enumerate(gens) for r, x in values[s].items()}
     (phi,) = solve(field, transpose(_action_minus_identity(m, gens), m.dim),
-                   [{r: x for r, x in enumerate(flat) if x != field.zero}], len(flat))
-    return None if phi is None else [phi.get(k, field.zero) for k in range(m.dim)]
+                   [rhs], len(gens) * m.dim)
+    return phi
 
 
 class Cocycle:

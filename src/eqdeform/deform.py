@@ -31,6 +31,8 @@ from .ambient import (
 from .cohomology import (
     Cocycle,
     GModuleSlice,
+    cochain_values,
+    flat_cochain,
     h1_bounded,
     invariants,
     slice_of_normal_module,
@@ -38,7 +40,7 @@ from .cohomology import (
 )
 from .groebner import ModulePresentation, QuotientBasis, quotient_basis
 from .linalg import solve, span_modulo
-from .poly import PolyRing, Polynomial, partial, substitute
+from .poly import PolyRing, Polynomial, substitute
 
 
 # Degrees by which a coboundary or image search slice exceeds the value slice.
@@ -504,11 +506,12 @@ def obstruction_cocycle(d: Deformation, lift_gens) -> Cocycle:
 
 def is_graded_setup(amb: EquivariantAmbient) -> bool:
     """Homogeneous generators with a linear (degree-preserving) action:
-    coboundary solves are then exact, not merely slice-certified."""
+    coboundary solves are then exact, not merely slice-certified.  The
+    action is linear when the generators' images are."""
     if not all(f.is_homogeneous() for f in amb.pres.gens):
         return False
-    for s in amb.action.elements:
-        for img in s.images:
+    for s in amb.action.generators:
+        for img in amb.action.elements[s].images:
             if any(sum(m) != 1 for m in img.terms):
                 return False
     return True
@@ -548,9 +551,7 @@ def equivariantize(d: Deformation, lift_gens,
     coords = m_search.express([tuple(-p for p in v) for v in extra])
     if any(x is None for x in coords):
         raise DeformationError("defect cocycle escapes the search slice")
-    zero = amb.ring.field.zero
-    phi = solve_coboundary(m_search, {i: [x.get(k, zero) for k in range(m_search.dim)]
-                                      for i, x in zip(others, coords)})
+    phi = solve_coboundary(m_search, flat_cochain(m_search, dict(zip(others, coords))))
     if phi is None:
         certified = "exact" if is_graded_setup(amb) else f"slice:{bound}"
         return LiftOutcome(False, None, c, certified)
@@ -617,9 +618,7 @@ def tangent_spaces(amb: EquivariantAmbient,
     if rank == 0:
         empty = QuotientBasis(True, 0, (), None)
         return TangentReport(t0_gens, t0_slice, empty, [], 0, [], "exact")
-    relations = tuple(
-        tuple(partial(f, i) for f in pres.gens) for i in range(ring.nvars)
-    )
+    relations = tuple(zip(*pres.jacobian))
     module_gb = ModulePresentation(ring, rank, relations, pres.gb).groebner()
     qb = quotient_basis(module_gb, D)
     t1_vectors = [_basis_vector(ring, rank, pos, m) for (pos, m) in qb.monomials]
@@ -644,11 +643,10 @@ def tangent_spaces(amb: EquivariantAmbient,
         scale = field.inv(field.of(len(amb.action)))
         reps = []
         for coords in fixed:
-            vec = (ring.zero,) * rank
-            for c, (pos, m) in zip(coords, qb.monomials):
-                if c != field.zero:
-                    unit = _basis_vector(ring, rank, pos, m)
-                    vec = tuple(a + b.scale(c) for a, b in zip(vec, unit))
+            vec = [ring.zero] * rank
+            for k, c in coords.items():
+                pos, m = qb.monomials[k]
+                vec[pos] = vec[pos] + ring.monomial(m, c)
             avg = (ring.zero,) * rank
             for i in amb.action.indices():
                 avg = tuple(a + b for a, b in zip(avg, N.act(i, vec)))
@@ -687,15 +685,9 @@ def obstruction_space(amb: EquivariantAmbient,
     m_small = slice_of_normal_module(N, D)
     m_big = slice_of_normal_module(N, D + SLACK)
     res = h1_bounded(m_small, m_big)
-    others = [i for i in amb.action.indices() if i != amb.action.identity_index]
-    dim = m_small.dim
-    reps = []
-    for flat in res.representatives:
-        values = {}
-        for k, s in enumerate(others):
-            block = flat[k * dim:(k + 1) * dim]
-            values[s] = m_small.materialize(block)
-        reps.append(Cocycle(N, values))
+    reps = [Cocycle(N, {s: m_small.materialize(c)
+                        for s, c in cochain_values(m_small, flat).items()})
+            for flat in res.representatives]
     return ObstructionReport(res.dimension, reps, f"slice:{D}")
 
 

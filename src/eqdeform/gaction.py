@@ -222,10 +222,11 @@ def close_group(generators, ring: PolyRing | None = None, bound: int = 512) -> G
 
 
 def verify_stability(gb: GroebnerBasis, action: GroupAction) -> bool:
-    """True iff the ideal is fixed by every group element."""
+    """True iff the ideal is fixed by every group element, checked on
+    the generators: every element is a word in them."""
     if gb.ring is not action.ring:
         raise ContextMismatchError("group acts on a different ring")
-    for i in action.indices():
+    for i in action.generators:
         for f in gb.generators:
             if not gb.normal_form(action.apply(i, f)).is_zero():
                 return False

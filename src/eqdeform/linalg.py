@@ -10,8 +10,9 @@ step; ``rref`` feeds the rows of a matrix into a ``SpanBuilder``, and
 ``rank``, ``kernel_basis`` and ``solve`` go through ``rref``, while
 ``span_modulo`` uses a ``SpanBuilder`` directly.  ``solve`` is the one
 solver: it eliminates the columns and all right-hand sides together,
-once per call.  No function changes its input rows.  Kernel vectors are
-dense lists; solutions are sparse ``{column: value}`` dicts.
+once per call.  No function changes its input rows.  A vector is a sparse
+``{column: value}`` dict too, again with no zero values: kernel vectors
+and solutions alike.
 """
 
 from __future__ import annotations
@@ -48,20 +49,23 @@ def rank(field: Field, rows: list[dict]) -> int:
     return len(pivots)
 
 
-def kernel_basis(field: Field, rows: list[dict], ncols: int) -> list[list]:
-    """Basis of {v : A v = 0} for the matrix with the given rows."""
+def kernel_basis(field: Field, rows: list[dict], ncols: int) -> list[dict]:
+    """Basis of {v : A v = 0} for the matrix with the given rows, one
+    vector per free column in ascending order, with a one there.
+
+    A reduced row holds, besides its pivot, only free columns, and every
+    one of them lies past the pivot; so one pass over the reduced rows in
+    pivot order fills each vector with its keys ascending."""
     red, pivots = rref(field, rows)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for row, pc in zip(red, pivots):
-            if fc in row:
-                v[pc] = field.neg(row[fc])
-        basis.append(v)
-    return basis
+    basis = {c: {} for c in range(ncols) if c not in pivot_set}
+    for row, pc in zip(red, pivots):
+        for c, x in row.items():
+            if c != pc:
+                basis[c][pc] = field.neg(x)
+    for c, v in basis.items():
+        v[c] = field.one
+    return list(basis.values())
 
 
 def transpose(rows: list[dict], ncols: int) -> list[dict]:

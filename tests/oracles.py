@@ -3,13 +3,18 @@
 Everything here works on raw coefficient vectors with its own plain
 dense linear algebra (or honest enumeration over F_2) and never calls
 the Groebner machinery or ``eqdeform.linalg``, so it can vouch for the
-main implementation.  The one exception is the eps-peeling copy at the
-end, which is handed a Groebner representer: it checks the stage
-bookkeeping of ``eqdeform.deform.eps_divide``, not the membership test.
+main implementation.  Two exceptions lean on the package for polynomial
+work only.  The invariant vector slice takes its condition vectors from
+``eqdeform.ambient`` (normal forms included): it checks which conditions
+``ambient_vector_slice`` imposes and how it eliminates them.  The
+eps-peeling copy at the end is handed a Groebner representer: it checks
+the stage bookkeeping of ``eqdeform.deform.eps_divide``, not the
+membership test.
 """
 
 from __future__ import annotations
 
+from eqdeform.ambient import derivation_action, normal_image
 from eqdeform.cohomology import CocycleError
 from eqdeform.deform import DeformationError, EpsPoly
 from eqdeform.fields import Field
@@ -87,8 +92,14 @@ def solve(field: Field, rows: list[list], rhs: list) -> list | None:
 
 def sparse(field: Field, row: list) -> dict:
     """The dense row as the ``{column: value}`` dict, without zero values,
-    that ``eqdeform.linalg`` takes."""
+    that ``eqdeform.linalg`` takes and returns."""
     return {c: x for c, x in enumerate(row) if x != field.zero}
+
+
+def dense(field: Field, vec: dict, n: int) -> list:
+    """The ``{column: value}`` dict as the dense row of length n: the
+    inverse of ``sparse``."""
+    return [vec.get(c, field.zero) for c in range(n)]
 
 
 class SpanBuilder:
@@ -334,6 +345,39 @@ class F2SliceOracle:
         return int(math.log2(len(z_small))) - int(math.log2(len(killed)))
 
 
+def invariant_vector_slice(amb, degree: int, tangent: bool) -> list:
+    """``ambient_vector_slice(amb, degree, invariant=True, tangent=tangent)``
+    with the invariance imposed by every s != e, not the generators only,
+    on dense rows: one per (condition slot, monomial), a column per
+    unknown (ambient variable, standard monomial)."""
+    ring = amb.ring
+    field = ring.field
+    action = amb.action
+    unknowns = [(i, m) for i in range(ring.nvars)
+                for m in amb.pres.std_monomials_upto(degree)]
+    images = []
+    for i, m in unknowns:
+        v = [ring.zero] * ring.nvars
+        v[i] = ring.monomial(m)
+        v = tuple(v)
+        image = list(normal_image(amb, v)) if tangent else []
+        for s in action.indices():
+            if s != action.identity_index:
+                image += [a - b for a, b in zip(derivation_action(amb, s, v), v)]
+        images.append(image)
+    keys = sorted({(slot, m) for image in images
+                   for slot, p in enumerate(image) for m in p.terms})
+    rows = [[image[slot].terms.get(m, field.zero) for image in images]
+            for slot, m in keys]
+    basis = []
+    for sol in kernel_basis(field, rows, len(unknowns)):
+        vec = [ring.zero] * ring.nvars
+        for value, (i, m) in zip(sol, unknowns):
+            if value != field.zero:
+                vec[i] = vec[i] + ring.monomial(m, value)
+        basis.append(tuple(vec))
+    return basis
+
 
 # --- group cohomology over all pairs of elements ----------------------------
 # The cocycle, fixed-vector and coboundary conditions written out over
@@ -355,6 +399,13 @@ def _act(m, i, v) -> list:
             total = field.add(total, field.mul(a, b))
         out.append(total)
     return out
+
+
+def coboundary(m, phi) -> list:
+    """The flat cochain (s.phi - phi)_{s != e} of the dense vector phi."""
+    field = m.field
+    return [field.sub(a, b) for s in _nonidentity(m)
+            for a, b in zip(_act(m, s, phi), phi)]
 
 
 def _nonidentity(m) -> list[int]:

@@ -1,9 +1,11 @@
 import random
+from pathlib import Path
 
 import pytest
 
 import eqdeform.ambient
 import eqdeform.groebner
+import oracles
 from eqdeform.ambient import (
     AffinePresentation,
     NormalModule,
@@ -16,10 +18,14 @@ from eqdeform.ambient import (
     original_ambient,
     regular_rep_embedding,
 )
+from eqdeform.cli import Workspace
 from eqdeform.fields import GF, QQ
 from eqdeform.gaction import close_group, reynolds
 from eqdeform.linalg import SpanBuilder
 from eqdeform.poly import PolyRing, canonical_render
+from eqdeform.problem import parse_problem
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -232,3 +238,19 @@ def test_ambient_vector_slice_counts(cusp, sign):
     inv = ambient_vector_slice(amb, 1, invariant=True)
     for v in inv:
         assert derivation_action(amb, 1, v) == v
+
+
+@pytest.mark.parametrize("name,degree", [
+    (name, degree) for name in ("klein_f2", "d4_f2", "cubic_q", "trans_f3")
+    for degree in (1, 2)])
+@pytest.mark.parametrize("tangent", [False, True])
+def test_invariant_slice_matches_the_all_elements_oracle(name, degree, tangent):
+    """Invariance imposed by the generators only gives the same basis as
+    invariance under every s != e; each group here has fewer generators
+    than nonidentity elements (trans_f3 through its regular ambient)."""
+    text = (ROOT / "bench" / "problems" / f"{name}.prob").read_text(encoding="utf-8")
+    amb = Workspace(parse_problem(text)).ambient
+    assert len(amb.action.generators) < len(amb.action) - 1
+    assert (name == "trans_f3") == (amb.kind == "regular")
+    basis = ambient_vector_slice(amb, degree, invariant=True, tangent=tangent)
+    assert basis == oracles.invariant_vector_slice(amb, degree, tangent)

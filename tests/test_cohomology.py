@@ -12,6 +12,8 @@ from eqdeform.cohomology import (
     GModuleSlice,
     _unit_coboundaries,
     coboundary_of,
+    cochain_values,
+    flat_cochain,
     h1,
     h1_bounded,
     invariants,
@@ -37,12 +39,6 @@ def identity_matrix(field, n):
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
-def dense_coords(m, coords):
-    """The sparse coordinates that GModuleSlice.express returns, as the
-    dense vector that the cohomology functions take."""
-    return [coords.get(k, m.field.zero) for k in range(m.dim)]
-
-
 def gmodule(group, field, matrices):
     """GModuleSlice from dense action matrices."""
     return GModuleSlice(group, field, [[oracles.sparse(field, row) for row in mat]
@@ -56,8 +52,7 @@ def test_invariants_examples(swap_q):
     m_triv = gmodule(swap, f, [ident, ident])
     assert len(invariants(m_triv)) == 2
     m_swap = gmodule(swap, f, [ident, [[f.zero, f.one], [f.one, f.zero]]])
-    inv = invariants(m_swap)
-    assert len(inv) == 1 and inv[0] == [f.one, f.one]
+    assert invariants(m_swap) == [{0: f.one, 1: f.one}]
     m_sign = gmodule(swap, f, [[[f.one]], [[f.neg(f.one)]]])
     assert invariants(m_sign) == []
 
@@ -103,14 +98,18 @@ def test_regular_ambient_action_keeps_the_generators():
     ("problems/node_q.prob", 3),
 ])
 def test_unit_coboundaries_are_the_columns_of_the_action(path, degree):
-    """The coboundary of e_k read off M_s - I equals s.e_k - e_k."""
+    """The coboundary of e_k read off M_s - I equals s.e_k - e_k, and
+    coboundary_of combines those columns."""
     workspace = Workspace(parse_problem((ROOT / path).read_text(encoding="utf-8")))
     m = slice_of_normal_module(NormalModule(workspace.ambient), degree)
     units = [[m.field.one if j == k else m.field.zero for j in range(m.dim)]
              for k in range(m.dim)]
     assert m.dim > 1
-    assert list(_unit_coboundaries(m)) == [oracles.sparse(m.field, coboundary_of(m, e))
+    assert list(_unit_coboundaries(m)) == [oracles.sparse(m.field, oracles.coboundary(m, e))
                                            for e in units]
+    phi = [m.field.of(k % 3) for k in range(m.dim)]
+    assert coboundary_of(m, oracles.sparse(m.field, phi)) == \
+        oracles.sparse(m.field, oracles.coboundary(m, phi))
 
 
 def test_slice_factors_the_action_matrices_once(monkeypatch):
@@ -156,8 +155,9 @@ def _random_involution(field, n, rng):
     from eqdeform.linalg import solve
 
     columns = [oracles.sparse(field, [row[c] for row in S]) for c in range(n)]
-    cols = solve(field, columns, [{k: field.one} for k in range(n)], n)
-    S_inv = [[cols[c].get(r, field.zero) for c in range(n)] for r in range(n)]
+    cols = [oracles.dense(field, x, n)
+            for x in solve(field, columns, [{k: field.one} for k in range(n)], n)]
+    S_inv = [[cols[c][r] for c in range(n)] for r in range(n)]
 
     def matmul(a, b):
         return [[sum_field(field, (field.mul(a[i][k], b[k][j]) for k in range(n)))
@@ -186,9 +186,9 @@ def test_tame_h1_vanishes_on_random_involutions(swap_q):
                 # Reynolds splitting oracle: every cocycle is
                 # -(1/|G|) sum c(tau) away from a coboundary
                 for z in zcocycles(m):
-                    c_val = z  # single nontrivial element
-                    psi = [field.mul(field.fraction(1, 2), v) for v in c_val]
-                    phi = [field.neg(v) for v in psi]
+                    # single nontrivial element, so c(s) is all of z
+                    half = field.fraction(1, 2)
+                    phi = {k: field.neg(field.mul(half, v)) for k, v in z.items()}
                     assert coboundary_of(m, phi) == z
 
 
@@ -226,13 +226,13 @@ def test_wild_node_slice_h1():
         assert h1_bounded(small, big).dimension == 1
     # the constant class is not a coboundary; (x+y)F^* is
     small = slice_of_normal_module(N, 6)
-    one, xy = (dense_coords(small, x)
-               for x in small.express([(r2.one,), (r2.var("x") + r2.var("y"),)]))
-    assert solve_coboundary(small, {1: one}) is None
-    phi = solve_coboundary(small, {1: xy})
+    # one nontrivial element, so a coordinate vector is a flat cochain
+    one, xy = small.express([(r2.one,), (r2.var("x") + r2.var("y"),)])
+    assert solve_coboundary(small, one) is None
+    phi = solve_coboundary(small, xy)
     assert phi is not None
-    lhs = [GF(2).sub(a, b) for a, b in zip(small.act(1, phi), phi)]
-    assert lhs == xy
+    assert oracles.sparse(GF(2), oracles.coboundary(
+        small, oracles.dense(GF(2), phi, small.dim))) == xy
 
 
 def test_express_marks_vectors_outside_the_slice():
@@ -245,7 +245,7 @@ def test_express_marks_vectors_outside_the_slice():
     small = slice_of_normal_module(NormalModule(choose_ambient(node, swap)), 2)
     outside, inside = small.express([(x**5,), (x + y,)])
     assert outside is None
-    assert small.materialize(dense_coords(small, inside)) == (x + y,)
+    assert small.materialize(inside) == (x + y,)
 
 
 def test_slice_with_a_stray_generator_image_is_rejected(monkeypatch):
@@ -277,7 +277,7 @@ def test_trivial_action_in_characteristic_two_has_h1():
     swap = close_group([{"x": ring.var("y"), "y": ring.var("x")}], ring=ring)
     f2 = GF(2)
     m = gmodule(swap, f2, [[[f2.one]], [[f2.one]]])
-    assert zcocycles(m) == [[f2.one]]
+    assert zcocycles(m) == [{0: f2.one}]
     assert h1(m).dimension == 1
     assert h1(gmodule(swap, QQ, [[[QQ.one]], [[QQ.one]]])).dimension == 0
 
@@ -305,15 +305,15 @@ def test_solve_coboundary_round_trip(swap_q):
     A = [[f.zero, f.one], [f.one, f.zero]]
     m = gmodule(swap, f, [identity_matrix(f, 2), A])
     for _ in range(10):
-        phi = [f.of(rng.randrange(-3, 4)) for _ in range(2)]
+        phi = oracles.sparse(f, [f.of(rng.randrange(-3, 4)) for _ in range(2)])
         flat = coboundary_of(m, phi)
-        found = solve_coboundary(m, {1: flat})
+        found = solve_coboundary(m, flat)
         assert found is not None
         assert coboundary_of(m, found) == flat
     # zero cocycle -> canonical zero witness
-    assert solve_coboundary(m, {1: [f.zero, f.zero]}) == [f.zero, f.zero]
+    assert solve_coboundary(m, {}) == {}
     # invalid cocycle input is rejected: c(e) must vanish via c(ss)=s c(s)+c(s)
-    bad = {1: [f.one, f.zero]}
+    bad = {0: f.one}
     with pytest.raises(CocycleError):
         solve_coboundary(m, bad)
 
@@ -324,7 +324,7 @@ def test_invariants_have_zero_coboundary(swap_q):
     A = [[f.zero, f.one], [f.one, f.zero]]
     m = gmodule(swap, f, [identity_matrix(f, 2), A])
     for v in invariants(m):
-        assert all(x == f.zero for x in coboundary_of(m, v))
+        assert coboundary_of(m, v) == {}
 
 
 def test_h1_representatives_are_cocycles():
@@ -338,23 +338,25 @@ def test_h1_representatives_are_cocycles():
     field = GF(2)
     for flat in res.representatives:
         # single nontrivial group element: the identity reduces to (1+s)c = 0
-        assert small.act(1, flat) == flat
+        c = oracles.dense(field, flat, small.dim)
+        assert oracles._act(small, 1, c) == c
 
 
 # --- the generator-based conditions against the all-pairs oracle -------------
 
 def _agrees_with_the_oracle(m, rng):
     """Asserts that zcocycles, invariants and solve_coboundary equal the
-    all-pairs copies in oracles on m, for a random cocycle, a random
+    all-pairs copies in oracles on m, and that cochain_values splits a
+    flat cochain into the oracle's blocks, for a random cocycle, a random
     coboundary, a random cochain and a random cochain that satisfies the
     identity for the first generator; returns how many of the cochains
     were not cocycles and how many had no coboundary solution."""
     field = m.field
-    z_basis = zcocycles(m)
-    assert z_basis == oracles.zcocycles(m)
-    assert invariants(m) == oracles.invariants(m)
     others = [s for s in m.group.indices() if s != m.group.identity_index]
     ncols = m.dim * len(others)
+    z_basis = [oracles.dense(field, z, ncols) for z in zcocycles(m)]
+    assert z_basis == oracles.zcocycles(m)
+    assert [oracles.dense(field, v, m.dim) for v in invariants(m)] == oracles.invariants(m)
 
     def scalar():
         return field.of(rng.randrange(-2, 3))
@@ -367,20 +369,25 @@ def _agrees_with_the_oracle(m, rng):
         return out
 
     first = oracles.cocycle_rows(m, m.group.generators[:1])
-    cochains = [combination(z_basis), coboundary_of(m, [scalar() for _ in range(m.dim)]),
+    cochains = [combination(z_basis), oracles.coboundary(m, [scalar() for _ in range(m.dim)]),
                 [scalar() for _ in range(ncols)],
                 combination(oracles.kernel_basis(field, first, ncols))]
     non_cocycles = unsolved = 0
     for flat in cochains:
         cochain = {s: flat[k * m.dim:(k + 1) * m.dim] for k, s in enumerate(others)}
+        sparse = oracles.sparse(field, flat)
+        values = cochain_values(m, sparse)
+        assert {s: oracles.dense(field, v, m.dim) for s, v in values.items()} == cochain
+        assert flat_cochain(m, values) == sparse
         try:
             expected = oracles.solve_coboundary(m, cochain)
         except CocycleError:
             non_cocycles += 1
             with pytest.raises(CocycleError):
-                solve_coboundary(m, cochain)
+                solve_coboundary(m, sparse)
             continue
-        assert solve_coboundary(m, cochain) == expected
+        assert solve_coboundary(m, sparse) == (
+            None if expected is None else oracles.sparse(field, expected))
         unsolved += expected is None
     return non_cocycles, unsolved
 

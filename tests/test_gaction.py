@@ -97,6 +97,16 @@ def test_verify_stability(ring):
     assert not verify_stability(buchberger([x]), swap)
 
 
+def test_verify_stability_reads_every_generator(ring):
+    """The sign flip of x fixes (y); only the second generator, the swap,
+    moves it."""
+    x, y = ring.gens()
+    group = close_group([{"x": -x}, {"x": y, "y": x}], ring=ring)
+    assert len(group.generators) == 2
+    assert verify_stability(buchberger([y]), close_group([{"x": -x}], ring=ring))
+    assert not verify_stability(buchberger([y]), group)
+
+
 def test_twist_matrices_examples(ring):
     x, y = ring.gens()
     sign = close_group([{"y": -y}], ring=ring)

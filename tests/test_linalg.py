@@ -64,10 +64,12 @@ def test_rref_and_kernel_match_the_dense_oracle(seed):
     red, pivots = linalg.rref(field, sparse_rows)
     assert all(field.zero not in row.values() for row in red)
     # densified, with the zero rows padded back, as the oracle returns them
-    dense = [[row.get(c, field.zero) for c in range(ncols)] for row in red]
+    dense = [oracles.dense(field, row, ncols) for row in red]
     dense += [[field.zero] * ncols for _ in range(len(rows) - len(red))]
     assert (dense, pivots) == oracles.rref(field, rows)
-    assert linalg.kernel_basis(field, sparse_rows, ncols) == oracles.kernel_basis(field, rows, ncols)
+    kernel = linalg.kernel_basis(field, sparse_rows, ncols)
+    assert all(field.zero not in v.values() and list(v) == sorted(v) for v in kernel)
+    assert [oracles.dense(field, v, ncols) for v in kernel] == oracles.kernel_basis(field, rows, ncols)
     assert linalg.rank(field, sparse_rows) == len(oracles.rref(field, rows)[1])
     # no function changes its input rows
     assert sparse_rows == _sparse_rows(field, rows)
@@ -84,8 +86,7 @@ def test_solves_match_the_dense_oracle(seed):
 
     def dense(solutions):
         assert all(x is None or field.zero not in x.values() for x in solutions)
-        return [None if x is None else [x.get(c, field.zero) for c in range(ncols)]
-                for x in solutions]
+        return [None if x is None else oracles.dense(field, x, ncols) for x in solutions]
 
     assert dense(linalg.solve(field, columns, rhs_columns, len(rows))) == expected
     # k right-hand sides in one call give the k single solves
