@@ -248,7 +248,7 @@ class NormalModule:
         """(sigma.psi)_j = sum_l sigma(T_{sigma^-1}[j][l]) sigma(psi_l), mod I."""
         action = self.amb.action
         inv = action.inv(i)
-        tinv = self.twists.reduced_for(inv)
+        tinv = self.twists.reduced[inv]
         nf = self.amb.pres.nf
         out = []
         for j in range(self.rank):

@@ -11,8 +11,11 @@ phi is s -> s.phi - phi.  A cocycle, a fixed vector and a representation
 are each determined by, and checked on, the group's generators: every
 element is a word in them.  A coordinate vector is a sparse
 ``{basis index: value}`` dict with no zero values, the one vector format
-of ``linalg``; a flat cochain is one such dict over (c(s))_{s != e},
-one dim-block per s != e in index order.  For a filtered module, a
+of ``linalg``; a cochain is its values ``{s: coordinate vector}`` over
+s != e, a missing s meaning zero.  Z^1 is the kernel of the cocycle
+conditions on the generators; B^1 and the coboundary solve use the
+generators' values only, which fix a cocycle.  Only ``_Blocks`` stacks
+values into one vector for the linear systems.  For a filtered module, a
 vanishing answer from ``solve_coboundary`` is exact; non-vanishing is
 certified only up to the slice bound unless the setup is graded (see
 deform).
@@ -147,21 +150,30 @@ def _nontrivial(m: GModuleSlice):
     return [i for i in m.group.indices() if i != m.group.identity_index]
 
 
-def cochain_values(m: GModuleSlice, flat) -> dict:
-    """The flat cochain as {s: coordinate vector c(s)} over every s != e."""
-    nontrivial = _nontrivial(m)
-    values = {s: {} for s in nontrivial}
-    for col, x in flat.items():
-        k, r = divmod(col, m.dim)
-        values[nontrivial[k]][r] = x
-    return values
+class _Blocks:
+    """The layout of a cochain restricted to the given elements in a
+    linear system: coordinate r of c(s) is column offset[s] + r, one
+    dim-block per element in order."""
 
+    def __init__(self, m: GModuleSlice, elements):
+        self.dim = m.dim
+        self.elements = list(elements)
+        self.offset = {s: k * m.dim for k, s in enumerate(self.elements)}
+        self.ncols = m.dim * len(self.elements)
 
-def flat_cochain(m: GModuleSlice, values) -> dict:
-    """The flat cochain with c(s) = values[s], the inverse of
-    cochain_values."""
-    return {k * m.dim + r: x for k, s in enumerate(_nontrivial(m))
-            for r, x in values[s].items()}
+    def stack(self, values) -> dict:
+        """The values {s: c(s)} on these elements as one sparse vector."""
+        return {self.offset[s] + r: x for s in self.elements
+                for r, x in values.get(s, {}).items()}
+
+    def split(self, flat) -> dict:
+        """The values {s: c(s)} of a sparse vector; an s whose block is
+        zero is left out."""
+        values = {}
+        for col, x in flat.items():
+            k, r = divmod(col, self.dim)
+            values.setdefault(self.elements[k], {})[r] = x
+        return values
 
 
 def _action_minus_identity(m: GModuleSlice, elements):
@@ -178,14 +190,14 @@ def _action_minus_identity(m: GModuleSlice, elements):
     return rows
 
 
-def _cocycle_rows(m: GModuleSlice):
+def _cocycle_rows(m: GModuleSlice, blocks: _Blocks):
     """Linear conditions on (c(s))_{s != e} from c(st) = s.c(t) + c(s) for
-    generators s, as sparse rows over the flat unknowns, one dim-block per
-    s != e; with c(e) = 0 they give it for all s, by induction on words.
-    The rows are yielded one at a time."""
+    generators s, as sparse rows over the blocks of every s != e; with
+    c(e) = 0 they give it for all s, by induction on words.  The rows are
+    yielded one at a time."""
     field = m.field
     minus = field.neg(field.one)
-    offset = {s: k * m.dim for k, s in enumerate(_nontrivial(m))}
+    offset = blocks.offset
 
     for i in m.group.generators:  # nonidentity, so i*j != j
         for j in m.group.indices():
@@ -202,39 +214,23 @@ def _cocycle_rows(m: GModuleSlice):
 
 
 def zcocycles(m: GModuleSlice):
-    """Basis of Z^1 as flat cochains."""
-    return kernel_basis(m.field, list(_cocycle_rows(m)), m.dim * len(_nontrivial(m)))
-
-
-def coboundary_of(m: GModuleSlice, phi):
-    """The flat cochain (s.phi - phi)_{s != e} of the coordinate vector
-    phi: the combination of the unit coboundaries with its values."""
-    units = _unit_coboundaries(m)
-    out = {}
-    for k, x in phi.items():
-        add_scaled(m.field, out, x, units[k])
-    return out
+    """Basis of Z^1, each cocycle as its values {s: c(s)} over s != e."""
+    blocks = _Blocks(m, _nontrivial(m))
+    return [blocks.split(z) for z in
+            kernel_basis(m.field, list(_cocycle_rows(m, blocks)), blocks.ncols)]
 
 
 def _unit_coboundaries(m: GModuleSlice):
-    """Coboundaries of the coordinate unit vectors, which span B^1: the
-    coboundary of e_k is column k of the stacked M_s - I, a sparse row."""
-    return transpose(_action_minus_identity(m, _nontrivial(m)), m.dim)
+    """Coboundaries of the coordinate unit vectors on the generators,
+    which span B^1 there: the coboundary of e_k is column k of M_s - I
+    stacked over the generators, a sparse row."""
+    return transpose(_action_minus_identity(m, m.group.generators), m.dim)
 
 
 @dataclass
 class H1Result:
     dimension: int
-    representatives: list  # flat cochains, sparse dicts
-
-
-def h1(m: GModuleSlice) -> H1Result:
-    """Plain H^1(G, m) for the finite module m."""
-    z_basis = zcocycles(m)
-    if not z_basis:
-        return H1Result(0, [])
-    b_dim, kept = span_modulo(m.field, _unit_coboundaries(m), z_basis)
-    return H1Result(len(z_basis) - b_dim, [z_basis[k] for k in kept])
+    representatives: list  # cocycles as values {s: coordinate vector}
 
 
 def h1_bounded(m_small: GModuleSlice, m_big: GModuleSlice) -> H1Result:
@@ -242,7 +238,8 @@ def h1_bounded(m_small: GModuleSlice, m_big: GModuleSlice) -> H1Result:
 
     m_small's payload vectors must lie inside m_big; this implements the
     slice policy for filtered modules (value slice at D, coboundary
-    search at a higher bound)."""
+    search at a higher bound).  A cocycle is fixed by its values on the
+    generators, so Z^1 and B^1 of m_big are compared there."""
     field = m_small.field
     z_small = zcocycles(m_small)
     if not z_small:
@@ -250,18 +247,18 @@ def h1_bounded(m_small: GModuleSlice, m_big: GModuleSlice) -> H1Result:
     emb = m_big.express(m_small.payloads)
     if any(coords is None for coords in emb):
         raise CocycleError("small slice does not embed in the search slice")
+    gens = _Blocks(m_big, m_big.group.generators)
 
-    def embed_cochain(flat):
-        """A flat cochain of m_small as a flat cochain of m_big."""
+    def embed(z):
+        """The generator values of a cocycle of m_small, in m_big."""
         values = {}
-        for s, coords in cochain_values(m_small, flat).items():
+        for s in gens.elements:
             values[s] = {}
-            for r, c in coords.items():
+            for r, c in z.get(s, {}).items():
                 add_scaled(field, values[s], c, emb[r])
-        return flat_cochain(m_big, values)
+        return gens.stack(values)
 
-    _, kept = span_modulo(field, _unit_coboundaries(m_big),
-                          (embed_cochain(z) for z in z_small))
+    _, kept = span_modulo(field, _unit_coboundaries(m_big), (embed(z) for z in z_small))
     return H1Result(len(kept), [z_small[k] for k in kept])
 
 
@@ -269,24 +266,25 @@ def solve_coboundary(m: GModuleSlice, cochain) -> dict | None:
     """The coordinate vector phi with s.phi - phi = c(s) for all s, or
     None at this slice.
 
-    cochain is a flat cochain; it must satisfy the ``_cocycle_rows``
-    conditions, so it is a cocycle and phi is solved for on the
-    generators' blocks."""
+    cochain holds the values {s: c(s)}; it must satisfy the
+    ``_cocycle_rows`` conditions, so it is a cocycle and phi is solved
+    for on the generators."""
     field = m.field
-    for row in _cocycle_rows(m):
+    if cochain.get(m.group.identity_index):
+        raise CocycleError("input does not vanish at the identity")
+    blocks = _Blocks(m, _nontrivial(m))
+    flat = blocks.stack(cochain)
+    for row in _cocycle_rows(m, blocks):
         total = field.zero
         for k, x in row.items():
-            if k in cochain:
-                total = field.add(total, field.mul(x, cochain[k]))
+            if k in flat:
+                total = field.add(total, field.mul(x, flat[k]))
         if total != field.zero:
             raise CocycleError("input does not satisfy the cocycle identity")
     if m.dim == 0:
         return {}
-    gens = m.group.generators
-    values = cochain_values(m, cochain)
-    rhs = {g * m.dim + r: x for g, s in enumerate(gens) for r, x in values[s].items()}
-    (phi,) = solve(field, transpose(_action_minus_identity(m, gens), m.dim),
-                   [rhs], len(gens) * m.dim)
+    gens = _Blocks(m, m.group.generators)
+    (phi,) = solve(field, _unit_coboundaries(m), [gens.stack(cochain)], gens.ncols)
     return phi
 
 

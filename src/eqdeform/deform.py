@@ -31,8 +31,6 @@ from .ambient import (
 from .cohomology import (
     Cocycle,
     GModuleSlice,
-    cochain_values,
-    flat_cochain,
     h1_bounded,
     invariants,
     slice_of_normal_module,
@@ -551,7 +549,7 @@ def equivariantize(d: Deformation, lift_gens,
     coords = m_search.express([tuple(-p for p in v) for v in extra])
     if any(x is None for x in coords):
         raise DeformationError("defect cocycle escapes the search slice")
-    phi = solve_coboundary(m_search, flat_cochain(m_search, dict(zip(others, coords))))
+    phi = solve_coboundary(m_search, dict(zip(others, coords)))
     if phi is None:
         certified = "exact" if is_graded_setup(amb) else f"slice:{bound}"
         return LiftOutcome(False, None, c, certified)
@@ -685,9 +683,9 @@ def obstruction_space(amb: EquivariantAmbient,
     m_small = slice_of_normal_module(N, D)
     m_big = slice_of_normal_module(N, D + SLACK)
     res = h1_bounded(m_small, m_big)
-    reps = [Cocycle(N, {s: m_small.materialize(c)
-                        for s, c in cochain_values(m_small, flat).items()})
-            for flat in res.representatives]
+    others = [i for i in amb.action.indices() if i != amb.action.identity_index]
+    reps = [Cocycle(N, {s: m_small.materialize(z.get(s, {})) for s in others})
+            for z in res.representatives]
     return ObstructionReport(res.dimension, reps, f"slice:{D}")
 
 

@@ -246,12 +246,6 @@ class TwistMatrices:
         self.exact = exact
         self.reduced = reduced
 
-    def reduced_for(self, i: int):
-        return self.reduced[i]
-
-    def exact_for(self, i: int):
-        return self.exact[i]
-
 
 def twist_matrices(gens, action: GroupAction, gb: GroebnerBasis,
                    representer: Representer | None = None) -> TwistMatrices:

@@ -269,10 +269,6 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
     return GroebnerBasis(ring, polys)
 
 
-def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    return gb.normal_form(f)
-
-
 def syzygies(ring: PolyRing, vectors, rank: int) -> list[tuple]:
     """Generators of {c in P^t : sum c_i v_i = 0} for vectors v_i in P^rank."""
     t = len(vectors)

@@ -412,6 +412,12 @@ def _nonidentity(m) -> list[int]:
     return [s for s in m.group.indices() if s != m.group.identity_index]
 
 
+def values(m, flat) -> dict:
+    """The flat cochain as its values {s: dense c(s)} over every s != e,
+    the input of ``solve_coboundary`` below."""
+    return {s: flat[k * m.dim:(k + 1) * m.dim] for k, s in enumerate(_nonidentity(m))}
+
+
 def _minus_identity_rows(m) -> list[list]:
     """The rows of M_s - I, stacked over all s != e in index order."""
     field = m.field
@@ -474,6 +480,39 @@ def solve_coboundary(m, cochain) -> list | None:
     if m.dim == 0:
         return []
     return solve(field, _minus_identity_rows(m), [x for s in _nonidentity(m) for x in val(s)])
+
+
+def h1_bounded(m_small, m_big) -> list[int]:
+    """Indices into ``zcocycles(m_small)`` of the cocycles that stay
+    independent modulo B^1(m_big), greedily in order: Z^1(m_small) is
+    embedded through the payload coefficients, and the coboundaries of
+    the unit vectors of m_big are compared with it on every s != e."""
+    field = m_small.field
+    keys = sorted({(j, mono) for vec in m_small.payloads + m_big.payloads
+                   for j, poly in enumerate(vec) for mono in poly.terms})
+
+    def coefficients(vec):
+        return [vec[j].terms.get(mono, field.zero) for j, mono in keys]
+
+    big = list(zip(*(coefficients(v) for v in m_big.payloads)))
+    emb = [solve(field, big, coefficients(v)) for v in m_small.payloads]
+    assert all(x is not None for x in emb), "small slice does not embed"
+
+    def embed(flat):
+        out = []
+        for block in values(m_small, flat).values():
+            image = [field.zero] * m_big.dim
+            for c, x in zip(block, emb):
+                image = [field.add(a, field.mul(c, b)) for a, b in zip(image, x)]
+            out += image
+        return out
+
+    units = [[field.one if j == k else field.zero for j in range(m_big.dim)]
+             for k in range(m_big.dim)]
+    columns = [coboundary(m_big, e) for e in units]
+    columns += [embed(z) for z in zcocycles(m_small)]
+    _, pivots = rref(field, [list(row) for row in zip(*columns)])
+    return [c - m_big.dim for c in pivots if c >= m_big.dim]
 
 
 # --- eps-order peeling ------------------------------------------------------

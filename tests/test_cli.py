@@ -161,6 +161,58 @@ def test_json_values_obstruction(capsys):
     assert report["certified"] == "slice:4"
 
 
+def _generating_sets(text, product):
+    """The problem text with its gen lines in reverse order, and with the
+    redundant generator ``product`` (a product of two others) added."""
+    lines = text.splitlines()
+    at = [k for k, line in enumerate(lines) if line.startswith("gen ")]
+    reordered = list(lines)
+    for k, line in zip(at, reversed([lines[k] for k in at])):
+        reordered[k] = line
+    redundant = lines[:at[-1] + 1] + [product] + lines[at[-1] + 1:]
+    return ["\n".join(reordered) + "\n", "\n".join(redundant) + "\n"]
+
+
+KLEIN_PRODUCT = "gen st: a -> d, d -> a, b -> c, c -> b"
+
+
+@pytest.mark.parametrize("name,truncate,product,obstruction_dim", [
+    ("klein_f2", 2, KLEIN_PRODUCT, 6),
+    ("d4_f2", 8, "gen st: x -> y + 1, y -> x", 5),
+], ids=["klein_f2", "d4_f2"])
+def test_dimensions_do_not_depend_on_the_generating_set(name, truncate, product,
+                                                        obstruction_dim, tmp_path, capsys):
+    """Element indices may move with the gen lines, so the dimensions are
+    compared, not the class text."""
+    text = (ROOT / "bench" / "problems" / f"{name}.prob").read_text(encoding="utf-8")
+    path = tmp_path / f"{name}.prob"
+
+    def dimensions(text):
+        path.write_text(text, encoding="utf-8")
+        out = []
+        for command, key in (("obstruction", "obstruction_dim"),
+                             ("tangent", "t1_equivariant_dim")):
+            _, report, _ = run_cli([command, str(path), "--truncate", str(truncate),
+                                    "--json"], capsys)
+            out.append(json.loads(report)[key])
+        return out
+
+    expected = dimensions(text)
+    assert expected[0] == obstruction_dim
+    for variant in _generating_sets(text, product):
+        assert dimensions(variant) == expected
+
+
+def test_lift_does_not_depend_on_the_generating_set(tmp_path, capsys):
+    """The one bench lift whose defect needs a coboundary solve."""
+    text = (ROOT / "bench" / "problems" / "klein_twist_f2.prob").read_text(encoding="utf-8")
+    path = tmp_path / "klein_twist_f2.prob"
+    for variant in [text, *_generating_sets(text, KLEIN_PRODUCT)]:
+        path.write_text(variant, encoding="utf-8")
+        code, _, _ = run_cli(["lift", str(path), "--order", "2", "--truncate", "2"], capsys)
+        assert code == 0
+
+
 def test_exit_code_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.prob"
     bad.write_text("field F 4\nvars x\nideal: x\n")

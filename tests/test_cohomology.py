@@ -11,10 +11,6 @@ from eqdeform.cohomology import (
     CocycleError,
     GModuleSlice,
     _unit_coboundaries,
-    coboundary_of,
-    cochain_values,
-    flat_cochain,
-    h1,
     h1_bounded,
     invariants,
     slice_of_normal_module,
@@ -43,6 +39,31 @@ def gmodule(group, field, matrices):
     """GModuleSlice from dense action matrices."""
     return GModuleSlice(group, field, [[oracles.sparse(field, row) for row in mat]
                                        for mat in matrices])
+
+
+def sparse_values(m, flat):
+    """The oracle's flat cochain in the format of ``cohomology``: values
+    {s: coordinate vector}, an s with c(s) = 0 left out."""
+    values = {s: oracles.sparse(m.field, v) for s, v in oracles.values(m, flat).items()}
+    return {s: v for s, v in values.items() if v}
+
+
+def coboundary_values(m, phi):
+    """The coboundary of the coordinate vector phi, from the oracle, as
+    values {s: coordinate vector}."""
+    return sparse_values(m, oracles.coboundary(m, oracles.dense(m.field, phi, m.dim)))
+
+
+def abstract_h1_dimension(m):
+    """dim Z^1 - dim B^1 of a module without payloads, after checking
+    zcocycles against the all-pairs oracle; B^1 is spanned by the
+    oracle's coboundaries of the unit vectors."""
+    z_basis = oracles.zcocycles(m)
+    assert zcocycles(m) == [sparse_values(m, z) for z in z_basis]
+    units = [oracles.coboundary(m, [m.field.one if j == k else m.field.zero
+                                    for j in range(m.dim)]) for k in range(m.dim)]
+    _, pivots = oracles.rref(m.field, units)
+    return len(z_basis) - len(pivots)
 
 
 def test_invariants_examples(swap_q):
@@ -98,18 +119,18 @@ def test_regular_ambient_action_keeps_the_generators():
     ("problems/node_q.prob", 3),
 ])
 def test_unit_coboundaries_are_the_columns_of_the_action(path, degree):
-    """The coboundary of e_k read off M_s - I equals s.e_k - e_k, and
-    coboundary_of combines those columns."""
+    """The coboundary of e_k read off M_s - I over the generators equals
+    (s.e_k - e_k) for the generators s, blocks in generator order."""
     workspace = Workspace(parse_problem((ROOT / path).read_text(encoding="utf-8")))
     m = slice_of_normal_module(NormalModule(workspace.ambient), degree)
     units = [[m.field.one if j == k else m.field.zero for j in range(m.dim)]
              for k in range(m.dim)]
     assert m.dim > 1
-    assert list(_unit_coboundaries(m)) == [oracles.sparse(m.field, oracles.coboundary(m, e))
-                                           for e in units]
-    phi = [m.field.of(k % 3) for k in range(m.dim)]
-    assert coboundary_of(m, oracles.sparse(m.field, phi)) == \
-        oracles.sparse(m.field, oracles.coboundary(m, phi))
+    on_generators = [[x for s in m.group.generators
+                      for x in oracles.values(m, oracles.coboundary(m, e))[s]]
+                     for e in units]
+    assert list(_unit_coboundaries(m)) == [oracles.sparse(m.field, v)
+                                           for v in on_generators]
 
 
 def test_slice_factors_the_action_matrices_once(monkeypatch):
@@ -181,15 +202,15 @@ def test_tame_h1_vanishes_on_random_involutions(swap_q):
             for _ in range(3):
                 A = _random_involution(field, n, rng)
                 m = gmodule(swap, field, [identity_matrix(field, n), A])
-                res = h1(m)
-                assert res.dimension == 0
-                # Reynolds splitting oracle: every cocycle is
-                # -(1/|G|) sum c(tau) away from a coboundary
+                assert abstract_h1_dimension(m) == 0
+                # Reynolds splitting oracle: every cocycle is the
+                # coboundary of -(1/|G|) sum c(tau)
+                (s,) = swap.generators
+                half = field.fraction(1, 2)
                 for z in zcocycles(m):
-                    # single nontrivial element, so c(s) is all of z
-                    half = field.fraction(1, 2)
-                    phi = {k: field.neg(field.mul(half, v)) for k, v in z.items()}
-                    assert coboundary_of(m, phi) == z
+                    phi = {k: field.neg(field.mul(half, v)) for k, v in z[s].items()}
+                    assert coboundary_values(m, phi) == z
+                    assert coboundary_values(m, solve_coboundary(m, z)) == z
 
 
 def test_tame_h1_vanishes_order3():
@@ -211,7 +232,7 @@ def test_tame_h1_vanishes_order3():
     mats[1] = P
     mats[rot.mul(1, 1)] = P2
     m = gmodule(rot, f, [mats[i] for i in rot.indices()])
-    assert h1(m).dimension == 0
+    assert abstract_h1_dimension(m) == 0
 
 
 def test_wild_node_slice_h1():
@@ -226,13 +247,12 @@ def test_wild_node_slice_h1():
         assert h1_bounded(small, big).dimension == 1
     # the constant class is not a coboundary; (x+y)F^* is
     small = slice_of_normal_module(N, 6)
-    # one nontrivial element, so a coordinate vector is a flat cochain
+    (s,) = swap.generators
     one, xy = small.express([(r2.one,), (r2.var("x") + r2.var("y"),)])
-    assert solve_coboundary(small, one) is None
-    phi = solve_coboundary(small, xy)
+    assert solve_coboundary(small, {s: one}) is None
+    phi = solve_coboundary(small, {s: xy})
     assert phi is not None
-    assert oracles.sparse(GF(2), oracles.coboundary(
-        small, oracles.dense(GF(2), phi, small.dim))) == xy
+    assert coboundary_values(small, phi) == {s: xy}
 
 
 def test_express_marks_vectors_outside_the_slice():
@@ -276,10 +296,11 @@ def test_trivial_action_in_characteristic_two_has_h1():
     ring = PolyRing(QQ, ["x", "y"])
     swap = close_group([{"x": ring.var("y"), "y": ring.var("x")}], ring=ring)
     f2 = GF(2)
+    (s,) = swap.generators
     m = gmodule(swap, f2, [[[f2.one]], [[f2.one]]])
-    assert zcocycles(m) == [{0: f2.one}]
-    assert h1(m).dimension == 1
-    assert h1(gmodule(swap, QQ, [[[QQ.one]], [[QQ.one]]])).dimension == 0
+    assert zcocycles(m) == [{s: {0: f2.one}}]
+    assert abstract_h1_dimension(m) == 1
+    assert abstract_h1_dimension(gmodule(swap, QQ, [[[QQ.one]], [[QQ.one]]])) == 0
 
 
 def test_translation_line_free_module():
@@ -294,8 +315,9 @@ def test_translation_line_free_module():
         assert h1_bounded(small, big).dimension == 0
     # the plain slice value alternates with parity: the filtered-module
     # subtlety the search slack exists to absorb
-    assert h1(slice_of_normal_module(N, 2)).dimension == 1
-    assert h1(slice_of_normal_module(N, 3)).dimension == 0
+    for D, dimension in ((2, 1), (3, 0)):
+        m = slice_of_normal_module(N, D)
+        assert h1_bounded(m, m).dimension == dimension
 
 
 def test_solve_coboundary_round_trip(swap_q):
@@ -304,18 +326,21 @@ def test_solve_coboundary_round_trip(swap_q):
     rng = random.Random(52)
     A = [[f.zero, f.one], [f.one, f.zero]]
     m = gmodule(swap, f, [identity_matrix(f, 2), A])
+    (s,) = swap.generators
     for _ in range(10):
         phi = oracles.sparse(f, [f.of(rng.randrange(-3, 4)) for _ in range(2)])
-        flat = coboundary_of(m, phi)
-        found = solve_coboundary(m, flat)
+        values = coboundary_values(m, phi)
+        found = solve_coboundary(m, values)
         assert found is not None
-        assert coboundary_of(m, found) == flat
+        assert coboundary_values(m, found) == values
     # zero cocycle -> canonical zero witness
     assert solve_coboundary(m, {}) == {}
-    # invalid cocycle input is rejected: c(e) must vanish via c(ss)=s c(s)+c(s)
-    bad = {0: f.one}
-    with pytest.raises(CocycleError):
-        solve_coboundary(m, bad)
+    assert solve_coboundary(m, {s: {}}) == {}
+    # values that are no cocycle are rejected: c(ss) = s.c(s) + c(s)
+    # forces s.c(s) = -c(s), and c(e) must vanish
+    for bad in ({s: {0: f.one}}, {swap.identity_index: {0: f.one}}):
+        with pytest.raises(CocycleError):
+            solve_coboundary(m, bad)
 
 
 def test_invariants_have_zero_coboundary(swap_q):
@@ -324,7 +349,7 @@ def test_invariants_have_zero_coboundary(swap_q):
     A = [[f.zero, f.one], [f.one, f.zero]]
     m = gmodule(swap, f, [identity_matrix(f, 2), A])
     for v in invariants(m):
-        assert coboundary_of(m, v) == {}
+        assert coboundary_values(m, v) == {}
 
 
 def test_h1_representatives_are_cocycles():
@@ -334,28 +359,28 @@ def test_h1_representatives_are_cocycles():
     amb = choose_ambient(node, swap)
     N = NormalModule(amb)
     small = slice_of_normal_module(N, 4)
-    res = h1(small)
-    field = GF(2)
-    for flat in res.representatives:
+    res = h1_bounded(small, small)
+    (s,) = swap.generators
+    assert res.representatives
+    for z in res.representatives:
         # single nontrivial group element: the identity reduces to (1+s)c = 0
-        c = oracles.dense(field, flat, small.dim)
-        assert oracles._act(small, 1, c) == c
+        c = oracles.dense(GF(2), z[s], small.dim)
+        assert oracles._act(small, s, c) == c
 
 
 # --- the generator-based conditions against the all-pairs oracle -------------
 
 def _agrees_with_the_oracle(m, rng):
     """Asserts that zcocycles, invariants and solve_coboundary equal the
-    all-pairs copies in oracles on m, and that cochain_values splits a
-    flat cochain into the oracle's blocks, for a random cocycle, a random
+    all-pairs copies in oracles on m, for a random cocycle, a random
     coboundary, a random cochain and a random cochain that satisfies the
-    identity for the first generator; returns how many of the cochains
-    were not cocycles and how many had no coboundary solution."""
+    identity for the first generator, each given as its values; returns
+    how many of the cochains were not cocycles and how many had no
+    coboundary solution."""
     field = m.field
-    others = [s for s in m.group.indices() if s != m.group.identity_index]
-    ncols = m.dim * len(others)
-    z_basis = [oracles.dense(field, z, ncols) for z in zcocycles(m)]
-    assert z_basis == oracles.zcocycles(m)
+    ncols = m.dim * (len(m.group) - 1)
+    z_basis = oracles.zcocycles(m)
+    assert zcocycles(m) == [sparse_values(m, z) for z in z_basis]
     assert [oracles.dense(field, v, m.dim) for v in invariants(m)] == oracles.invariants(m)
 
     def scalar():
@@ -374,19 +399,16 @@ def _agrees_with_the_oracle(m, rng):
                 combination(oracles.kernel_basis(field, first, ncols))]
     non_cocycles = unsolved = 0
     for flat in cochains:
-        cochain = {s: flat[k * m.dim:(k + 1) * m.dim] for k, s in enumerate(others)}
-        sparse = oracles.sparse(field, flat)
-        values = cochain_values(m, sparse)
-        assert {s: oracles.dense(field, v, m.dim) for s, v in values.items()} == cochain
-        assert flat_cochain(m, values) == sparse
+        cochain = oracles.values(m, flat)
+        values = {s: oracles.sparse(field, v) for s, v in cochain.items()}
         try:
             expected = oracles.solve_coboundary(m, cochain)
         except CocycleError:
             non_cocycles += 1
             with pytest.raises(CocycleError):
-                solve_coboundary(m, sparse)
+                solve_coboundary(m, values)
             continue
-        assert solve_coboundary(m, sparse) == (
+        assert solve_coboundary(m, values) == (
             None if expected is None else oracles.sparse(field, expected))
         unsolved += expected is None
     return non_cocycles, unsolved
@@ -456,3 +478,24 @@ def test_normal_module_slices_match_the_all_pairs_oracle(path, degree):
     workspace = Workspace(parse_problem((ROOT / path).read_text(encoding="utf-8")))
     m = slice_of_normal_module(NormalModule(workspace.ambient), degree)
     _agrees_with_the_oracle(m, random.Random(f"{path}:{degree}"))
+
+
+@pytest.mark.parametrize("path,small,big", [
+    ("bench/problems/klein_f2.prob", 1, 3),
+    ("bench/problems/d4_f2.prob", 3, 5),
+    ("bench/problems/cyc3_f3.prob", 2, 4),
+    ("problems/node_f2.prob", 4, 6),
+    ("problems/line_f2.prob", 2, 4),
+])
+def test_h1_bounded_matches_the_all_pairs_oracle(path, small, big):
+    """h1_bounded compares the generator values only; the oracle embeds
+    every value of Z^1 of the small slice and B^1 of the big one."""
+    workspace = Workspace(parse_problem((ROOT / path).read_text(encoding="utf-8")))
+    module = NormalModule(workspace.ambient)
+    m_small = slice_of_normal_module(module, small)
+    m_big = slice_of_normal_module(module, big)
+    kept = oracles.h1_bounded(m_small, m_big)
+    z_basis = oracles.zcocycles(m_small)
+    res = h1_bounded(m_small, m_big)
+    assert res.dimension == len(kept)
+    assert res.representatives == [sparse_values(m_small, z_basis[k]) for k in kept]

@@ -112,18 +112,18 @@ def test_twist_matrices_examples(ring):
     sign = close_group([{"y": -y}], ring=ring)
     gb_cusp = buchberger([y**2 - x**3])
     tw = twist_matrices([y**2 - x**3], sign, gb_cusp)
-    assert tw.reduced_for(1)[0][0] == ring.one
+    assert tw.reduced[1][0][0] == ring.one
 
     swap = close_group([{"x": y, "y": x}], ring=ring)
     gb_sq = buchberger([x**2, y**2])
     tws = twist_matrices([x**2, y**2], swap, gb_sq)
-    m = tws.reduced_for(1)
+    m = tws.reduced[1]
     assert m[0][0].is_zero() and m[0][1] == ring.one
     assert m[1][0] == ring.one and m[1][1].is_zero()
 
     gb_node = buchberger([x * y])
     twn = twist_matrices([x * y], swap, gb_node)
-    assert twn.reduced_for(1)[0][0] == ring.one
+    assert twn.reduced[1][0][0] == ring.one
 
 
 def test_twist_cocycle_compatibility(ring):
@@ -142,16 +142,16 @@ def test_twist_cocycle_compatibility(ring):
                     # T_{ij} = i(T_j) T_i entrywise mod I
                     total = ring.zero
                     for l in range(c):
-                        total = total + g.apply(i, tw.reduced_for(j)[a][l]) \
-                            * tw.reduced_for(i)[l][b]
-                    assert gb.normal_form(tw.reduced_for(ij)[a][b] - total).is_zero()
+                        total = total + g.apply(i, tw.reduced[j][a][l]) \
+                            * tw.reduced[i][l][b]
+                    assert gb.normal_form(tw.reduced[ij][a][b] - total).is_zero()
     # exact representation really divides
     for i in g.indices():
         for a in range(c):
             lhs = g.apply(i, gens[a])
             rhs = ring.zero
             for l in range(c):
-                rhs = rhs + tw.exact_for(i)[a][l] * gens[l]
+                rhs = rhs + tw.exact[i][a][l] * gens[l]
             assert lhs == rhs
 
 

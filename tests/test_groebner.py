@@ -10,7 +10,6 @@ from eqdeform.groebner import (
     is_regular_sequence,
     krull_dimension,
     module_kernel,
-    normal_form,
     quotient_basis,
     syzygies,
     vec_from_polys,
@@ -55,9 +54,9 @@ def test_normal_form_examples():
     ring = PolyRing(QQ, ["x", "y"], MonomialOrder("lex"))
     x, y = ring.gens()
     gb = buchberger([y**2 - x**3])
-    assert normal_form(y**2, gb) == x**3
-    assert normal_form(y**2 - x**3, gb).is_zero()
-    assert normal_form(x, buchberger([y])) == x
+    assert gb.normal_form(y**2) == x**3
+    assert gb.normal_form(y**2 - x**3).is_zero()
+    assert buchberger([y]).normal_form(x) == x
 
 
 def test_normal_form_properties(ring):
