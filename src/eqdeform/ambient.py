@@ -22,7 +22,6 @@ from .groebner import (
     RegularityCertificate,
     Representer,
     is_regular_sequence,
-    module_kernel,
 )
 from .linalg import kernel_basis
 from .poly import (
@@ -52,7 +51,6 @@ class AffinePresentation:
     gens: tuple
     gb: GroebnerBasis
     certificate: RegularityCertificate
-    _representer: Representer | None = dataclass_field(default=None, repr=False)
     _std_cache: dict = dataclass_field(default_factory=dict, repr=False)
 
     @classmethod
@@ -73,12 +71,10 @@ class AffinePresentation:
     def nf(self, f: Polynomial) -> Polynomial:
         return self.gb.normal_form(f)
 
-    @property
+    @cached_property
     def representer(self) -> Representer | None:
         """Cofactors over the generators; None when there are none."""
-        if self._representer is None and self.gens:
-            self._representer = Representer(list(self.gens))
-        return self._representer
+        return Representer(list(self.gens)) if self.gens else None
 
     def std_monomials_upto(self, degree: int):
         """Standard monomials of B (not divisible by any leading term), by degree."""
@@ -110,7 +106,6 @@ class EquivariantAmbient:
         self.kind = kind  # "original" | "regular"
         self.var_images = tuple(var_images)    # phi': ambient variable -> element of origin B
         self.embed_images = tuple(embed_images)  # origin variable -> ambient polynomial
-        self._twists: TwistMatrices | None = None
 
     @property
     def ring(self) -> PolyRing:
@@ -133,14 +128,10 @@ class EquivariantAmbient:
         images = dict(zip(self.ring.variables, self.var_images))
         return self.origin.nf(substitute(f, images))
 
-    @property
+    @cached_property
     def twists(self) -> TwistMatrices:
-        if self._twists is None:
-            self._twists = twist_matrices(
-                list(self.pres.gens), self.action, self.pres.gb,
-                representer=self.pres.representer,
-            )
-        return self._twists
+        return twist_matrices(list(self.pres.gens), self.action, self.pres.gb,
+                              representer=self.pres.representer)
 
     def __repr__(self):
         return f"EquivariantAmbient({self.kind}, {self.pres.ring})"
@@ -312,27 +303,20 @@ class _SliceCoordinates:
 
 
 def ambient_vector_slice(amb: EquivariantAmbient, degree: int,
-                         invariant: bool = False, tangent: bool = False):
-    """k-basis of ambient derivation vectors in B^n with standard-monomial
-    components of degree <= degree.
+                         tangent: bool = False):
+    """k-basis of the invariant ambient derivation vectors in B^n with
+    standard-monomial components of degree <= degree.
 
+    Invariance under the conjugation action is always imposed;
     tangent=True adds the equations J.D = 0 mod I (actual derivations of
-    B); invariant=True adds conjugation invariance.  With neither flag the
-    result is the plain monomial basis.
+    B).
     """
     pres = amb.pres
     ring = amb.ring
     monos = pres.std_monomials_upto(degree)
     unknowns = [(i, m) for i in range(ring.nvars) for m in monos]
-    vectors = []
-    for (i, m) in unknowns:
-        vec = [ring.zero] * ring.nvars
-        vec[i] = ring.monomial(m)
-        vectors.append(tuple(vec))
     if not unknowns:
         return []
-    if not (invariant or tangent):
-        return vectors
 
     # one sparse constraint row per (block, position, monomial)
     rows: dict = {}
@@ -343,13 +327,13 @@ def ambient_vector_slice(amb: EquivariantAmbient, degree: int,
                 rows.setdefault((block, pos, m), {})[u] = c
 
     # derivation_action is a homomorphism: fixed by the generators is fixed by all
-    for u, v in enumerate(vectors):
+    for u, (i, m) in enumerate(unknowns):
+        v = tuple(ring.monomial(m) if k == i else ring.zero for k in range(ring.nvars))
         if tangent:
             constrain(None, u, normal_image(amb, v))
-        if invariant:
-            for g_idx in amb.action.generators:
-                constrain(g_idx, u, tuple(
-                    a - b for a, b in zip(derivation_action(amb, g_idx, v), v)))
+        for g_idx in amb.action.generators:
+            constrain(g_idx, u, tuple(
+                a - b for a, b in zip(derivation_action(amb, g_idx, v), v)))
     basis = []
     for sol in kernel_basis(ring.field, list(rows.values()), len(unknowns)):
         vec = [ring.zero] * ring.nvars
@@ -360,39 +344,8 @@ def ambient_vector_slice(amb: EquivariantAmbient, degree: int,
     return basis
 
 
-def derivations(p: AffinePresentation, g: GroupAction, trunc: int | None = None):
-    """Module generators of Hom(Omega, B) plus invariant sub-generators.
-
-    Generators come from the syzygy kernel of the Jacobian.  The
-    invariant part is the Reynolds projection of the generators in the
-    tame case and a degree-bounded linear solve otherwise (the solve is
-    also used when trunc is given explicitly).
-    """
-    amb = original_ambient(p, g)  # checks that g stabilizes the ideal
-    if p.gens:
-        gens = module_kernel(p.jacobian, p.gb)
-    else:
-        gens = [
-            tuple(p.ring.one if j == i else p.ring.zero for j in range(p.ring.nvars))
-            for i in range(p.ring.nvars)
-        ]
-    if g.is_tame() and trunc is None:
-        field = p.ring.field
-        scale = field.inv(field.of(len(g)))
-        invariant = []
-        seen = set()
-        for d in gens:
-            total = (p.ring.zero,) * p.ring.nvars
-            for i in g.indices():
-                acted = derivation_action(amb, i, d)
-                total = tuple(a + b for a, b in zip(total, acted))
-            avg = tuple(p.nf(c.scale(scale)) for c in total)
-            if any(not c.is_zero() for c in avg) and avg not in seen:
-                seen.add(avg)
-                invariant.append(avg)
-        return gens, invariant
-    bound = trunc if trunc is not None else 2 * max(
-        [f.degree() for f in p.gens], default=1
-    )
-    invariant = ambient_vector_slice(amb, bound, invariant=True, tangent=True)
-    return gens, invariant
+def derivations(amb: EquivariantAmbient, degree: int):
+    """The degree <= degree slice of T^0_G: a k-basis of the G-invariant
+    derivations of B (the infinitesimal automorphisms), as ambient
+    derivation vectors in B^n."""
+    return ambient_vector_slice(amb, degree, tangent=True)

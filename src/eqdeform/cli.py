@@ -24,6 +24,7 @@ from .ambient import (
     NotCompleteIntersectionError,
     VariableNameCollisionError,
     choose_ambient,
+    derivations,
 )
 from .deform import (
     Deformation,
@@ -194,11 +195,12 @@ def cmd_check(args) -> int:
 def cmd_tangent(args) -> int:
     ws = Workspace(_load_problem(args.problem))
     trunc = ws.truncation(args.truncate)
+    t0_dim = len(derivations(ws.ambient, trunc))
     rep = tangent_spaces(ws.ambient, trunc=trunc)
     report = Report("tangent", ws)
     report.put("truncation", trunc, f"truncation: {trunc}")
-    report.put("t0_dim", rep.t0_dim,
-               f"T0 invariant slice dim (deg <= {trunc}): {rep.t0_dim}")
+    report.put("t0_dim", t0_dim,
+               f"T0 invariant slice dim (deg <= {trunc}): {t0_dim}")
     report.put("t1_dim", rep.t1.dimension, f"T1 dim: {rep.t1.dimension}"
                if rep.t1.finite else f"T1 dim: infinite at bound {trunc}")
     report.put("t1_infinite", not rep.t1.finite)

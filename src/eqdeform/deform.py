@@ -431,7 +431,7 @@ def isomorphism_witness(d1: Deformation, d2: Deformation,
     if nu.is_zero():
         return DerivationWitness(amb, (amb.ring.zero,) * amb.ring.nvars)
     bound = (trunc if trunc is not None else default_truncation(amb)) + SLACK
-    basis = ambient_vector_slice(amb, bound, invariant=True, tangent=False)
+    basis = ambient_vector_slice(amb, bound)
     if not basis:
         return None
     coords = _SliceCoordinates()
@@ -571,17 +571,11 @@ def lift_step(d: Deformation, trunc: int | None = None) -> LiftOutcome:
 
 @dataclass
 class TangentReport:
-    t0_generators: list
-    t0_invariant_basis: list
     t1: QuotientBasis
     t1_basis_vectors: list
     t1_equivariant_dim: int | None
     t1_equivariant_basis: list
     certified: str
-
-    @property
-    def t0_dim(self) -> int:
-        return len(self.t0_invariant_basis)
 
     @property
     def t1_dim(self):
@@ -596,7 +590,8 @@ def _basis_vector(ring: PolyRing, rank: int, pos: int, mono) -> tuple:
 
 def tangent_spaces(amb: EquivariantAmbient,
                    trunc: int | None = None) -> TangentReport:
-    """T^0_G, T^1 and T^1_G of the presentation through the ambient.
+    """T^1 and T^1_G of the presentation through the ambient (T^0_G is
+    ambient.derivations).
 
     T^1 comes from the standard-monomial count of B^c modulo the
     Jacobian image (exact regardless of grading).  T^1_G is the fixed
@@ -607,15 +602,10 @@ def tangent_spaces(amb: EquivariantAmbient,
     pres = amb.pres
     ring = amb.ring
     D = trunc if trunc is not None else default_truncation(amb)
-    from .ambient import derivations as ambient_derivations
-
-    t0_gens, t0_inv = ambient_derivations(pres, amb.action, trunc=None)
-    t0_slice = ambient_vector_slice(amb, D, invariant=True, tangent=True)
-
     rank = len(pres.gens)
     if rank == 0:
         empty = QuotientBasis(True, 0, (), None)
-        return TangentReport(t0_gens, t0_slice, empty, [], 0, [], "exact")
+        return TangentReport(empty, [], 0, [], "exact")
     relations = tuple(zip(*pres.jacobian))
     module_gb = ModulePresentation(ring, rank, relations, pres.gb).groebner()
     qb = quotient_basis(module_gb, D)
@@ -624,7 +614,7 @@ def tangent_spaces(amb: EquivariantAmbient,
     N = NormalModule(amb)
     if amb.action.is_tame() and qb.finite:
         if not qb.monomials:
-            return TangentReport(t0_gens, t0_slice, qb, [], 0, [], "exact")
+            return TangentReport(qb, [], 0, [], "exact")
         index = {bm: k for k, bm in enumerate(qb.monomials)}
         field = ring.field
         matrices = []
@@ -649,21 +639,19 @@ def tangent_spaces(amb: EquivariantAmbient,
             for i in amb.action.indices():
                 avg = tuple(a + b for a, b in zip(avg, N.act(i, vec)))
             reps.append(tuple(pres.nf(p.scale(scale)) for p in avg))
-        return TangentReport(t0_gens, t0_slice, qb, t1_vectors,
-                             len(fixed), reps, "exact")
+        return TangentReport(qb, t1_vectors, len(fixed), reps, "exact")
 
     # slice route (wild case, or infinite T^1)
     m_small = slice_of_normal_module(N, D)
     inv_coords = invariants(m_small)
     V = [m_small.materialize(c) for c in inv_coords]
-    U_src = ambient_vector_slice(amb, D + SLACK, invariant=True, tangent=False)
+    U_src = ambient_vector_slice(amb, D + SLACK)
     U = [normal_image(amb, v) for v in U_src]
     coords = _SliceCoordinates()
     _, kept = span_modulo(ring.field, (coords.row(u) for u in U),
                           (coords.row(v) for v in V))
     reps = [V[k] for k in kept]
-    return TangentReport(t0_gens, t0_slice, qb, t1_vectors,
-                         len(reps), reps, f"slice:{D}")
+    return TangentReport(qb, t1_vectors, len(reps), reps, f"slice:{D}")
 
 
 @dataclass

@@ -8,7 +8,6 @@ the substitution map a homomorphism by construction.
 
 from __future__ import annotations
 
-from .fields import Field
 from .groebner import GroebnerBasis, Representer
 from .linalg import rank as matrix_rank
 from .poly import ContextMismatchError, PolyRing, Polynomial, substitute
@@ -23,10 +22,6 @@ class ClosureBoundExceededError(RuntimeError):
 
 
 class StabilityError(ValueError):
-    pass
-
-
-class WildGroupOrderError(ValueError):
     pass
 
 
@@ -272,16 +267,3 @@ def twist_matrices(gens, action: GroupAction, gb: GroebnerBasis,
         reduced.append(rows_reduced)
     return TwistMatrices(action, exact, reduced)
 
-
-def reynolds(f: Polynomial, action: GroupAction) -> Polynomial:
-    """Averaging projection (1/|G|) sum sigma(f); tame case only."""
-    n = len(action)
-    field: Field = f.ring.field
-    if not field.is_invertible_int(n):
-        raise WildGroupOrderError(
-            f"group order {n} is not invertible in {field}; use the linear solver"
-        )
-    total = f.ring.zero
-    for i in action.indices():
-        total = total + action.apply(i, f)
-    return total.scale(field.inv(field.of(n)))

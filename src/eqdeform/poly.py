@@ -324,13 +324,6 @@ def substitute(f: Polynomial, images: dict):
     return result
 
 
-def degree_slice(f: Polynomial, d: int) -> Polynomial:
-    """Sum of the terms of total degree exactly d."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    return Polynomial(f.ring, {m: c for m, c in f.terms.items() if monomial_degree(m) == d})
-
-
 def partial(f: Polynomial, i: int) -> Polynomial:
     """Partial derivative with respect to the i-th variable."""
     field = f.ring.field

@@ -346,8 +346,8 @@ class F2SliceOracle:
 
 
 def invariant_vector_slice(amb, degree: int, tangent: bool) -> list:
-    """``ambient_vector_slice(amb, degree, invariant=True, tangent=tangent)``
-    with the invariance imposed by every s != e, not the generators only,
+    """``ambient_vector_slice(amb, degree, tangent=tangent)`` with the
+    invariance imposed by every s != e, not the generators only,
     on dense rows: one per (condition slot, monomial), a column per
     unknown (ambient variable, standard monomial)."""
     ring = amb.ring

@@ -236,7 +236,7 @@ def test_criterion_5_randomized_property_suite():
             # mu: identity witness, flow witnesses, additivity of images
             from eqdeform.ambient import ambient_vector_slice
 
-            inv_derivs = list(ambient_vector_slice(amb, 1, invariant=True))
+            inv_derivs = list(ambient_vector_slice(amb, 1))
             for _ in range(4):
                 w0 = isomorphism_witness(d_can, d_can)
                 checks = [w0 is not None and w0.is_zero()]

@@ -10,6 +10,7 @@ from eqdeform.ambient import (
     AffinePresentation,
     NormalModule,
     NotCompleteIntersectionError,
+    _SliceCoordinates,
     ambient_vector_slice,
     choose_ambient,
     derivation_action,
@@ -20,7 +21,7 @@ from eqdeform.ambient import (
 )
 from eqdeform.cli import Workspace
 from eqdeform.fields import GF, QQ
-from eqdeform.gaction import close_group, reynolds
+from eqdeform.gaction import close_group
 from eqdeform.linalg import SpanBuilder
 from eqdeform.poly import PolyRing, canonical_render
 from eqdeform.problem import parse_problem
@@ -132,39 +133,47 @@ def test_choose_ambient_policy(ring, cusp, sign):
     assert choose_ambient(cusp, sign, mode="regular").kind == "regular"
 
 
+def _span_dim(field, coords, vectors) -> int:
+    span = SpanBuilder(field)
+    for v in vectors:
+        span.add(coords.row(v))
+    return span.dim
+
+
 def test_derivations_cusp(ring, cusp, sign):
     x, y = ring.gens()
-    gens, invariant = derivations(cusp, sign)
     amb = original_ambient(cusp, sign)
-    # Euler derivation is in the module and invariant
+    invariant = derivations(amb, 1)
+    # each basis vector is an invariant derivation of B
+    for d in invariant:
+        assert all(p.is_zero() for p in normal_image(amb, d))
+        assert derivation_action(amb, 1, d) == d
+    # the Euler derivation is invariant and lies in the degree <= 1 slice
     euler = (2 * x, 3 * y)
     assert derivation_action(amb, 1, euler) == euler
     assert all(p.is_zero() for p in normal_image(amb, euler))
-    for d in gens:
-        assert all(p.is_zero() for p in normal_image(amb, d))
-    for d in invariant:
-        assert derivation_action(amb, 1, d) == d
+    coords = _SliceCoordinates()
+    assert _span_dim(ring.field, coords, invariant + [euler]) == \
+        _span_dim(ring.field, coords, invariant) == len(invariant)
 
 
 def test_derivations_smooth_line():
     r = PolyRing(QQ, ["t"])
     line = AffinePresentation.build(r, [])
-    triv = close_group([], ring=r)
-    gens, invariant = derivations(line, triv)
-    assert gens == [(r.one,)]
-    assert invariant == [(r.one,)]
+    amb = original_ambient(line, close_group([], ring=r))
+    assert derivations(amb, 0) == [(r.one,)]
+    assert derivations(amb, 1) == [(r.one,), (r.var("t"),)]
 
 
 def test_derivation_slice_reynolds_cross_check(ring, cusp, sign):
-    """Invariant slice dimension: Reynolds projection vs direct solver."""
+    """Invariant slice dimension: Reynolds projection of the full tangent
+    slice (over the trivial group) vs the direct solver."""
     amb = original_ambient(cusp, sign)
+    plain = original_ambient(cusp, close_group([], ring=ring))
     field = ring.field
     for degree in (2, 3):
-        full = ambient_vector_slice(amb, degree, tangent=True)
-        inv = ambient_vector_slice(amb, degree, invariant=True, tangent=True)
-        from eqdeform.ambient import _SliceCoordinates
-
-        coords = _SliceCoordinates()
+        full = ambient_vector_slice(plain, degree, tangent=True)
+        inv = ambient_vector_slice(amb, degree, tangent=True)
         projected = []
         for d in full:
             total = (ring.zero, ring.zero)
@@ -173,13 +182,8 @@ def test_derivation_slice_reynolds_cross_check(ring, cusp, sign):
                               zip(total, derivation_action(amb, i, d)))
             projected.append(tuple(cusp.nf(c.scale(field.fraction(1, 2)))
                                    for c in total))
-        span_p = SpanBuilder(field)
-        for v in projected:
-            span_p.add(coords.row(v))
-        span_i = SpanBuilder(field)
-        for v in inv:
-            span_i.add(coords.row(v))
-        assert span_p.dim == span_i.dim
+        coords = _SliceCoordinates()
+        assert _span_dim(field, coords, projected) == _span_dim(field, coords, inv)
 
 
 def test_normal_module_action(ring, cusp, sign):
@@ -232,10 +236,7 @@ def test_semilinearity_of_twist(cusp, sign):
 
 def test_ambient_vector_slice_counts(cusp, sign):
     amb = original_ambient(cusp, sign)
-    plain = ambient_vector_slice(amb, 1)
-    # std monomials of degree <= 1 are {1, x, y}; two components
-    assert len(plain) == 6
-    inv = ambient_vector_slice(amb, 1, invariant=True)
+    inv = ambient_vector_slice(amb, 1)
     for v in inv:
         assert derivation_action(amb, 1, v) == v
 
@@ -252,5 +253,5 @@ def test_invariant_slice_matches_the_all_elements_oracle(name, degree, tangent):
     amb = Workspace(parse_problem(text)).ambient
     assert len(amb.action.generators) < len(amb.action) - 1
     assert (name == "trans_f3") == (amb.kind == "regular")
-    basis = ambient_vector_slice(amb, degree, invariant=True, tangent=tangent)
+    basis = ambient_vector_slice(amb, degree, tangent=tangent)
     assert basis == oracles.invariant_vector_slice(amb, degree, tangent)

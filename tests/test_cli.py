@@ -5,10 +5,12 @@ from pathlib import Path
 import pytest
 
 import eqdeform.cli
+import oracles
 from eqdeform.ambient import NormalModule
-from eqdeform.cli import main
+from eqdeform.cli import Workspace, main
 from eqdeform.cohomology import Cocycle
 from eqdeform.deform import LiftOutcome
+from eqdeform.problem import parse_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -390,3 +392,20 @@ def test_edge_inputs_never_raise(name, tmp_path):
 def test_iso_with_mismatched_eps_orders(first, second, capsys):
     code, out, _ = run_cli(["iso", first, second], capsys)
     assert code == 0 and "witness: none at slice 6" in out.splitlines()
+
+
+def test_tangent_on_the_regular_ambient_of_a_plane(tmp_path, capsys):
+    """T0_G is the invariant-derivation slice alone: on the 16-variable
+    regular ambient of this order-8 group no syzygy module is built."""
+    text = ("field F 2\nvars x y\nideal:\n"
+            "gen g0: y -> y + 1\ngen g1: x -> y, y -> x\n")
+    prob = tmp_path / "plane.prob"
+    prob.write_text(text)
+    code, out, err = run_cli(["tangent", str(prob), "--json"], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    amb = Workspace(parse_problem(text)).ambient
+    assert amb.kind == "regular" and amb.ring.nvars == 16
+    expected = oracles.invariant_vector_slice(amb, report["truncation"], tangent=True)
+    assert report["t0_dim"] == len(expected)
+    assert report["t1_dim"] == 0

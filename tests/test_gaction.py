@@ -7,9 +7,7 @@ from eqdeform.gaction import (
     ClosureBoundExceededError,
     NotInvertibleError,
     Substitution,
-    WildGroupOrderError,
     close_group,
-    reynolds,
     twist_matrices,
     verify_stability,
 )
@@ -153,26 +151,6 @@ def test_twist_cocycle_compatibility(ring):
             for l in range(c):
                 rhs = rhs + tw.exact[i][a][l] * gens[l]
             assert lhs == rhs
-
-
-def test_reynolds(ring):
-    x, y = ring.gens()
-    sign = close_group([{"y": -y}], ring=ring)
-    assert reynolds(x, sign) == x
-    assert reynolds(y, sign).is_zero()
-    g = close_group([{"x": y, "y": x}, {"y": -y}], ring=ring)
-    rng = random.Random(32)
-    for _ in range(10):
-        f = randpoly(ring, rng)
-        r = reynolds(f, g)
-        assert reynolds(r, g) == r
-        for i in g.indices():
-            assert g.apply(i, r) == r
-            assert reynolds(g.apply(i, f), g) == r
-    r2 = PolyRing(GF(2), ["x"])
-    g2 = close_group([{"x": r2.var("x") + 1}], ring=r2)
-    with pytest.raises(WildGroupOrderError):
-        reynolds(r2.var("x"), g2)
 
 
 def test_variable_orbits_free(ring):

@@ -9,7 +9,6 @@ from eqdeform.poly import (
     ParseError,
     PolyRing,
     canonical_render,
-    degree_slice,
     parse_polynomial,
     partial,
     substitute,
@@ -105,25 +104,6 @@ def test_substitute_large_exponent():
     r = PolyRing(QQ, ["x"])
     x = r.var("x")
     assert substitute(x**3000, {"x": -x}) == x**3000
-
-
-def test_degree_slice_examples(ring):
-    x, y = ring.gens()
-    f = y**2 - x**3
-    assert degree_slice(f, 2) == y**2
-    assert degree_slice(f, 0).is_zero()
-    g = ring.one + x + x**2
-    assert degree_slice(g, 1) == x
-
-
-def test_degree_slice_partitions(ring):
-    rng = random.Random(11)
-    for _ in range(20):
-        f = randpoly(ring, rng, terms=6, deg=4)
-        total = ring.zero
-        for d in range(f.degree() + 1 if f.degree() >= 0 else 0):
-            total = total + degree_slice(f, d)
-        assert total == f
 
 
 def test_render_examples(ring):

@@ -1,0 +1,63 @@
+"""The benchmark tracer's targets, checked in the tier-1 suite.
+
+``bench/tracer.py`` wraps eqdeform callables by name, so deleting or
+renaming one breaks every traced benchmark run.  It is loaded here the
+way ``tests/test_workloads.py`` loads ``bench/workloads.py``."""
+
+import importlib
+import runpy
+import sys
+from pathlib import Path
+
+import eqdeform.cli  # noqa: F401  (imports every module the tracer patches)
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = runpy.run_path(str(ROOT / "bench" / "tracer.py"))
+
+
+def _resolve(module: str, qualname: str):
+    obj = importlib.import_module("eqdeform." + module)
+    for part in qualname.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def _names() -> dict:
+    """Every name the tracer may patch: module globals and the traced
+    methods and constructors on their classes."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "eqdeform" or name.startswith("eqdeform."):
+            for key, value in vars(mod).items():
+                out[(name, key)] = value
+    for module, qualname in TRACER["TARGETS"]:
+        owner_name, _, attr = qualname.rpartition(".")
+        if not owner_name:
+            owner, attr = _resolve(module, qualname), "__init__"
+            if not isinstance(owner, type):
+                continue
+        else:
+            owner = _resolve(module, owner_name)
+        out[(owner, attr)] = owner.__dict__[attr]
+    return out
+
+
+def test_every_target_is_an_eqdeform_callable():
+    for module, qualname in TRACER["TARGETS"]:
+        assert callable(_resolve(module, qualname)), f"{module}.{qualname}"
+
+
+def test_install_and_uninstall_restore_every_name():
+    before = _names()
+    tracer = TRACER["Tracer"]()
+    tracer.install()
+    try:
+        during = _names()
+        changed = {key for key, value in before.items() if during[key] is not value}
+        assert ("eqdeform.ambient", "derivations") in changed
+        assert ("eqdeform.cli", "derivations") in changed
+    finally:
+        tracer.uninstall()
+    after = _names()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
