@@ -12,7 +12,7 @@ per (coordinate, group element) pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .gaction import GroupAction, StabilityError, Substitution, TwistMatrices, \
@@ -22,6 +22,7 @@ from .groebner import (
     RegularityCertificate,
     Representer,
     is_regular_sequence,
+    staircase,
 )
 from .linalg import kernel_basis
 from .poly import (
@@ -29,7 +30,6 @@ from .poly import (
     MonomialOrder,
     PolyRing,
     Polynomial,
-    monomial_divides,
     partial,
     substitute,
 )
@@ -49,9 +49,7 @@ class AffinePresentation:
 
     ring: PolyRing
     gens: tuple
-    gb: GroebnerBasis
     certificate: RegularityCertificate
-    _std_cache: dict = dataclass_field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, ring: PolyRing, gens) -> "AffinePresentation":
@@ -62,7 +60,12 @@ class AffinePresentation:
                 f"generators are not a regular sequence: quotient dimension "
                 f"{cert.quotient_dimension}, expected {cert.expected_dimension}"
             )
-        return cls(ring, gens, cert.gb, cert)
+        return cls(ring, gens, cert)
+
+    @property
+    def gb(self) -> GroebnerBasis:
+        """The reduced Groebner basis the certificate was read from."""
+        return self.certificate.gb
 
     @property
     def nvars(self) -> int:
@@ -76,16 +79,17 @@ class AffinePresentation:
         """Cofactors over the generators; None when there are none."""
         return Representer(list(self.gens)) if self.gens else None
 
+    @cached_property
+    def _std_monomials(self) -> dict:
+        """degree -> standard monomials of degree <= degree, filled on demand."""
+        return {}
+
     def std_monomials_upto(self, degree: int):
         """Standard monomials of B (not divisible by any leading term), by degree."""
-        if degree not in self._std_cache:
-            lts = [g.leading_monomial() for g in self.gb.generators]
-            out = []
-            for m in self.ring.monomials_upto(degree):
-                if not any(monomial_divides(lt, m) for lt in lts):
-                    out.append(m)
-            self._std_cache[degree] = out
-        return self._std_cache[degree]
+        if degree not in self._std_monomials:
+            lts = [(0, g.leading_monomial()) for g in self.gb.generators]
+            self._std_monomials[degree] = [m for _, m in staircase(self.ring, 1, lts, degree)]
+        return self._std_monomials[degree]
 
     @cached_property
     def jacobian(self) -> tuple:
@@ -148,7 +152,18 @@ def original_ambient(p: AffinePresentation, g: GroupAction) -> EquivariantAmbien
 
 def regular_rep_embedding(p: AffinePresentation, g: GroupAction) -> EquivariantAmbient:
     """The regular-representation ambient: variables X_{i,s} with
-    sigma(X_{i,s}) = X_{i,sigma*s}, evaluation X_{i,s} -> s(x_i)."""
+    sigma(X_{i,s}) = X_{i,sigma*s}, evaluation X_{i,s} -> s(x_i).
+
+    The ideal is (f(X_{.,0})) plus the graph X_{i,k} - L_{i,k}(X_{.,0}),
+    k >= 1, with L_{i,k} = NF_f(sigma_k(x_i)); so k[X]/I' = B, and its
+    basis and certificate come from p.  The basis of f in X_{.,0} plus
+    the graph is reduced: X_{i,k}, after X_{.,0}, leads under lex, and
+    under grevlex since the action is affine (deg L_{i,k} <= 1); the two
+    groups have coprime leading terms, and the tails are normal forms.
+    The quotient dimension is that of B, and n|G| - (c + n(|G|-1)) = n - c.
+    I' = ker phi' is stable: phi'(tau X_{i,s}) = (tau s)(x_i) =
+    tau(phi'(X_{i,s})), and tau stabilizes (f).
+    """
     if not verify_stability(p.gb, g):
         raise StabilityError("the group does not stabilize the ideal")
     ring = p.ring
@@ -176,18 +191,14 @@ def regular_rep_embedding(p: AffinePresentation, g: GroupAction) -> EquivariantA
     embed_images = [bigvar(i, 0) for i in range(n)]
 
     section = dict(zip(ring.variables, embed_images))
-    gens = [substitute(f, section) for f in p.gens]
-    for k in range(1, size):
-        for i in range(n):
-            gens.append(bigvar(i, k) - substitute(var_images[k * n + i], section))
-    gens = tuple(gens)
-    cert = is_regular_sequence(gens, ring=big)
-    if not cert.regular:
-        raise NotCompleteIntersectionError(
-            "regular-representation embedding lost the regular sequence "
-            f"(dim {cert.quotient_dimension}, expected {cert.expected_dimension})"
-        )
-    big_pres = AffinePresentation(big, gens, cert.gb, cert)
+    graph = [bigvar(i, k) - substitute(var_images[k * n + i], section)
+             for k in range(1, size) for i in range(n)]
+    gens = tuple(substitute(f, section) for f in p.gens) + tuple(graph)
+    basis = GroebnerBasis.of_reduced(
+        big, [substitute(f, section) for f in p.gb.generators] + graph)
+    cert = RegularityCertificate(True, p.certificate.quotient_dimension,
+                                 big.nvars - len(gens), big.nvars, len(gens), basis)
+    big_pres = AffinePresentation(big, gens, cert)
 
     # left translation on the sigma index keeps phi' equivariant for the
     # covariant composition convention of GroupAction
@@ -200,11 +211,8 @@ def regular_rep_embedding(p: AffinePresentation, g: GroupAction) -> EquivariantA
                 images[j * n + i] = bigvar(i, target)
         elements.append(Substitution(big, images))
     big_action = GroupAction(big, elements, g.table, g.inverse, g.generators)
-    amb = EquivariantAmbient(big_pres, big_action, p, "regular",
-                             var_images, embed_images)
-    if not verify_stability(cert.gb, big_action):
-        raise StabilityError("regular-representation ideal is not stable")
-    return amb
+    return EquivariantAmbient(big_pres, big_action, p, "regular",
+                              var_images, embed_images)
 
 
 def choose_ambient(p: AffinePresentation, g: GroupAction,

@@ -22,7 +22,6 @@ from .poly import (
     ContextMismatchError,
     PolyRing,
     Polynomial,
-    monomial_degree,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -224,6 +223,13 @@ class GroebnerBasis:
             (vec_from_polys([g]), (0, g.leading_monomial())) for g in generators
         ]
 
+    @classmethod
+    def of_reduced(cls, ring: PolyRing, polys) -> "GroebnerBasis":
+        """Polynomials known to form a reduced, monic Groebner basis, in
+        the order ``buchberger`` returns them."""
+        return cls(ring, tuple(sorted(
+            polys, key=lambda g: _vec_canonical_key(ring, vec_from_polys([g])))))
+
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring is not self.ring:
             raise ContextMismatchError("polynomial not in the basis ring")
@@ -389,50 +395,49 @@ class QuotientBasis:
     truncated_at: int | None
 
 
-def _position_finite(ring: PolyRing, lead_monomials) -> bool:
-    if any(monomial_degree(m) == 0 for m in lead_monomials):
-        return True  # the whole component dies
-    if ring.nvars == 0:
-        return True
-    for i in range(ring.nvars):
-        if not any(
-            m[i] > 0 and all(e == 0 for j, e in enumerate(m) if j != i)
-            for m in lead_monomials
-        ):
-            return False
-    return True
+def staircase(ring: PolyRing, rank: int, leading_terms, degree: int | None):
+    """Standard terms (position, monomial) of P^rank modulo the leading
+    terms, by (degree, position, order key), up to degree (all of them
+    when None, which needs a finite quotient).  Standard monomials are
+    closed under division, so each degree grows from the one below, by a
+    variable at or after the last one used and never by a variable that
+    is itself a leading term."""
+    n = ring.nvars
+    by_pos = [[m for p, m in leading_terms if p == pos] for pos in range(rank)]
+    free = [[j for j in range(n) if not any(sum(m) == m[j] == 1 for m in lms)]
+            for lms in by_pos]
+    walls = [[m for m in lms if sum(m) > 1] for lms in by_pos]
+    level = [(pos, (0,) * n) for pos, lms in enumerate(by_pos) if all(map(any, lms))]
+    out = []
+    while level and (degree is None or sum(level[0][1]) <= degree):
+        out.extend(level)
+        grown = []
+        for pos, m in level:
+            last = max((i for i, e in enumerate(m) if e), default=0)
+            for j in free[pos]:
+                if j >= last:
+                    up = m[:j] + (m[j] + 1,) + m[j + 1:]
+                    if not any(monomial_divides(w, up) for w in walls[pos]):
+                        grown.append((pos, up))
+        level = sorted(grown, key=lambda t: (t[0], ring.order.key(t[1])))
+    return out
 
 
 def quotient_basis(gb: ModuleGB, trunc: int | None = None) -> QuotientBasis:
     """Standard monomials of the quotient module with the Groebner basis
     gb (``ModulePresentation.groebner``); exact dimension when finite,
     otherwise all standard monomials up to trunc with the infinite flag."""
-    ring = gb.ring
-    by_pos: dict[int, list] = {p: [] for p in range(gb.rank)}
-    for (pos, m) in gb.leading_terms():
-        by_pos[pos].append(m)
-    finite = all(_position_finite(ring, by_pos[p]) for p in range(gb.rank))
-    monomials = []
-    d = 0
-    while True:
-        level = []
-        for m in ring.monomials_of_degree(d):
-            for p in range(gb.rank):
-                if not any(monomial_divides(lm, m) for lm in by_pos[p]):
-                    level.append((p, m))
-        level.sort(key=lambda t: (t[0], ring.order.key(t[1])))
-        if finite:
-            if not level:
-                break
-            monomials.extend(level)
-            d += 1
-        else:
-            if trunc is None or d > trunc:
-                break
-            monomials.extend(level)
-            d += 1
+    lts = gb.leading_terms()
+    # finite: each position has a unit or a pure power of every variable
+    finite = all(
+        (pos, (0,) * gb.ring.nvars) in lts
+        or all(any(p == pos and m[i] == sum(m) > 0 for p, m in lts)
+               for i in range(gb.ring.nvars))
+        for pos in range(gb.rank))
     if finite:
+        monomials = staircase(gb.ring, gb.rank, lts, None)
         return QuotientBasis(True, len(monomials), tuple(monomials), None)
+    monomials = staircase(gb.ring, gb.rank, lts, trunc) if trunc is not None else ()
     return QuotientBasis(False, None, tuple(monomials), trunc)
 
 

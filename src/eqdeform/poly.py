@@ -25,35 +25,27 @@ class ParseError(ValueError):
 
 
 class MonomialOrder:
-    """Total monomial order: 'grevlex' or 'lex' over a variable permutation.
+    """Total monomial order: 'grevlex' or 'lex'.
 
-    Variables are ordered by their position after the permutation, the
-    last position being the most significant (so declaring ``vars x y``
-    gives x < y).
+    Variables are ordered by position, the last position being the most
+    significant (so declaring ``vars x y`` gives x < y).
     """
 
-    def __init__(self, kind: str = "grevlex", permutation: tuple[int, ...] | None = None):
+    def __init__(self, kind: str = "grevlex"):
         if kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown monomial order {kind!r}")
         self.kind = kind
-        self.permutation = permutation
 
     def key(self, exps: tuple[int, ...]):
-        if self.permutation is not None:
-            exps = tuple(exps[i] for i in self.permutation)
         if self.kind == "grevlex":
             return (sum(exps), tuple(-e for e in exps))
         return tuple(reversed(exps))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and other.kind == self.kind
-            and other.permutation == self.permutation
-        )
+        return isinstance(other, MonomialOrder) and other.kind == self.kind
 
     def __hash__(self):
-        return hash((self.kind, self.permutation))
+        return hash(self.kind)
 
     def __repr__(self):
         return f"MonomialOrder({self.kind!r})"
@@ -118,13 +110,9 @@ class PolyRing:
         return Polynomial(self, clean)
 
     def monomials_upto(self, degree: int):
-        """All exponent tuples of total degree <= degree, by degree then order."""
-        out = []
-        for d in range(degree + 1):
-            out.extend(self.monomials_of_degree(d))
-        return out
-
-    def monomials_of_degree(self, d: int):
+        """All exponent tuples of total degree <= degree, by degree then
+        order.  A brute-force listing: the standard monomials of a
+        quotient come from ``groebner.staircase``."""
         def rec(prefix, remaining, slots):
             if slots == 1:
                 yield prefix + (remaining,)
@@ -133,10 +121,11 @@ class PolyRing:
                 yield from rec(prefix + (e,), remaining - e, slots - 1)
 
         if self.nvars == 0:
-            return [()] if d == 0 else []
-        monos = list(rec((), d, self.nvars))
-        monos.sort(key=self.order.key)
-        return monos
+            return [()] if degree >= 0 else []
+        out = []
+        for d in range(degree + 1):
+            out.extend(sorted(rec((), d, self.nvars), key=self.order.key))
+        return out
 
     def __repr__(self):
         return f"{self.field}[{', '.join(self.variables)}]"

@@ -21,9 +21,10 @@ from eqdeform.ambient import (
 )
 from eqdeform.cli import Workspace
 from eqdeform.fields import GF, QQ
-from eqdeform.gaction import close_group
+from eqdeform.gaction import close_group, verify_stability
+from eqdeform.groebner import buchberger, is_regular_sequence
 from eqdeform.linalg import SpanBuilder
-from eqdeform.poly import PolyRing, canonical_render
+from eqdeform.poly import MonomialOrder, PolyRing, canonical_render
 from eqdeform.problem import parse_problem
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,9 +53,10 @@ def test_presentation_requires_regular_sequence(ring):
 
 
 def test_one_groebner_basis_per_presentation(monkeypatch):
-    """The presentation and the regular-representation embedding each run
-    Buchberger once: the regularity certificate carries the basis it was
-    read from."""
+    """The presentation runs Buchberger once, and the regularity
+    certificate carries the basis it was read from; the
+    regular-representation embedding writes its basis down without
+    running it."""
     calls = []
     buchberger = eqdeform.groebner.buchberger
 
@@ -71,7 +73,7 @@ def test_one_groebner_basis_per_presentation(monkeypatch):
     assert len(calls) == 1
     swap = close_group([{"x": y, "y": x}], ring=r2)
     amb = regular_rep_embedding(node, swap)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert node.gb is node.certificate.gb
     assert amb.pres.gb is amb.pres.certificate.gb
 
@@ -114,6 +116,51 @@ def test_regular_rep_translation_line():
     assert amb.kind == "regular"
     assert [canonical_render(f) for f in amb.pres.gens] == ["x_g1 + x_g0 + 1"]
     assert amb.pres.certificate.quotient_dimension == 1
+
+
+GRAPH_CASES = {
+    "trans_f3": (ROOT / "bench/problems/trans_f3.prob").read_text(),
+    "line_f2": (ROOT / "problems/line_f2.prob").read_text(),
+    "cusp_q": (ROOT / "problems/cusp_q.prob").read_text(),
+    "node_f2": (ROOT / "problems/node_f2.prob").read_text(),
+    "parabola_q": "field Q\nvars x y\nideal: y - x^2\ngen s: x -> -x\n",
+    "trivial_group": "field Q\nvars x y\nideal: y^2 - x^3\n",
+    "empty_ideal": "field F 2\nvars x y\nideal:\ngen t: x -> y + 1, y -> x\n",
+}
+
+
+def _forced_regular_ambient(text: str, kind: str):
+    """The regular ambient of a problem, with the monomial order kind."""
+    prob = parse_problem(text)
+    ring = PolyRing(prob.field, prob.variables, MonomialOrder(kind))
+
+    def move(f):
+        return ring.from_terms(f.terms)
+
+    pres = AffinePresentation.build(ring, [move(c[0]) for c in prob.ideal])
+    maps = [{v: move(img) for v, img in m.items()} for _, m in prob.group_maps]
+    return regular_rep_embedding(pres, close_group(maps, ring=ring))
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+@pytest.mark.parametrize("name", sorted(GRAPH_CASES))
+def test_regular_ambient_is_a_graph(name, kind):
+    """The closed-form basis, certificate and stability of the regular
+    ambient agree with Buchberger, the dimension count and the stability
+    check run in the big ring."""
+    amb = _forced_regular_ambient(GRAPH_CASES[name], kind)
+    assert amb.kind == "regular"
+    assert amb.pres.gb == buchberger(amb.pres.gens, ring=amb.ring)
+    assert amb.pres.certificate == is_regular_sequence(amb.pres.gens, ring=amb.ring)
+    assert verify_stability(amb.pres.gb, amb.action)
+    # the standard monomials are those of the original presentation in X_{.,0}
+    n = amb.origin.nvars
+    embedded = [m + (0,) * (amb.ring.nvars - n)
+                for m in amb.origin.std_monomials_upto(3)]
+    assert amb.pres.std_monomials_upto(3) == embedded
+    if (name, kind) == ("parabola_q", "lex"):
+        # NF(y) = x^2: the graph generator of y leads with a degree-2 tail
+        assert max(g.degree() for g in amb.pres.gb.generators) == 2
 
 
 def test_choose_ambient_policy(ring, cusp, sign):

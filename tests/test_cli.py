@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -409,3 +410,21 @@ def test_tangent_on_the_regular_ambient_of_a_plane(tmp_path, capsys):
     expected = oracles.invariant_vector_slice(amb, report["truncation"], tangent=True)
     assert report["t0_dim"] == len(expected)
     assert report["t1_dim"] == 0
+
+
+def test_check_on_a_48_variable_regular_ambient(tmp_path, capsys):
+    """(Z/2)^3 swapping a<->b, c<->d and e<->f has no free variable orbit,
+    so its ambient is regular, with 48 variables; the basis and the
+    certificate there come from the six-variable presentation."""
+    prob = tmp_path / "z2cube.prob"
+    prob.write_text("field F 2\nvars a b c d e f\nideal: a*b + c*d + e*f\n"
+                    "gen s: a -> b, b -> a\ngen t: c -> d, d -> c\n"
+                    "gen u: e -> f, f -> e\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(["check", str(prob)], capsys)
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    lines = out.splitlines()
+    assert "ambient: regular" in lines
+    assert "regular sequence: ok (dim 5 = 6 - 1)" in lines
+    assert elapsed < 1.0

@@ -4,6 +4,7 @@ import pytest
 
 from eqdeform.fields import GF, QQ
 from eqdeform.groebner import (
+    ModuleGB,
     ModulePresentation,
     Representer,
     buchberger,
@@ -11,10 +12,11 @@ from eqdeform.groebner import (
     krull_dimension,
     module_kernel,
     quotient_basis,
+    staircase,
     syzygies,
     vec_from_polys,
 )
-from eqdeform.poly import MonomialOrder, PolyRing, canonical_render
+from eqdeform.poly import MonomialOrder, PolyRing, canonical_render, monomial_divides
 
 from oracles import bounded_kernel_elements, bounded_membership, module_quotient_slice_dim
 
@@ -226,6 +228,77 @@ def test_quotient_basis_permutation_invariant(ring):
         pres = ModulePresentation(ring, 1, tuple(rels[i] for i in perm), gb)
         dims.add(quotient_basis(pres.groebner()).dimension)
     assert len(dims) == 1
+
+
+def _filtered_monomials(ring, rank, leading_terms, degree):
+    """Brute-force staircase: every term of degree <= degree that no
+    leading term divides, by (degree, position, order key)."""
+    out = [(pos, m) for m in ring.monomials_upto(degree) for pos in range(rank)
+           if not any(p == pos and monomial_divides(lm, m) for p, lm in leading_terms)]
+    out.sort(key=lambda t: (sum(t[1]), t[0], ring.order.key(t[1])))
+    return out
+
+
+def test_staircase_examples():
+    ring = PolyRing(QQ, ["x", "y"])
+    box = [(0, (2, 0)), (0, (0, 2))]
+    assert staircase(ring, 1, box, None) == [
+        (0, (0, 0)), (0, (1, 0)), (0, (0, 1)), (0, (1, 1))]
+    assert staircase(ring, 1, box, 0) == [(0, (0, 0))]
+    # a unit leading term kills its position; a variable never occurs
+    assert staircase(ring, 2, [(0, (0, 0)), (1, (1, 0))], 2) == [
+        (1, (0, 0)), (1, (0, 1)), (1, (0, 2))]
+
+
+def test_staircase_matches_the_brute_force_filter():
+    """Seeded random monomial submodules of P^rank: the staircase equals
+    the filter of all monomials, and quotient_basis reads it, with the
+    finite stop and the truncation of infinite quotients."""
+    rng = random.Random(31)
+    seen = {"unit": 0, "finite": 0, "infinite": 0}
+    for _ in range(300):
+        nvars = rng.randrange(5)
+        rank = rng.randrange(1, 4)
+        kind = rng.choice(["grevlex", "lex"])
+        ring = PolyRing(GF(3), [f"x{i}" for i in range(nvars)], MonomialOrder(kind))
+        lts = []
+        for pos in range(rank):
+            for _ in range(rng.randrange(4)):
+                lts.append((pos, tuple(rng.randrange(3) for _ in range(nvars))))
+            shape = rng.randrange(4)
+            if shape == 0:
+                lts.append((pos, (0,) * nvars))
+                seen["unit"] += 1
+            elif shape == 1:
+                for i in range(nvars):
+                    lts.append((pos, tuple(rng.randrange(1, 4) if j == i else 0
+                                           for j in range(nvars))))
+        # finite: at each position a unit, or a pure power of every variable
+        finite = all(
+            (pos, (0,) * nvars) in lts
+            or all(any(p == pos and m[i] and sum(m) == m[i] for p, m in lts)
+                   for i in range(nvars))
+            for pos in range(rank))
+        for degree in range(5):
+            assert staircase(ring, rank, lts, degree) == \
+                _filtered_monomials(ring, rank, lts, degree)
+        gb = ModuleGB(ring, rank, [{t: ring.field.one} for t in lts])
+        assert quotient_basis(gb).finite == finite
+        if finite:
+            seen["finite"] += 1
+            # every standard monomial has degree below 3 per variable
+            full = _filtered_monomials(ring, rank, lts, 3 * nvars)
+            assert staircase(ring, rank, lts, None) == full
+            qb = quotient_basis(gb, trunc=1)
+            assert qb.dimension == len(full) and qb.monomials == tuple(full)
+            assert qb.truncated_at is None
+        else:
+            seen["infinite"] += 1
+            qb = quotient_basis(gb, trunc=3)
+            assert not qb.finite and qb.dimension is None and qb.truncated_at == 3
+            assert qb.monomials == tuple(_filtered_monomials(ring, rank, lts, 3))
+            assert quotient_basis(gb).monomials == ()
+    assert min(seen.values()) > 20, seen
 
 
 def test_regular_sequences(ring):
