@@ -300,6 +300,30 @@ class Cocycle:
             if i != module.amb.action.identity_index
         }
 
+    @classmethod
+    def from_generators(cls, module: NormalModule, values: dict) -> "Cocycle":
+        """The cocycle with the given values {s: c(s)} on the generators.
+
+        Every other element is reached breadth-first from e by right
+        multiplication with a generator, and c(ag) = a.c(g) + c(a).  The
+        values must come from a cocycle: only then is the result one."""
+        group = module.amb.action
+        if all(p.is_zero() for v in values.values() for p in v):
+            return cls(module, {})
+        out = {group.identity_index: module.zero(), **values}
+        frontier = list(values)
+        while frontier:
+            new_frontier = []
+            for a in frontier:
+                for g in group.generators:
+                    ag = group.mul(a, g)
+                    if ag not in out:
+                        acted = module.act(a, values[g])
+                        out[ag] = tuple(x + y for x, y in zip(acted, out[a]))
+                        new_frontier.append(ag)
+            frontier = new_frontier
+        return cls(module, out)
+
     def value(self, i: int):
         if i == self.module.amb.action.identity_index:
             return self.module.zero()

@@ -6,10 +6,16 @@ forms, so there is no Groebner theory over non-field coefficients
 anywhere.  eps_divide keeps only the final remainder, and stage 0 of
 every equivariance division reads the twist cofactors of sigma(f_j)
 (amb.twists.exact) instead of dividing sigma(f_j) again; the group
-acts on nonzero eps coefficients only.  Flatness of coefficientwise
-lifts of a regular sequence is structural; verify_deformation reads
-the presentation's regular-sequence certificate instead of attempting a
-general flatness test.
+acts on nonzero eps coefficients only.
+
+The group is read through its generators.  The equivariance divisions
+run at the inverses s^-1 of the generators only: they generate G, so an
+ideal they stabilize is G-stable.  The defect cocycle is taken at the
+generators from those divisions and extended to every element by the
+cocycle identity (Cocycle.from_generators).  Flatness of
+coefficientwise lifts of a regular sequence is structural (every
+presentation is a certified regular sequence), so eps_divide is a
+membership test and no general flatness test is attempted.
 
 Sign conventions, fixed once and exercised by round-trip tests:
 shifting a lift by a class nu replaces F_j by F_j - eps^m nu_j, and the
@@ -188,12 +194,6 @@ class Deformation:
         certify_equivariance(amb, d.gens)
         return d
 
-    def truncated(self, order: int) -> "Deformation":
-        gens = tuple(g.truncate(order) for g in self.gens)
-        d = Deformation(self.amb, order, gens)
-        certify_equivariance(self.amb, gens)
-        return d
-
     def __repr__(self):
         return (f"Deformation(order {self.order}: "
                 + "; ".join(repr(g) for g in self.gens) + ")")
@@ -238,21 +238,20 @@ def eps_divide(h: EpsPoly, gens, representer, allow_final_remainder=False,
 
 def _equivariance_remainders(amb: EquivariantAmbient, gens,
                              allow_final_remainder=False):
-    """Per element index i, the final-order remainders of dividing each
-    sigma_i(F_j) by the lifted generators (None where exact).
+    """Per generator s, keyed by the index i of s^-1, the final-order
+    remainders of dividing each s^-1(F_j) by the lifted generators (None
+    where exact).
 
     The generators must reduce to the ambient presentation mod eps, so
-    the stage-0 cofactors are the twist row of sigma_i(f_j)."""
+    the stage-0 cofactors are the twist row of s^-1(f_j)."""
     action = amb.action
     if len(gens) != len(amb.pres.gens) or any(
             g.coeff(0) != f for g, f in zip(gens, amb.pres.gens)):
         raise DeformationError("reduction mod eps is not the base presentation")
-    if not gens:
-        return {i: [] for i in action.indices()}
     rep = amb.pres.representer
     twist = amb.twists.exact
     out = {}
-    for i in action.indices():
+    for i in map(action.inv, action.generators):
         row = []
         for j, g in enumerate(gens):
             moved = g.map_coeffs(
@@ -264,43 +263,37 @@ def _equivariance_remainders(amb: EquivariantAmbient, gens,
 
 
 def certify_equivariance(amb: EquivariantAmbient, gens) -> None:
-    """Check that every sigma(F_j) divides out over the lifted generators
-    (eps_divide); raises DeformationError when the lift is not equivariant."""
+    """Check that s^-1(F_j) divides out over the lifted generators
+    (eps_divide) for every generator s; raises DeformationError when the
+    lift is not equivariant.
+
+    This is a complete certificate: the inverses of the generators
+    generate G, so an ideal they stabilize is stable under every element.
+    The identity and the other elements are never divided."""
     _equivariance_remainders(amb, tuple(gens))
 
 
 @dataclass
 class DeformationCheck:
-    base_ok: bool
     equivariance_ok: bool
-    regular_ok: bool
     failures: list
 
     @property
     def ok(self) -> bool:
-        return self.base_ok and self.equivariance_ok and self.regular_ok
+        return self.equivariance_ok
 
 
 def verify_deformation(d: Deformation) -> DeformationCheck:
-    """Check every certificate: the base reduction, per-element division
-    over the artinian base, and the regular-sequence certificate of the
-    presentation, whose generators the base reduction must equal."""
-    failures = []
-    base_ok = all(
-        g.coeff(0) == f for g, f in zip(d.gens, d.amb.pres.gens)
-    ) and len(d.gens) == len(d.amb.pres.gens)
-    if not base_ok:
-        failures.append("mod-eps reduction does not match the base generators")
-    equi_ok = True
+    """Re-run the equivariance certificate of a deformation.
+
+    Its base reduction is checked when it is built, and the presentation
+    it reduces to is a certified regular sequence, so its coefficientwise
+    lift is flat."""
     try:
         certify_equivariance(d.amb, d.gens)
     except DeformationError as exc:
-        equi_ok = False
-        failures.append(f"equivariance: {exc}")
-    regular_ok = d.amb.pres.certificate.regular
-    if not regular_ok:
-        failures.append("mod-eps reduction is not a regular sequence")
-    return DeformationCheck(base_ok, equi_ok, regular_ok, failures)
+        return DeformationCheck(False, [f"equivariance: {exc}"])
+    return DeformationCheck(True, [])
 
 
 def ideal_equal(d1: Deformation, d2: Deformation) -> bool:
@@ -347,8 +340,7 @@ class DifferenceClass:
         return "DifferenceClass(" + ", ".join(repr(p) for p in self.vector) + ")"
 
 
-def difference_class(d1: Deformation, d2: Deformation,
-                     require_invariant: bool = True) -> DifferenceClass:
+def difference_class(d1: Deformation, d2: Deformation) -> DifferenceClass:
     """The normal-module class (F_j^1 - F_j^2)/eps^m of two lifts that
     agree below the top order."""
     _check_compatible(d1, d2)
@@ -362,13 +354,12 @@ def difference_class(d1: Deformation, d2: Deformation,
         for g1, g2 in zip(d1.gens, d2.gens)
     )
     cls = DifferenceClass(d1.amb, vec)
-    if require_invariant:
-        N = NormalModule(d1.amb)
-        for i in d1.amb.action.generators:
-            if N.act(i, cls.vector) != cls.vector:
-                raise DeformationError(
-                    "difference class is not invariant; are both lifts equivariant?"
-                )
+    N = NormalModule(d1.amb)
+    for i in d1.amb.action.generators:
+        if N.act(i, cls.vector) != cls.vector:
+            raise DeformationError(
+                "difference class is not invariant; are both lifts equivariant?"
+            )
     return cls
 
 
@@ -453,9 +444,15 @@ def default_truncation(amb: EquivariantAmbient) -> int:
     return 2 * max(degs, default=1)
 
 
-def _mech_defect(d: Deformation, lift_gens):
-    """Peeling remainders w with sigma(F_j') = sum_l S[j][l] F_l' + eps^M w_j,
-    and whether every division, the identity's included, was exact."""
+def obstruction_cocycle(d: Deformation, lift_gens) -> Cocycle:
+    """The equivariance-defect cocycle of a (possibly non-equivariant)
+    lift of d, in standard form for the normal-module action.
+
+    For a generator s, w_j is the eps^(m+1) remainder of dividing
+    s^-1(F_j') by the lifted generators, and c(s) = NF(s(w)); this makes
+    c(st) = s.c(t) + c(s) hold on the nose, which fixes c at every other
+    element.  A zero cocycle means every division was exact: w is only
+    returned when it lies outside the ideal, which s stabilizes."""
     amb = d.amb
     order = d.order + 1
     for g, base_g in zip(lift_gens, d.gens):
@@ -465,39 +462,13 @@ def _mech_defect(d: Deformation, lift_gens):
             raise DeformationError("generators do not lift the given deformation")
     remainders = _equivariance_remainders(amb, tuple(lift_gens),
                                           allow_final_remainder=True)
-    mech = {
-        i: tuple(amb.ring.zero if w is None else amb.pres.nf(w) for w in row)
-        for i, row in remainders.items()
-    }
-    exact = all(w is None for row in remainders.values() for w in row)
-    return mech, exact
-
-
-def _defect_cocycle(d: Deformation, lift_gens):
-    """obstruction_cocycle, and whether the lift is already equivariant
-    (every division of sigma(F_j') exact, so it needs no certification)."""
-    amb = d.amb
-    mech, exact = _mech_defect(d, lift_gens)
     action = amb.action
-    values = {}
-    for i in action.indices():
-        if i == action.identity_index:
-            continue
-        raw = mech[action.inv(i)]
-        values[i] = tuple(w if w.is_zero() else amb.pres.nf(action.apply(i, w))
-                          for w in raw)
-    return Cocycle(NormalModule(amb), values), exact
-
-
-def obstruction_cocycle(d: Deformation, lift_gens) -> Cocycle:
-    """The equivariance-defect cocycle of a (possibly non-equivariant)
-    lift of d, in standard form for the normal-module action.
-
-    The raw defect of sigma is the eps^(m+1) remainder of dividing
-    sigma(F_j') by the lifted generators; the standard-form value at
-    sigma applies sigma to the raw defect of sigma^(-1), which makes
-    c(st) = s.c(t) + c(s) hold on the nose."""
-    return _defect_cocycle(d, lift_gens)[0]
+    values = {
+        s: tuple(amb.ring.zero if w is None else amb.pres.nf(action.apply(s, w))
+                 for w in remainders[action.inv(s)])
+        for s in action.generators
+    }
+    return Cocycle.from_generators(NormalModule(amb), values)
 
 
 def is_graded_setup(amb: EquivariantAmbient) -> bool:
@@ -529,16 +500,14 @@ def equivariantize(d: Deformation, lift_gens,
     When the defect cocycle c is nonzero we solve s.phi - phi = -c on a
     G-stable slice and replace F_j' by F_j' - eps^(m+1) phi_j, which
     cancels the defect exactly; the corrected lift is re-certified.  A
-    lift whose defect divisions were all exact already passed the same
-    divisions certify_equivariance runs, so it is not certified twice."""
+    zero defect means the lift passed the divisions certify_equivariance
+    runs, so it is returned as it is."""
     amb = d.amb
     order = d.order + 1
-    c, exact = _defect_cocycle(d, lift_gens)
+    c = obstruction_cocycle(d, lift_gens)
     if c.is_zero():
-        out = Deformation(amb, order, tuple(lift_gens))
-        if not exact:
-            certify_equivariance(amb, out.gens)
-        return LiftOutcome(True, out, None, "exact")
+        return LiftOutcome(True, Deformation(amb, order, tuple(lift_gens)),
+                           None, "exact")
     N = NormalModule(amb)
     bound = (trunc if trunc is not None else default_truncation(amb)) + SLACK
     others = [i for i in amb.action.indices() if i != amb.action.identity_index]

@@ -546,3 +546,26 @@ def eps_divide(h: EpsPoly, gens, representer, allow_final_remainder=False):
             S[l] = S[l] + piece
             r = r - piece * gens[l]
     return S, None
+
+
+def defect_cocycle(amb, gens):
+    """(values, exact) for a lift ``gens`` of an equivariant deformation:
+    sigma(F_j) is divided for every sigma != e, not the generators'
+    inverses only, and c(sigma) = NF(sigma(w_{sigma^-1})) with w the
+    final remainders; ``exact`` says whether every division was exact."""
+    action = amb.action
+    others = [i for i in action.indices() if i != action.identity_index]
+    remainders = {}
+    for i in others:
+        remainders[i] = []
+        for g in gens:
+            moved = g.map_coeffs(lambda c: action.apply(i, c))
+            remainders[i].append(eps_divide(moved, list(gens), amb.pres.representer,
+                                            allow_final_remainder=True)[1])
+    values = {
+        s: tuple(amb.ring.zero if w is None else amb.pres.nf(action.apply(s, w))
+                 for w in remainders[action.inv(s)])
+        for s in others
+    }
+    exact = all(w is None for row in remainders.values() for w in row)
+    return values, exact

@@ -8,6 +8,7 @@ from eqdeform import cohomology, linalg
 from eqdeform.ambient import AffinePresentation, NormalModule, choose_ambient
 from eqdeform.cli import Workspace
 from eqdeform.cohomology import (
+    Cocycle,
     CocycleError,
     GModuleSlice,
     _unit_coboundaries,
@@ -366,6 +367,34 @@ def test_h1_representatives_are_cocycles():
         # single nontrivial group element: the identity reduces to (1+s)c = 0
         c = oracles.dense(GF(2), z[s], small.dim)
         assert oracles._act(small, s, c) == c
+
+
+@pytest.mark.parametrize("path", ["bench/problems/d4_f2.prob",
+                                  "bench/problems/klein_f2.prob",
+                                  "bench/problems/cyc3_f3.prob",
+                                  "bench/problems/trans_f3.prob"])
+def test_cocycle_from_generators_extends_coboundaries(path):
+    """The coboundary s -> s.phi - phi of a random normal vector phi,
+    given on the generators, is rebuilt at every element (D4 is not
+    abelian, so the side of the multiplication matters)."""
+    amb = Workspace(parse_problem((ROOT / path).read_text())).ambient
+    N = NormalModule(amb)
+    group = amb.action
+    rng = random.Random(path)
+    monos = amb.pres.std_monomials_upto(2)
+    nonzero = 0
+    for _ in range(3):
+        phi = tuple(amb.ring.monomial(rng.choice(monos), rng.randint(1, 2))
+                    for _ in range(N.rank))
+        full = {s: tuple(a - b for a, b in zip(N.act(s, phi), phi))
+                for s in group.indices() if s != group.identity_index}
+        c = Cocycle.from_generators(N, {s: full[s] for s in group.generators})
+        assert {s: c.value(s) for s in full} == full
+        assert c.check_identity()
+        nonzero += not c.is_zero()
+    assert nonzero
+    zero = Cocycle.from_generators(N, {s: N.zero() for s in group.generators})
+    assert zero.values == {} and zero.is_zero()
 
 
 # --- the generator-based conditions against the all-pairs oracle -------------

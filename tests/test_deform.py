@@ -17,7 +17,6 @@ from eqdeform.deform import (
     DeformationError,
     DifferenceClass,
     EpsPoly,
-    _mech_defect,
     apply_flow,
     certify_equivariance,
     default_truncation,
@@ -290,6 +289,7 @@ def test_verify_deformation_failures(node_q):
     bad = Deformation(amb, 1, (EpsPoly(ring, 1, [x * y, x]),))
     check = verify_deformation(bad)
     assert not check.equivariance_ok and not check.ok
+    assert check.failures == ["equivariance: eps^1 coefficient is not in the base ideal"]
     # wrong generator list fails at construction
     with pytest.raises(DeformationError):
         Deformation(amb, 0, (EpsPoly.constant(ring, 0, x),))
@@ -402,8 +402,7 @@ def test_truncation_is_a_deformation(cusp_q):
         d = lift_step(d).deformation
     d = shift_lift(d, DifferenceClass(amb, (amb.ring.var("x"),)))
     for t in range(d.order):
-        lower = d.truncated(t)
-        assert lower.order == t
+        lower = Deformation(amb, t, [g.truncate(t) for g in d.gens])
         assert verify_deformation(lower).ok
 
 
@@ -491,7 +490,7 @@ def test_lift_steps_express_only_to_build_the_twists(monkeypatch):
                                   "problems/cusp_q.prob",
                                   "bench/problems/klein_twist_f2.prob"])
 def test_group_never_acts_on_zero_coefficients(monkeypatch, path):
-    """certify_equivariance and _mech_defect skip the zero eps
+    """certify_equivariance and obstruction_cocycle skip the zero eps
     coefficients (here the two appended by a coefficientwise lift)."""
     d = file_deformation(path)
     amb = d.amb
@@ -506,7 +505,7 @@ def test_group_never_acts_on_zero_coefficients(monkeypatch, path):
         certify_equivariance(amb, lift_gens)
     except DeformationError:
         pass  # klein_twist_f2's coefficientwise lift is not equivariant
-    _mech_defect(d, tuple(g.truncate(d.order + 1) for g in lift_gens))
+    obstruction_cocycle(d, tuple(g.truncate(d.order + 1) for g in lift_gens))
     assert handed
     assert not any(f.is_zero() for f in handed)
 
@@ -528,37 +527,20 @@ def test_every_lift_step_passes_the_independent_check(path, steps, trunc):
         d = out.deformation
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_zero_defect_lift_is_certified_unless_every_division_was_exact(
-        monkeypatch, cusp_q, exact):
-    """A zero cocycle leaves out the identity element, so only all-exact
-    divisions (the identity's included) make the second check redundant."""
-    _, _, amb = cusp_q
-    d = Deformation.initial(amb)
-    lift_gens = tuple(g.lift(1) for g in d.gens)
-    zero = {i: (amb.ring.zero,) * len(lift_gens) for i in amb.action.indices()}
-    monkeypatch.setattr(deform, "_mech_defect", lambda d, gens: (zero, exact))
-    certified = []
-    monkeypatch.setattr(deform, "certify_equivariance",
-                        lambda amb, gens: certified.append(gens))
-    out = equivariantize(d, lift_gens)
-    assert out.success
-    assert certified == ([] if exact else [lift_gens])
-
-
-def test_identity_division_counts_although_the_cocycle_omits_it(
-        monkeypatch, cusp_q):
-    """A final remainder at the identity alone leaves the cocycle zero
-    but the lift not certified."""
-    _, _, amb = cusp_q
-    d = Deformation.initial(amb)
-    lift_gens = tuple(g.lift(1) for g in d.gens)
-    e = amb.action.identity_index
-    x = amb.ring.var("x")
-    remainders = {i: [x if i == e else None for _ in lift_gens]
-                  for i in amb.action.indices()}
-    monkeypatch.setattr(deform, "_equivariance_remainders",
-                        lambda *args, **kwargs: remainders)
-    mech, exact = _mech_defect(d, lift_gens)
-    assert mech[e] == (x,) and not exact
-    assert obstruction_cocycle(d, lift_gens).is_zero()
+def test_certify_divides_once_per_generator_inverse(monkeypatch):
+    """klein_f2 has one generator polynomial and two group generators, so
+    a certificate is two divisions, and the identity never acts."""
+    amb = workspace("bench/problems/klein_f2.prob").ambient
+    d = lift_step(Deformation.initial(amb)).deformation
+    amb.twists  # built over every element once, before counting
+    divided, acted = [], []
+    eps_divide = deform.eps_divide
+    monkeypatch.setattr(deform, "eps_divide",
+                        lambda *a, **k: divided.append(a) or eps_divide(*a, **k))
+    apply = GroupAction.apply
+    monkeypatch.setattr(GroupAction, "apply",
+                        lambda self, i, f: acted.append(i) or apply(self, i, f))
+    certify_equivariance(amb, d.gens)
+    assert len(amb.action.generators) == 2 and len(amb.pres.gens) == 1
+    assert len(divided) == 2
+    assert acted and amb.action.identity_index not in acted

@@ -1,5 +1,7 @@
-"""eps_divide and the equivariance divisions against the EpsPoly-based
-peeling in oracles, which divides every stage afresh.
+"""eps_divide, the equivariance divisions and the defect cocycle against
+the EpsPoly-based peeling in oracles, which divides every stage afresh
+and, for the cocycle, at every element instead of the generators'
+inverses only.
 
 Each seed draws one fixed lift of orders 0-6 over one of four ambients,
 so the cases are the same on every run.  Lifts are U*F with
@@ -20,9 +22,9 @@ from eqdeform.deform import (
     DeformationError,
     EpsPoly,
     _equivariance_remainders,
-    _mech_defect,
     certify_equivariance,
     eps_divide,
+    obstruction_cocycle,
 )
 from eqdeform.problem import parse_problem
 
@@ -93,12 +95,18 @@ def _new_division(fn):
         return ("raised", str(exc))
 
 
-def _oracle_remainders(amb, gens, allow_final_remainder):
-    """Per element, the oracle's remainders of sigma(F_j); the first
+def _generator_inverses(amb):
+    """The indices of the generators' inverses, the rows
+    ``_equivariance_remainders`` divides."""
+    return [amb.action.inv(s) for s in amb.action.generators]
+
+
+def _oracle_remainders(amb, gens, allow_final_remainder, elements):
+    """Per given element, the oracle's remainders of sigma(F_j); the first
     raised message (in element, then generator order) when any stage fails."""
     rep = amb.pres.representer
     out = {}
-    for i in amb.action.indices():
+    for i in elements:
         row = []
         for g in gens:
             moved = g.map_coeffs(lambda c: amb.action.apply(i, c))
@@ -113,35 +121,47 @@ def _oracle_remainders(amb, gens, allow_final_remainder):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_equivariance_remainders_match_the_oracle(seed):
     amb, gens, kind = draw_lift(seed)
+    rows = _generator_inverses(amb)
     for allow in (True, False):
-        expected = _oracle_remainders(amb, gens, allow)
+        expected = _oracle_remainders(amb, gens, allow, rows)
         got = _new_division(
             lambda: _equivariance_remainders(amb, gens, allow))
         assert got == expected
     if kind == "equivariant":
         assert expected[0] == "remainder"
-    expected = _oracle_remainders(amb, gens, allow_final_remainder=True)
-    order = gens[0].order
-    if order and expected[0] == "remainder":
-        below = Deformation(amb, order - 1,
-                            tuple(g.truncate(order - 1) for g in gens))
-        mech, exact = _mech_defect(below, gens)
-        assert exact == all(w is None for row in expected[1].values()
-                            for w in row)
-        assert mech == {i: tuple(amb.ring.zero if w is None else amb.pres.nf(w)
-                                 for w in row)
-                        for i, row in expected[1].items()}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_certify_raises_exactly_when_the_oracle_would(seed):
+    """Dividing at the generators' inverses certifies what dividing at
+    every element does; the message names the first failing row of the
+    same rows in the oracle."""
     amb, gens, _ = draw_lift(seed)
-    expected = _oracle_remainders(amb, gens, allow_final_remainder=False)
+    full = _oracle_remainders(amb, gens, False, amb.action.indices())
+    rows = _oracle_remainders(amb, gens, False, _generator_inverses(amb))
     got = _new_division(lambda: certify_equivariance(amb, gens))
-    if expected[0] == "raised":
-        assert got == expected
-    else:
-        assert got == ("remainder", None)
+    assert (got[0] == "raised") == (full[0] == "raised")
+    assert got == (rows if rows[0] == "raised" else ("remainder", None))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_obstruction_cocycle_matches_the_oracle(seed):
+    """On a lift of an equivariant deformation, the defect cocycle from
+    the generators equals the all-elements one value for value, and it
+    is zero exactly when the lift certifies and when every one of the
+    oracle's divisions was exact."""
+    amb, gens, _ = draw_lift(seed)
+    order = gens[0].order
+    if not order:
+        return
+    below = tuple(g.truncate(order - 1) for g in gens)
+    if _new_division(lambda: certify_equivariance(amb, below))[0] == "raised":
+        return  # not a lift of an equivariant deformation
+    c = obstruction_cocycle(Deformation(amb, order - 1, below), gens)
+    values, exact = oracles.defect_cocycle(amb, gens)
+    assert {s: c.value(s) for s in values} == values
+    certified = _new_division(lambda: certify_equivariance(amb, gens))
+    assert c.is_zero() == (certified[0] == "remainder") == exact
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,18 +1,20 @@
 """The benchmark tracer's targets, checked in the tier-1 suite.
 
 ``bench/tracer.py`` wraps eqdeform callables by name, so deleting or
-renaming one breaks every traced benchmark run.  It is loaded here the
-way ``tests/test_workloads.py`` loads ``bench/workloads.py``."""
+renaming one breaks every traced benchmark run, and one that the CLI
+stops calling reads 0 in the benchmark's layer metrics.  It is loaded
+here the way ``tests/test_workloads.py`` loads ``bench/workloads.py``."""
 
 import importlib
 import runpy
 import sys
 from pathlib import Path
 
-import eqdeform.cli  # noqa: F401  (imports every module the tracer patches)
+from eqdeform.cli import main  # imports every module the tracer patches
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = runpy.run_path(str(ROOT / "bench" / "tracer.py"))
+WORKLOADS = runpy.run_path(str(ROOT / "bench" / "workloads.py"))["WORKLOADS"]
 
 
 def _resolve(module: str, qualname: str):
@@ -61,3 +63,22 @@ def test_install_and_uninstall_restore_every_name():
     after = _names()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_lift_deep_reaches_every_deform_target(monkeypatch, capsys):
+    """The lift_deep operations, run from the repository root, call every
+    traced ``deform`` function, so the CLI path still runs the
+    certificates (``verify_deformation``, ``certify_equivariance``)."""
+    monkeypatch.chdir(ROOT)
+    tracer = TRACER["Tracer"]()
+    tracer.install()
+    try:
+        for op in WORKLOADS["lift_deep"]:
+            assert main(list(op.argv)) == op.code, op.name
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    called = {span[0] for span in tracer.spans}
+    for module, qualname in TRACER["TARGETS"]:
+        if module == "deform":
+            assert f"deform.{qualname}" in called, qualname
