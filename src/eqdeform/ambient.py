@@ -135,7 +135,7 @@ class EquivariantAmbient:
     @cached_property
     def twists(self) -> TwistMatrices:
         return twist_matrices(list(self.pres.gens), self.action, self.pres.gb,
-                              representer=self.pres.representer)
+                              self.pres.representer)
 
     def __repr__(self):
         return f"EquivariantAmbient({self.kind}, {self.pres.ring})"

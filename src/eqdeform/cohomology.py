@@ -1,15 +1,18 @@
 """Group cohomology H^0 and H^1 on finite slices.
 
 A ``GModuleSlice`` is a finite-dimensional k[G]-module: a basis of
-normal-form module vectors together with exact action matrices.  For
-filtered infinite modules, slices are the span of the G-orbit of all
-standard-monomial vectors up to a degree bound, so they are honestly
-G-stable even when the twist matrices are non-constant.
+normal-form module vectors together with one exact action matrix per
+generator of G.  For filtered infinite modules, slices are the span of
+the G-orbit of all standard-monomial vectors up to a degree bound, so
+they are honestly G-stable even when the twist matrices are
+non-constant.
 
 The cocycle convention is c(s*t) = s.c(t) + c(s) and the coboundary of
-phi is s -> s.phi - phi.  A cocycle, a fixed vector and a representation
+phi is s -> s.phi - phi.  A representation, a cocycle and a fixed vector
 are each determined by, and checked on, the group's generators: every
-element is a word in them.  A coordinate vector is a sparse
+element is a word in them, read off the group's Cayley tree
+(``GroupAction.tree``).  The matrices of the other elements exist only
+inside the representation check.  A coordinate vector is a sparse
 ``{basis index: value}`` dict with no zero values, the one vector format
 of ``linalg``; a cochain is its values ``{s: coordinate vector}`` over
 s != e, a missing s meaning zero.  Z^1 is the kernel of the cocycle
@@ -37,30 +40,34 @@ class CocycleError(ValueError):
 class GModuleSlice:
     """Finite k[G]-module with exact action matrices (rows act on columns).
 
-    Each matrix is a list of ``dim`` sparse rows ``{column: value}`` that
-    hold no zero values.  The representation property is verified on the
-    group's generators (see ``_check_representation``)."""
+    ``matrices`` holds one matrix M_s per generator s, each a list of
+    ``dim`` sparse rows ``{column: value}`` that hold no zero values; the
+    trivial group has none, so ``dim`` is given.  They must satisfy the
+    group's relations (see ``_check_representation``)."""
 
-    def __init__(self, group: GroupAction, field, matrices, payloads=None):
+    def __init__(self, group: GroupAction, field, dim: int, matrices, payloads=None):
         self.group = group
         self.field = field
-        self.matrices = matrices          # per element: dim sparse rows
+        self.dim = dim
+        self.matrices = matrices          # per generator: dim sparse rows
         self.payloads = payloads          # optional module vectors per basis element
-        self.dim = len(matrices[0]) if matrices and matrices[0] else 0
         self._check_representation()
 
     def _check_representation(self):
-        """M_e = I and M_s M_j = M_{sj} for each generator s and every j;
-        every element is a word in the generators, so by induction on its
-        length this gives M_i M_j = M_{ij} for all pairs."""
+        """M_e = I and M_{ag} = M_a M_g along the edges (a, g, ag) of the
+        group's Cayley tree; M_a M_g = M_{ag} is then checked on every
+        other pair (a, g) of an element and a generator.  By induction on
+        word length, s -> M_s extends to a representation of G exactly
+        then."""
         group = self.group
-        if self.matrices[group.identity_index] != [{r: self.field.one}
-                                                   for r in range(self.dim)]:
-            raise CocycleError("identity does not act as the identity matrix")
-        for s in group.generators:
-            for j in group.indices():
-                prod = self._matmul(self.matrices[s], self.matrices[j])
-                if prod != self.matrices[group.mul(s, j)]:
+        full = {group.identity_index: [{r: self.field.one} for r in range(self.dim)]}
+        for a, g, ag in group.tree:
+            full[ag] = self._matmul(full[a], self.matrices[g])
+        edges = {(a, g) for a, g, _ in group.tree}
+        for a in group.indices():
+            for g in group.generators:
+                if (a, g) not in edges and \
+                        self._matmul(full[a], self.matrices[g]) != full[group.mul(a, g)]:
                     raise CocycleError("action matrices violate the representation property")
 
     def _matmul(self, a, b):
@@ -103,7 +110,8 @@ def slice_of_normal_module(module: NormalModule, degree: int,
     standard-monomial vectors of degree <= degree (plus extra seeds).
 
     The payloads are the pivot columns of the one elimination of the
-    orbit vectors, and M_i sends payload j.s to orbit vector (ij).s."""
+    orbit vectors, and M_g sends payload j.s to orbit vector (gj).s for
+    each generator g."""
     pres = module.amb.pres
     ring = module.ring
     group = module.amb.action
@@ -136,9 +144,10 @@ def slice_of_normal_module(module: NormalModule, degree: int,
         for k in kept:
             if module.act(g, orbit[k]) != orbit[image(g, k)]:
                 raise CocycleError("slice is not closed under the action")
-    matrices = [transpose([orbit_coords[image(i, k)] for k in kept], len(kept))
-                for i in group.indices()]
-    return GModuleSlice(group, field, matrices, payloads=[orbit[k] for k in kept])
+    matrices = {g: transpose([orbit_coords[image(g, k)] for k in kept], len(kept))
+                for g in group.generators}
+    return GModuleSlice(group, field, len(kept), matrices,
+                        payloads=[orbit[k] for k in kept])
 
 
 def invariants(m: GModuleSlice):
@@ -304,24 +313,16 @@ class Cocycle:
     def from_generators(cls, module: NormalModule, values: dict) -> "Cocycle":
         """The cocycle with the given values {s: c(s)} on the generators.
 
-        Every other element is reached breadth-first from e by right
-        multiplication with a generator, and c(ag) = a.c(g) + c(a).  The
-        values must come from a cocycle: only then is the result one."""
+        Every other element is reached along the group's Cayley tree, an
+        edge (a, g, ag) giving c(ag) = a.c(g) + c(a).  The values must come
+        from a cocycle: only then is the result one."""
         group = module.amb.action
         if all(p.is_zero() for v in values.values() for p in v):
             return cls(module, {})
-        out = {group.identity_index: module.zero(), **values}
-        frontier = list(values)
-        while frontier:
-            new_frontier = []
-            for a in frontier:
-                for g in group.generators:
-                    ag = group.mul(a, g)
-                    if ag not in out:
-                        acted = module.act(a, values[g])
-                        out[ag] = tuple(x + y for x, y in zip(acted, out[a]))
-                        new_frontier.append(ag)
-            frontier = new_frontier
+        out = {group.identity_index: module.zero()}
+        for a, g, ag in group.tree:
+            acted = values[g] if a == group.identity_index else module.act(a, values[g])
+            out[ag] = tuple(x + y for x, y in zip(acted, out[a]))
         return cls(module, out)
 
     def value(self, i: int):
@@ -331,17 +332,6 @@ class Cocycle:
 
     def is_zero(self) -> bool:
         return all(all(p.is_zero() for p in v) for v in self.values.values())
-
-    def check_identity(self) -> bool:
-        group = self.module.amb.action
-        for i in group.generators:
-            for j in group.indices():
-                lhs = self.value(group.mul(i, j))
-                acted = self.module.act(i, self.value(j))
-                rhs = tuple(a + b for a, b in zip(acted, self.value(i)))
-                if tuple(self.module.amb.pres.nf(p) for p in rhs) != lhs:
-                    return False
-        return True
 
     def __repr__(self):
         parts = [f"s{i} -> ({', '.join(repr(p) for p in v)})"

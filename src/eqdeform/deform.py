@@ -273,18 +273,10 @@ def certify_equivariance(amb: EquivariantAmbient, gens) -> None:
     _equivariance_remainders(amb, tuple(gens))
 
 
-@dataclass
-class DeformationCheck:
-    equivariance_ok: bool
-    failures: list
-
-    @property
-    def ok(self) -> bool:
-        return self.equivariance_ok
-
-
-def verify_deformation(d: Deformation) -> DeformationCheck:
-    """Re-run the equivariance certificate of a deformation.
+def verify_deformation(d: Deformation) -> None:
+    """Re-run the equivariance certificate of a deformation; raises
+    DeformationError, its message prefixed with ``equivariance: ``, when
+    the lift is not equivariant.
 
     Its base reduction is checked when it is built, and the presentation
     it reduces to is a certified regular sequence, so its coefficientwise
@@ -292,8 +284,7 @@ def verify_deformation(d: Deformation) -> DeformationCheck:
     try:
         certify_equivariance(d.amb, d.gens)
     except DeformationError as exc:
-        return DeformationCheck(False, [f"equivariance: {exc}"])
-    return DeformationCheck(True, [])
+        raise DeformationError(f"equivariance: {exc}") from exc
 
 
 def ideal_equal(d1: Deformation, d2: Deformation) -> bool:
@@ -392,15 +383,15 @@ class DerivationWitness:
         return "DerivationWitness(" + ", ".join(repr(p) for p in self.components) + ")"
 
 
-def apply_flow(d: Deformation, components, sign: int = 1) -> Deformation:
-    """Apply the substitution x_i -> x_i + sign * eps^m * D_i to the lift."""
+def apply_flow(d: Deformation, components) -> Deformation:
+    """Apply the substitution x_i -> x_i + eps^m * D_i to the lift."""
     m = d.order
     ring = d.amb.ring
     images = {}
     for v, comp in zip(ring.variables, components):
         if comp.is_zero():
             continue
-        delta = EpsPoly.constant(ring, m, comp if sign > 0 else -comp).shift(m)
+        delta = EpsPoly.constant(ring, m, comp).shift(m)
         images[v] = EpsPoly.constant(ring, m, ring.var(v)) + delta
     gens = tuple(g.substitute(images) for g in d.gens)
     out = Deformation(d.amb, d.order, gens)
@@ -433,7 +424,7 @@ def isomorphism_witness(d1: Deformation, d2: Deformation,
         for i, p in enumerate(basis[k]):
             components[i] = components[i] + p.scale(c)
     witness = DerivationWitness(amb, tuple(amb.pres.nf(p) for p in components))
-    moved = apply_flow(d2, witness.components, sign=1)
+    moved = apply_flow(d2, witness.components)
     if not ideal_equal(moved, d1):
         raise DeformationError("witness failed its realization check")
     return witness
@@ -562,9 +553,10 @@ def tangent_spaces(amb: EquivariantAmbient,
 
     T^1 comes from the standard-monomial count of B^c modulo the
     Jacobian image (exact regardless of grading).  T^1_G is the fixed
-    space of the induced action when averaging is available and T^1 is
-    finite; otherwise it is the slice quotient of invariant normal
-    vectors by images of invariant ambient derivations.
+    space of the generators' induced action when averaging is available
+    and T^1 is finite, each fixed vector averaged over G; otherwise it is
+    the slice quotient of invariant normal vectors by images of invariant
+    ambient derivations.
     """
     pres = amb.pres
     ring = amb.ring
@@ -578,22 +570,22 @@ def tangent_spaces(amb: EquivariantAmbient,
     qb = quotient_basis(module_gb, D)
     t1_vectors = [_basis_vector(ring, rank, pos, m) for (pos, m) in qb.monomials]
 
-    N = NormalModule(amb)
     if amb.action.is_tame() and qb.finite:
         if not qb.monomials:
             return TangentReport(qb, [], 0, [], "exact")
+        N = NormalModule(amb)
         index = {bm: k for k, bm in enumerate(qb.monomials)}
         field = ring.field
-        matrices = []
-        for i in amb.action.indices():
+        matrices = {}
+        for i in amb.action.generators:
             rows = [{} for _ in qb.monomials]
             for c, (pos, m) in enumerate(qb.monomials):
                 acted = N.act(i, _basis_vector(ring, rank, pos, m))
                 for p_idx, poly in enumerate(module_gb.reduce_polys(acted)):
                     for mono, coeff in poly.terms.items():
                         rows[index[(p_idx, mono)]][c] = coeff
-            matrices.append(rows)
-        fixed = invariants(GModuleSlice(amb.action, field, matrices))
+            matrices[i] = rows
+        fixed = invariants(GModuleSlice(amb.action, field, len(qb.monomials), matrices))
         # invariant vector representatives via averaging
         scale = field.inv(field.of(len(amb.action)))
         reps = []
@@ -609,9 +601,7 @@ def tangent_spaces(amb: EquivariantAmbient,
         return TangentReport(qb, t1_vectors, len(fixed), reps, "exact")
 
     # slice route (wild case, or infinite T^1)
-    m_small = slice_of_normal_module(N, D)
-    inv_coords = invariants(m_small)
-    V = [m_small.materialize(c) for c in inv_coords]
+    V = invariant_normal_slice(amb, D)
     U_src = ambient_vector_slice(amb, D + SLACK)
     U = [normal_image(amb, v) for v in U_src]
     coords = _SliceCoordinates()
@@ -645,8 +635,9 @@ def obstruction_space(amb: EquivariantAmbient,
 
 
 def invariant_normal_slice(amb: EquivariantAmbient, degree: int):
-    """Basis of invariant normal-module vectors at the slice (the torsor
-    directions for embedded equivariant lifts)."""
+    """Basis of invariant normal-module vectors at the slice: the torsor
+    directions for embedded equivariant lifts, and the numerator of the
+    slice route of T^1_G."""
     N = NormalModule(amb)
     m = slice_of_normal_module(N, degree)
     return [m.materialize(c) for c in invariants(m)]

@@ -8,6 +8,8 @@ the substitution map a homomorphism by construction.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .groebner import GroebnerBasis, Representer
 from .linalg import rank as matrix_rank
 from .poly import ContextMismatchError, PolyRing, Polynomial, substitute
@@ -123,6 +125,23 @@ class GroupAction:
     def apply(self, i: int, f: Polynomial) -> Polynomial:
         return self.elements[i].apply(f)
 
+    @cached_property
+    def tree(self) -> list:
+        """The spanning tree of the Cayley graph found breadth-first from
+        e by right multiplication with the generators: one edge
+        (a, g, ag) per nonidentity element, a reached before ag.  For a
+        group from close_group, whose closure walks the same way, the
+        children come in index order."""
+        edges, queue, seen = [], [self.identity_index], {self.identity_index}
+        for a in queue:  # grows while it is walked
+            for g in self.generators:
+                ag = self.table[a][g]
+                if ag not in seen:
+                    seen.add(ag)
+                    queue.append(ag)
+                    edges.append((a, g, ag))
+        return edges
+
     def is_tame(self) -> bool:
         """Whether |G| is invertible in the base field."""
         return self.ring.field.is_invertible_int(len(self.elements))
@@ -236,19 +255,16 @@ class TwistMatrices:
     their stage-0 cofactors.  `reduced` entries are their normal forms mod
     the ideal (the matrix of the action on the conormal module)."""
 
-    def __init__(self, action: GroupAction, exact, reduced):
-        self.action = action
+    def __init__(self, exact, reduced):
         self.exact = exact
         self.reduced = reduced
 
 
 def twist_matrices(gens, action: GroupAction, gb: GroebnerBasis,
-                   representer: Representer | None = None) -> TwistMatrices:
-    """Division matrices for sigma(f_j) over the generator list itself
-    (empty matrices when the list is empty)."""
-    gens = list(gens)
-    if representer is None and gens:
-        representer = Representer(gens)
+                   representer: Representer | None) -> TwistMatrices:
+    """Division matrices for sigma(f_j) over the generator list itself,
+    through its representer (None, and empty matrices, when the list is
+    empty)."""
     exact = []
     reduced = []
     for i in action.indices():
@@ -265,5 +281,5 @@ def twist_matrices(gens, action: GroupAction, gb: GroebnerBasis,
             rows_reduced.append(tuple(gb.normal_form(c) for c in cofactors))
         exact.append(rows_exact)
         reduced.append(rows_reduced)
-    return TwistMatrices(action, exact, reduced)
+    return TwistMatrices(exact, reduced)
 

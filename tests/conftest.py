@@ -3,7 +3,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from eqdeform.deform import DeformationError, verify_deformation  # noqa: E402
+
 ACCEPTANCE_RESULTS = []
+
+
+def verified(d) -> bool:
+    """Whether ``verify_deformation`` accepts the deformation d."""
+    try:
+        verify_deformation(d)
+    except DeformationError:
+        return False
+    return True
 
 
 def record_criterion(number: int, description: str, passed: bool, seconds: float):

@@ -14,6 +14,8 @@ membership test.
 
 from __future__ import annotations
 
+import weakref
+
 from eqdeform.ambient import derivation_action, normal_image
 from eqdeform.cohomology import CocycleError
 from eqdeform.deform import DeformationError, EpsPoly
@@ -385,9 +387,52 @@ def invariant_vector_slice(amb, degree: int, tangent: bool) -> list:
 # eliminator above.  eqdeform.cohomology imposes them on the generators
 # only; these copies are its reference.
 
+def _words(group) -> dict:
+    """A word (s_1, ..., s_k) in the generators for every element, the
+    product s_1 * ... * s_k, found from the group table by multiplying
+    on the left outward from e."""
+    words = {group.identity_index: ()}
+    frontier = [group.identity_index]
+    while frontier:
+        grown = []
+        for a in frontier:
+            for s in group.generators:
+                sa = group.table[s][a]
+                if sa not in words:
+                    words[sa] = (s,) + words[a]
+                    grown.append(sa)
+        frontier = grown
+    return words
+
+
+def _dense_matmul(field: Field, a: list[list], b: list[list]) -> list[list]:
+    """a b for square dense matrices."""
+    out = []
+    for row in a:
+        acc = [field.zero] * len(row)
+        for x, brow in zip(row, b):
+            if x != field.zero:
+                acc = [field.add(u, field.mul(x, v)) for u, v in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
+_MATRICES = weakref.WeakKeyDictionary()  # GModuleSlice -> {element: dense M_i}
+
+
 def _action_matrix(m, i) -> list[list]:
-    """M_i of the GModuleSlice m as dense rows."""
-    return [[row.get(c, m.field.zero) for c in range(m.dim)] for row in m.matrices[i]]
+    """M_i of the GModuleSlice m as dense rows: the product of its
+    generator matrices along a word for i."""
+    field = m.field
+    cache = _MATRICES.setdefault(m, {})
+    if i not in cache:
+        mat = [[field.one if r == c else field.zero for c in range(m.dim)]
+               for r in range(m.dim)]
+        for s in _words(m.group)[i]:
+            mat = _dense_matmul(field, mat, [dense(field, row, m.dim)
+                                             for row in m.matrices[s]])
+        cache[i] = mat
+    return cache[i]
 
 
 def _act(m, i, v) -> list:
@@ -480,6 +525,20 @@ def solve_coboundary(m, cochain) -> list | None:
     if m.dim == 0:
         return []
     return solve(field, _minus_identity_rows(m), [x for s in _nonidentity(m) for x in val(s)])
+
+
+def cocycle_identity_holds(c) -> bool:
+    """Whether the ``Cocycle`` c satisfies c(ij) = i.c(j) + c(i) on every
+    pair (i, j) of group elements, in normal form."""
+    module = c.module
+    group = module.amb.action
+    nf = module.amb.pres.nf
+    for i in group.indices():
+        for j in group.indices():
+            rhs = tuple(nf(a + b) for a, b in zip(module.act(i, c.value(j)), c.value(i)))
+            if rhs != c.value(group.mul(i, j)):
+                return False
+    return True
 
 
 def h1_bounded(m_small, m_big) -> list[int]:

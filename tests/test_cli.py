@@ -232,6 +232,12 @@ def test_exit_code_input_errors(tmp_path, capsys):
     notreg.write_text("field Q\nvars x y\nideal: x ; x\n")
     code, _, err = run_cli(["check", str(notreg)], capsys)
     assert code == 3 and "regular sequence" in err
+    noneq = tmp_path / "noneq.prob"
+    noneq.write_text("field Q\nvars x y\nideal: x*y + eps*x\ngen s: x -> y, y -> x\n")
+    for argv in (["lift", str(noneq), "--order", "2"], ["iso", str(noneq), str(noneq)]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: equivariance: eps^1 coefficient is not in the base ideal\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -37,9 +37,11 @@ def identity_matrix(field, n):
 
 
 def gmodule(group, field, matrices):
-    """GModuleSlice from dense action matrices."""
-    return GModuleSlice(group, field, [[oracles.sparse(field, row) for row in mat]
-                                       for mat in matrices])
+    """GModuleSlice from dense action matrices, one per generator in the
+    order of ``group.generators``."""
+    return GModuleSlice(group, field, len(matrices[0]),
+                        {s: [oracles.sparse(field, row) for row in mat]
+                         for s, mat in zip(group.generators, matrices)})
 
 
 def sparse_values(m, flat):
@@ -71,38 +73,84 @@ def test_invariants_examples(swap_q):
     ring, swap = swap_q
     f = QQ
     ident = identity_matrix(f, 2)
-    m_triv = gmodule(swap, f, [ident, ident])
+    m_triv = gmodule(swap, f, [ident])
     assert len(invariants(m_triv)) == 2
-    m_swap = gmodule(swap, f, [ident, [[f.zero, f.one], [f.one, f.zero]]])
+    m_swap = gmodule(swap, f, [[[f.zero, f.one], [f.one, f.zero]]])
     assert invariants(m_swap) == [{0: f.one, 1: f.one}]
-    m_sign = gmodule(swap, f, [[[f.one]], [[f.neg(f.one)]]])
+    m_sign = gmodule(swap, f, [[[f.neg(f.one)]]])
     assert invariants(m_sign) == []
 
 
 def test_representation_property_enforced(swap_q):
     ring, swap = swap_q
     f = QQ
-    bad = [identity_matrix(f, 1), [[f.of(2)]]]  # 2 is not an involution
     with pytest.raises(CocycleError):
-        gmodule(swap, f, bad)
+        gmodule(swap, f, [[[f.of(2)]]])  # 2 is not an involution
 
 
-def test_representation_checked_through_the_generators():
-    """Only M_st is wrong, and st is no generator; the products M_s M_j
-    over the generators s still expose it."""
-    ring = PolyRing(QQ, ["x", "y"])
-    x, y = ring.gens()
+def test_generator_matrices_that_break_a_relation_are_rejected():
+    """Involutions that do not commute break st = ts in the Klein group,
+    and a swap matrix breaks r^3 = e of a 3-cycle; matrices that keep
+    the relations pass."""
+    f = QQ
+    ring = PolyRing(f, ["x", "y", "z"])
+    x, y, z = ring.gens()
     klein = close_group([{"x": -x}, {"y": -y}], ring=ring)
-    s, t = klein.generators
-    st = klein.mul(s, t)
-    assert len(klein) == 4 and st not in klein.generators
-    sign = {klein.identity_index: 1, s: -1, t: -1, st: 1}
-    good = [[[QQ.of(sign[i])]] for i in klein.indices()]
-    gmodule(klein, QQ, good)
-    bad = list(good)
-    bad[st] = [[QQ.of(-1)]]
-    with pytest.raises(CocycleError):
-        gmodule(klein, QQ, bad)
+    assert len(klein) == 4
+    diag = [[f.one, f.zero], [f.zero, f.neg(f.one)]]
+    swap = [[f.zero, f.one], [f.one, f.zero]]
+    gmodule(klein, f, [diag, [[f.neg(f.one), f.zero], [f.zero, f.one]]])
+    with pytest.raises(CocycleError, match="representation property"):
+        gmodule(klein, f, [diag, swap])
+    rot = close_group([{"x": y, "y": z, "z": x}], ring=ring)
+    assert len(rot) == 3
+    cycle = [[f.zero, f.zero, f.one], [f.one, f.zero, f.zero], [f.zero, f.one, f.zero]]
+    gmodule(rot, f, [cycle])
+    with pytest.raises(CocycleError, match="representation property"):
+        gmodule(rot, f, [swap])
+
+
+PROBLEMS = sorted(str(p.relative_to(ROOT)) for pattern in ("problems/*.prob",
+                                                          "bench/problems/*.prob")
+                  for p in ROOT.glob(pattern))
+
+
+def assert_breadth_first_tree(group):
+    """group.tree has one edge (a, g, ag) per nonidentity element, in
+    index order, with g a generator, ag = a g and a reached before ag."""
+    assert [ag for _, _, ag in group.tree] == [i for i in group.indices()
+                                               if i != group.identity_index]
+    for a, g, ag in group.tree:
+        assert g in group.generators and ag == group.mul(a, g) and a < ag
+
+
+@pytest.mark.parametrize("path", PROBLEMS)
+def test_group_tree_spans_the_cayley_graph(path):
+    """On the shipped and bench groups and on their ambients' actions
+    (trans_f3's is the regular ambient's)."""
+    workspace = Workspace(parse_problem((ROOT / path).read_text(encoding="utf-8")))
+    assert_breadth_first_tree(workspace.group)
+    assert_breadth_first_tree(workspace.ambient.action)
+
+
+def test_group_tree_of_random_permutation_groups():
+    rng = random.Random(72)
+    for _ in range(40):
+        assert_breadth_first_tree(_permutation_group(rng))
+
+
+@pytest.mark.parametrize("path", PROBLEMS)
+def test_action_matrices_are_the_module_action(path):
+    """Column j of M_i, which the oracle multiplies out of the generator
+    matrices, holds the coordinates of i acting on payload j, for every
+    element i of the group."""
+    workspace = Workspace(parse_problem((ROOT / path).read_text(encoding="utf-8")))
+    module = NormalModule(workspace.ambient)
+    m = slice_of_normal_module(module, 1 if "trans_f3" in path else 2)
+    for i in m.group.indices():
+        columns = m.express([module.act(i, p) for p in m.payloads])
+        assert [oracles.dense(m.field, col, m.dim) for col in columns] == \
+            [list(col) for col in zip(*oracles._action_matrix(m, i))]
 
 
 def test_regular_ambient_action_keeps_the_generators():
@@ -202,7 +250,7 @@ def test_tame_h1_vanishes_on_random_involutions(swap_q):
         for n in (1, 2, 3):
             for _ in range(3):
                 A = _random_involution(field, n, rng)
-                m = gmodule(swap, field, [identity_matrix(field, n), A])
+                m = gmodule(swap, field, [A])
                 assert abstract_h1_dimension(m) == 0
                 # Reynolds splitting oracle: every cocycle is the
                 # coboundary of -(1/|G|) sum c(tau)
@@ -221,18 +269,10 @@ def test_tame_h1_vanishes_order3():
     assert len(rot) == 3
     f = GF(5)
     # regular representation of Z/3 by permutation matrices
-    perm = {0: identity_matrix(f, 3)}
     P = [[f.zero] * 3 for _ in range(3)]
     for i in range(3):
         P[(i + 1) % 3][i] = f.one
-    P2 = [[f.zero] * 3 for _ in range(3)]
-    for i in range(3):
-        P2[(i + 2) % 3][i] = f.one
-    mats = {0: identity_matrix(f, 3)}
-    g1 = rot.mul(rot.identity_index, 1)
-    mats[1] = P
-    mats[rot.mul(1, 1)] = P2
-    m = gmodule(rot, f, [mats[i] for i in rot.indices()])
+    m = gmodule(rot, f, [P])
     assert abstract_h1_dimension(m) == 0
 
 
@@ -298,10 +338,10 @@ def test_trivial_action_in_characteristic_two_has_h1():
     swap = close_group([{"x": ring.var("y"), "y": ring.var("x")}], ring=ring)
     f2 = GF(2)
     (s,) = swap.generators
-    m = gmodule(swap, f2, [[[f2.one]], [[f2.one]]])
+    m = gmodule(swap, f2, [[[f2.one]]])
     assert zcocycles(m) == [{s: {0: f2.one}}]
     assert abstract_h1_dimension(m) == 1
-    assert abstract_h1_dimension(gmodule(swap, QQ, [[[QQ.one]], [[QQ.one]]])) == 0
+    assert abstract_h1_dimension(gmodule(swap, QQ, [[[QQ.one]]])) == 0
 
 
 def test_translation_line_free_module():
@@ -326,7 +366,7 @@ def test_solve_coboundary_round_trip(swap_q):
     f = QQ
     rng = random.Random(52)
     A = [[f.zero, f.one], [f.one, f.zero]]
-    m = gmodule(swap, f, [identity_matrix(f, 2), A])
+    m = gmodule(swap, f, [A])
     (s,) = swap.generators
     for _ in range(10):
         phi = oracles.sparse(f, [f.of(rng.randrange(-3, 4)) for _ in range(2)])
@@ -348,7 +388,7 @@ def test_invariants_have_zero_coboundary(swap_q):
     ring, swap = swap_q
     f = QQ
     A = [[f.zero, f.one], [f.one, f.zero]]
-    m = gmodule(swap, f, [identity_matrix(f, 2), A])
+    m = gmodule(swap, f, [A])
     for v in invariants(m):
         assert coboundary_values(m, v) == {}
 
@@ -390,7 +430,7 @@ def test_cocycle_from_generators_extends_coboundaries(path):
                 for s in group.indices() if s != group.identity_index}
         c = Cocycle.from_generators(N, {s: full[s] for s in group.generators})
         assert {s: c.value(s) for s in full} == full
-        assert c.check_identity()
+        assert oracles.cocycle_identity_holds(c)
         nonzero += not c.is_zero()
     assert nonzero
     zero = Cocycle.from_generators(N, {s: N.zero() for s in group.generators})
@@ -456,10 +496,9 @@ def _sign(perm):
     return sign
 
 
-def _permutation_module(rng):
-    """A random group of permutations of n <= 4 points acting on k^n by
-    permuting the basis over F2, F3 or Q, sometimes plus a second copy
-    twisted by the sign character; n = 1 gives the trivial group."""
+def _permutation_group(rng):
+    """A random group of permutations of the n <= 4 variables of a ring
+    over F2, F3 or Q; n = 1 gives the trivial group."""
     field = rng.choice((GF(2), GF(3), QQ))
     n = rng.randint(1, 4)
     ring = PolyRing(field, [f"x{i}" for i in range(n)])
@@ -468,16 +507,23 @@ def _permutation_module(rng):
         perm = list(range(n))
         rng.shuffle(perm)
         gens.append({f"x{i}": ring.var(f"x{perm[i]}") for i in range(n)})
-    group = close_group(gens, ring=ring)
+    return close_group(gens, ring=ring)
+
+
+def _permutation_module(rng):
+    """A random permutation group acting on k^n by permuting the basis,
+    sometimes plus a second copy twisted by the sign character."""
+    group = _permutation_group(rng)
+    field, n = group.ring.field, group.ring.nvars
     twisted = rng.random() < 0.5
-    matrices = []
-    for sub in group.elements:
-        perm = sub.is_variable_permutation()
+    matrices = {}
+    for s in group.generators:
+        perm = group.elements[s].is_variable_permutation()
         columns = [{perm[c]: field.one} for c in range(n)]
         if twisted:
             columns += [{n + perm[c]: field.of(_sign(perm))} for c in range(n)]
-        matrices.append(linalg.transpose(columns, len(columns)))
-    return GModuleSlice(group, field, matrices)
+        matrices[s] = linalg.transpose(columns, len(columns))
+    return GModuleSlice(group, field, 2 * n if twisted else n, matrices)
 
 
 def test_permutation_modules_match_the_all_pairs_oracle():

@@ -11,7 +11,7 @@ from eqdeform.gaction import (
     twist_matrices,
     verify_stability,
 )
-from eqdeform.groebner import buchberger
+from eqdeform.groebner import Representer, buchberger
 from eqdeform.poly import PolyRing
 
 
@@ -109,18 +109,18 @@ def test_twist_matrices_examples(ring):
     x, y = ring.gens()
     sign = close_group([{"y": -y}], ring=ring)
     gb_cusp = buchberger([y**2 - x**3])
-    tw = twist_matrices([y**2 - x**3], sign, gb_cusp)
+    tw = twist_matrices([y**2 - x**3], sign, gb_cusp, Representer([y**2 - x**3]))
     assert tw.reduced[1][0][0] == ring.one
 
     swap = close_group([{"x": y, "y": x}], ring=ring)
     gb_sq = buchberger([x**2, y**2])
-    tws = twist_matrices([x**2, y**2], swap, gb_sq)
+    tws = twist_matrices([x**2, y**2], swap, gb_sq, Representer([x**2, y**2]))
     m = tws.reduced[1]
     assert m[0][0].is_zero() and m[0][1] == ring.one
     assert m[1][0] == ring.one and m[1][1].is_zero()
 
     gb_node = buchberger([x * y])
-    twn = twist_matrices([x * y], swap, gb_node)
+    twn = twist_matrices([x * y], swap, gb_node, Representer([x * y]))
     assert twn.reduced[1][0][0] == ring.one
 
 
@@ -130,7 +130,7 @@ def test_twist_cocycle_compatibility(ring):
     gens = [x**2 + y**2, x**2 * y**2]
     gb = buchberger(gens)
     assert verify_stability(gb, g)
-    tw = twist_matrices(gens, g, gb)
+    tw = twist_matrices(gens, g, gb, Representer(gens))
     c = len(gens)
     for i in g.indices():
         for j in g.indices():

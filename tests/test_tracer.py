@@ -65,20 +65,35 @@ def test_install_and_uninstall_restore_every_name():
     assert all(after[key] is value for key, value in before.items())
 
 
-def test_lift_deep_reaches_every_deform_target(monkeypatch, capsys):
-    """The lift_deep operations, run from the repository root, call every
-    traced ``deform`` function, so the CLI path still runs the
-    certificates (``verify_deformation``, ``certify_equivariance``)."""
-    monkeypatch.chdir(ROOT)
+def _missed_targets(workload: str, module: str) -> list:
+    """The traced ``module`` targets that the workload's operations, run
+    from the repository root with their exit codes checked, never call;
+    the caller chdirs there and empties the captured output."""
     tracer = TRACER["Tracer"]()
     tracer.install()
     try:
-        for op in WORKLOADS["lift_deep"]:
+        for op in WORKLOADS[workload]:
             assert main(list(op.argv)) == op.code, op.name
     finally:
         tracer.uninstall()
-    capsys.readouterr()
     called = {span[0] for span in tracer.spans}
-    for module, qualname in TRACER["TARGETS"]:
-        if module == "deform":
-            assert f"deform.{qualname}" in called, qualname
+    return [qualname for mod, qualname in TRACER["TARGETS"]
+            if mod == module and f"{module}.{qualname}" not in called]
+
+
+def test_lift_deep_reaches_every_deform_target(monkeypatch, capsys):
+    """The lift_deep operations call every traced ``deform`` function, so
+    the CLI path still runs the certificates (``verify_deformation``,
+    ``certify_equivariance``)."""
+    monkeypatch.chdir(ROOT)
+    assert _missed_targets("lift_deep", "deform") == []
+    capsys.readouterr()
+
+
+def test_wild_fp_reaches_every_cohomology_target(monkeypatch, capsys):
+    """The wild_fp operations call every traced ``cohomology`` function,
+    so the CLI path still builds G-module slices and runs H^0, Z^1, H^1
+    and the coboundary solve on them."""
+    monkeypatch.chdir(ROOT)
+    assert _missed_targets("wild_fp", "cohomology") == []
+    capsys.readouterr()
