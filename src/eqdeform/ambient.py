@@ -137,6 +137,41 @@ class EquivariantAmbient:
         return twist_matrices(list(self.pres.gens), self.action, self.pres.gb,
                               self.pres.representer)
 
+    @cached_property
+    def monomial_images(self) -> dict:
+        """(element i, monomial m) -> NF(sigma_i(x^m)), filled on demand."""
+        return {}
+
+    def _monomial_image(self, i: int, m: tuple) -> Polynomial:
+        """NF(sigma_i(x^m)) = NF(NF(sigma_i(x^(m - e_v))) * sigma_i(x_v)) with
+        v the first variable of m: one product with an affine form and
+        one reduction per new entry."""
+        memo, chain = self.monomial_images, []
+        while (i, m) not in memo and any(m):
+            v = next(k for k, e in enumerate(m) if e)
+            chain.append((m, v))
+            m = m[:v] + (m[v] - 1,) + m[v + 1:]
+        value = memo[i, m] if any(m) else self.ring.one
+        for big, v in reversed(chain):
+            value = memo[i, big] = self.pres.nf(value * self.action.elements[i].images[v])
+        return value
+
+    def image(self, i: int, p: Polynomial) -> Polynomial:
+        """NF(sigma_i(p)) by linearity; p need not be a normal form."""
+        return _combination(self.ring, ((c, self._monomial_image(i, m))
+                                        for m, c in p.terms.items()))
+
+    @cached_property
+    def twist_images(self) -> list:
+        """Per element i, the rows of sigma_i(T_{sigma_i^-1}) mod I as (l, entry)
+        pairs: a constant entry, which sigma fixes, as its field value, any
+        other as its image."""
+        zero = (0,) * self.ring.nvars
+        return [[[(l, t.terms[zero] if t.degree() == 0 else self.image(i, t))
+                  for l, t in enumerate(row) if t]
+                 for row in self.twists.reduced[self.action.inv(i)]]
+                for i in self.action.indices()]
+
     def __repr__(self):
         return f"EquivariantAmbient({self.kind}, {self.pres.ring})"
 
@@ -231,34 +266,43 @@ def choose_ambient(p: AffinePresentation, g: GroupAction,
     return regular_rep_embedding(p, g)
 
 
+def _combination(ring: PolyRing, pairs) -> Polynomial:
+    """sum c * p over the (c, p) pairs; the polynomial itself when it is
+    the only nonzero one and c = 1."""
+    pairs = [(c, p) for c, p in pairs if p]
+    if len(pairs) == 1 and pairs[0][0] == ring.field.one:
+        return pairs[0][1]
+    field, terms = ring.field, {}
+    for c, p in pairs:
+        for m, d in p.terms.items():
+            s = field.add(terms.get(m, field.zero), field.mul(c, d))
+            if s == field.zero:
+                terms.pop(m, None)
+            else:
+                terms[m] = s
+    return Polynomial(ring, terms)
+
+
 class NormalModule:
     """Hom(I/I^2, B) = B^c on the dual basis F_j^*, with the conjugation twist."""
 
     def __init__(self, amb: EquivariantAmbient):
         self.amb = amb
         self.rank = amb.rank
-        self.twists = amb.twists
 
     @property
     def ring(self) -> PolyRing:
         return self.amb.ring
 
     def act(self, i: int, vec):
-        """(sigma.psi)_j = sum_l sigma(T_{sigma^-1}[j][l]) sigma(psi_l), mod I."""
-        action = self.amb.action
-        inv = action.inv(i)
-        tinv = self.twists.reduced[inv]
-        nf = self.amb.pres.nf
-        out = []
-        for j in range(self.rank):
-            total = self.ring.zero
-            for l in range(self.rank):
-                entry = tinv[j][l]
-                if entry.is_zero() or vec[l].is_zero():
-                    continue
-                total = total + action.apply(i, entry) * action.apply(i, vec[l])
-            out.append(nf(total))
-        return tuple(out)
+        """(sigma.psi)_j = sum_l sigma(T_{sigma^-1}[j][l]) sigma(psi_l), mod I,
+        from the ambient's monomial images: a constant twist entry scales
+        NF(sigma(psi_l)), any other takes one reduction of the product."""
+        amb, one = self.amb, self.ring.field.one
+        images = [amb.image(i, p) for p in vec]
+        return tuple(_combination(self.ring, (
+            (one, amb.pres.nf(e * images[l])) if isinstance(e, Polynomial)
+            else (e, images[l]) for l, e in row)) for row in amb.twist_images[i])
 
     def zero(self):
         return (self.ring.zero,) * self.rank
@@ -266,34 +310,19 @@ class NormalModule:
 
 def derivation_action(amb: EquivariantAmbient, i: int, vec):
     """Conjugation action on ambient derivation vectors in B^n:
-    (sigma.D)_i = sum_k L[i][k] sigma(D_k) with L the linear part of sigma^-1."""
+    (sigma.D)_i = sum_k L[i][k] sigma(D_k) with L the linear part of
+    sigma^-1, mod I from the ambient's monomial images."""
     action = amb.action
-    ring = amb.ring
-    L = action.elements[action.inv(i)].linear_part()
-    nf = amb.pres.nf
-    out = []
-    for row in L:
-        total = ring.zero
-        for k, coeff in row.items():
-            if not vec[k].is_zero():
-                total = total + action.apply(i, vec[k]).scale(coeff)
-        out.append(nf(total))
-    return tuple(out)
+    images = [amb.image(i, p) for p in vec]
+    return tuple(_combination(amb.ring, ((c, images[k]) for k, c in row.items()))
+                 for row in action.elements[action.inv(i)].linear_part())
 
 
 def normal_image(amb: EquivariantAmbient, vec):
     """Image of an ambient derivation vector in the normal module:
     F_j -> sum_i dF_j/dX_i * D_i, mod I."""
-    jac = amb.pres.jacobian
-    nf = amb.pres.nf
-    out = []
-    for j in range(amb.rank):
-        total = amb.ring.zero
-        for i in range(amb.ring.nvars):
-            if not jac[j][i].is_zero() and not vec[i].is_zero():
-                total = total + jac[j][i] * vec[i]
-        out.append(nf(total))
-    return tuple(out)
+    return tuple(amb.pres.nf(sum((d * v for d, v in zip(row, vec) if d and v), amb.ring.zero))
+                 for row in amb.pres.jacobian)
 
 
 class _SliceCoordinates:

@@ -455,7 +455,7 @@ def obstruction_cocycle(d: Deformation, lift_gens) -> Cocycle:
                                           allow_final_remainder=True)
     action = amb.action
     values = {
-        s: tuple(amb.ring.zero if w is None else amb.pres.nf(action.apply(s, w))
+        s: tuple(amb.ring.zero if w is None else amb.image(s, w)
                  for w in remainders[action.inv(s)])
         for s in action.generators
     }
@@ -597,7 +597,7 @@ def tangent_spaces(amb: EquivariantAmbient,
             avg = (ring.zero,) * rank
             for i in amb.action.indices():
                 avg = tuple(a + b for a, b in zip(avg, N.act(i, vec)))
-            reps.append(tuple(pres.nf(p.scale(scale)) for p in avg))
+            reps.append(tuple(p.scale(scale) for p in avg))
         return TangentReport(qb, t1_vectors, len(fixed), reps, "exact")
 
     # slice route (wild case, or infinite T^1)

@@ -109,6 +109,7 @@ def _spair(ring: PolyRing, f: Vec, flt, g: Vec, glt) -> Vec:
 def module_groebner(ring: PolyRing, vectors, rank: int) -> list[Vec]:
     """Reduced, monic, canonically sorted Groebner basis of the submodule
     of P^rank generated by the given vectors."""
+    import heapq  # on first use: importing eqdeform does not load it
     field = ring.field
     gens = [dict(v) for v in vectors if v]
     gens.sort(key=lambda v: _vec_canonical_key(ring, v))
@@ -117,6 +118,7 @@ def module_groebner(ring: PolyRing, vectors, rank: int) -> list[Vec]:
     G: list[Vec] = []
     lts: list = []
     pairs: set[tuple[int, int]] = set()
+    queue: list = []  # (order key of the lcm, pair), a heap over `pairs`
 
     def lcm_of(i, j):
         return monomial_lcm(lts[i][1], lts[j][1])
@@ -155,14 +157,17 @@ def module_groebner(ring: PolyRing, vectors, rank: int) -> list[Vec]:
             ):
                 continue
             pairs.add((min(by_lcm[L]), k))
+            heapq.heappush(queue, (ring.order.key(L), (min(by_lcm[L]), k)))
         G.append(f)
         lts.append(lt)
 
     for g in gens:
         add_element(g)
 
-    while pairs:
-        i, j = min(pairs, key=lambda p: (ring.order.key(lcm_of(*p)), p))
+    while queue:
+        i, j = heapq.heappop(queue)[1]
+        if (i, j) not in pairs:  # dropped by Gebauer-Moeller
+            continue
         pairs.discard((i, j))
         s = _spair(ring, G[i], lts[i], G[j], lts[j])
         if not s:

@@ -381,6 +381,36 @@ def invariant_vector_slice(amb, degree: int, tangent: bool) -> list:
     return basis
 
 
+# --- the group actions as written --------------------------------------------
+# Substitute, multiply and reduce the whole sum, as the formulas read.
+# eqdeform.ambient computes both actions by linearity from one normal
+# form per (element, monomial); these are its reference.
+
+def normal_module_act(amb, i, vec) -> tuple:
+    """(sigma.psi)_j = NF(sum_l sigma(T_{sigma^-1}[j][l]) sigma(psi_l))."""
+    action = amb.action
+    out = []
+    for row in amb.twists.reduced[action.inv(i)]:
+        total = amb.ring.zero
+        for entry, p in zip(row, vec):
+            total = total + action.apply(i, entry) * action.apply(i, p)
+        out.append(amb.pres.nf(total))
+    return tuple(out)
+
+
+def derivation_act(amb, i, vec) -> tuple:
+    """(sigma.D)_i = NF(sum_k L[i][k] sigma(D_k)), L the linear part of
+    sigma^-1."""
+    action = amb.action
+    out = []
+    for row in action.elements[action.inv(i)].linear_part():
+        total = amb.ring.zero
+        for k, coeff in row.items():
+            total = total + action.apply(i, vec[k]).scale(coeff)
+        out.append(amb.pres.nf(total))
+    return tuple(out)
+
+
 # --- group cohomology over all pairs of elements ----------------------------
 # The cocycle, fixed-vector and coboundary conditions written out over
 # every pair of group elements, with dense matrices and the dense

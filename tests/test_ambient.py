@@ -1,4 +1,5 @@
 import random
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import eqdeform.groebner
 import oracles
 from eqdeform.ambient import (
     AffinePresentation,
+    EquivariantAmbient,
     NormalModule,
     NotCompleteIntersectionError,
     _SliceCoordinates,
@@ -19,12 +21,12 @@ from eqdeform.ambient import (
     original_ambient,
     regular_rep_embedding,
 )
-from eqdeform.cli import Workspace
+from eqdeform.cli import Workspace, main
 from eqdeform.fields import GF, QQ
 from eqdeform.gaction import close_group, verify_stability
 from eqdeform.groebner import buchberger, is_regular_sequence
 from eqdeform.linalg import SpanBuilder
-from eqdeform.poly import MonomialOrder, PolyRing, canonical_render
+from eqdeform.poly import MonomialOrder, PolyRing, Polynomial, canonical_render
 from eqdeform.problem import parse_problem
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -302,3 +304,107 @@ def test_invariant_slice_matches_the_all_elements_oracle(name, degree, tangent):
     assert (name == "trans_f3") == (amb.kind == "regular")
     basis = ambient_vector_slice(amb, degree, tangent=tangent)
     assert basis == oracles.invariant_vector_slice(amb, degree, tangent)
+
+
+# regular ambients (the translation fixes no variable orbit and |G| = 3 = p)
+# whose twist matrices have non-constant entries; adding z^3 - z makes
+# B finite, so a product with such an entry needs a reduction
+NONCONSTANT_TWIST = {
+    "nonconstant_twist": "field F 3\nvars x y z\nideal: x; y + x*z^2\ngen s: z -> z + 1\n",
+    "nonconstant_twist_finite":
+        "field F 3\nvars x y z\nideal: x; y + x*z^2; z^3 - z\ngen s: z -> z + 1\n",
+}
+ACTION_CASES = {
+    f"{path.parent.name}/{path.stem}": path.read_text(encoding="utf-8")
+    for path in sorted((ROOT / "problems").glob("*.prob"))
+    + sorted((ROOT / "bench" / "problems").glob("*.prob"))}
+ACTION_CASES.update(NONCONSTANT_TWIST)
+
+
+def _random_vector(rng, amb, length):
+    """Components of up to three terms of degree <= 2, half of them
+    standard monomials and half arbitrary ones (mostly not normal)."""
+    ring = amb.ring
+    pools = (amb.pres.std_monomials_upto(2), ring.monomials_upto(2))
+    out = []
+    for _ in range(length):
+        terms = {}
+        for _ in range(rng.randrange(4)):
+            pool = pools[rng.randrange(2)]
+            terms[pool[rng.randrange(len(pool))]] = ring.field.of(rng.randrange(1, 7))
+        out.append(Polynomial(ring, {m: c for m, c in terms.items() if c}))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", [*ACTION_CASES, "parabola_q_lex"])
+def test_actions_by_linearity_match_the_direct_formulas(name):
+    """The normal-module and derivation actions and amb.image, computed
+    from the memo of monomial images, equal substituting and reducing
+    the whole sum, for every element on random vectors: over the 14
+    shipped and bench problems, the non-constant twists and a lex
+    ambient."""
+    if name == "parabola_q_lex":
+        amb = _forced_regular_ambient(GRAPH_CASES["parabola_q"], "lex")
+    else:
+        amb = Workspace(parse_problem(ACTION_CASES[name])).ambient
+    assert len(ACTION_CASES) == 14 + len(NONCONSTANT_TWIST)
+    if name in NONCONSTANT_TWIST:
+        assert amb.kind == "regular" and amb.rank >= 8
+        assert any(t.degree() > 0 for rows in amb.twists.reduced
+                   for row in rows for t in row)
+    N = NormalModule(amb)
+    rng = random.Random(sum(map(ord, name)))
+    for _ in range(3):
+        psi = _random_vector(rng, amb, amb.rank)
+        D = _random_vector(rng, amb, amb.ring.nvars)
+        for i in amb.action.indices():
+            assert N.act(i, psi) == oracles.normal_module_act(amb, i, psi)
+            assert derivation_action(amb, i, D) == oracles.derivation_act(amb, i, D)
+            for p in psi + D:
+                assert amb.image(i, p) == amb.pres.nf(amb.action.apply(i, p))
+
+
+class _CountingMemo(dict):
+    """A memo that counts how often an entry is stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.fills = 0
+
+    def __setitem__(self, key, value):
+        self.fills += 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["obstruction", "bench/problems/klein_f2.prob", "--truncate", "2"], 2),
+    (["tangent", "bench/problems/trans_f3.prob", "--truncate", "3"], 0)])
+def test_each_monomial_image_is_computed_once(monkeypatch, capsys, argv, code):
+    """Through the CLI, every (element, monomial) normal form is stored
+    exactly once in the one memo of the operation's ambient."""
+    memos = []
+
+    def counting(self):
+        memos.append(_CountingMemo())
+        return memos[-1]
+
+    memo = cached_property(counting)
+    memo.__set_name__(EquivariantAmbient, "monomial_images")
+    monkeypatch.setattr(EquivariantAmbient, "monomial_images", memo)
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == code
+    capsys.readouterr()
+    (memo,) = memos
+    assert len(memo) > 0
+    assert memo.fills == len(memo)
+
+
+def test_a_new_workspace_starts_with_an_empty_memo():
+    """The memo lives on its ambient: a second workspace on the same file
+    acts from scratch."""
+    text = (ROOT / "bench" / "problems" / "klein_f2.prob").read_text(encoding="utf-8")
+    first = Workspace(parse_problem(text)).ambient
+    derivations(first, 2)
+    assert first.monomial_images
+    second = Workspace(parse_problem(text)).ambient
+    assert second.monomial_images == {}

@@ -65,10 +65,10 @@ def test_install_and_uninstall_restore_every_name():
     assert all(after[key] is value for key, value in before.items())
 
 
-def _missed_targets(workload: str, module: str) -> list:
-    """The traced ``module`` targets that the workload's operations, run
-    from the repository root with their exit codes checked, never call;
-    the caller chdirs there and empties the captured output."""
+def _missed_targets(workload: str, *modules: str) -> list:
+    """The traced targets in ``modules`` that the workload's operations,
+    run from the repository root with their exit codes checked, never
+    call; the caller chdirs there and empties the captured output."""
     tracer = TRACER["Tracer"]()
     tracer.install()
     try:
@@ -77,8 +77,8 @@ def _missed_targets(workload: str, module: str) -> list:
     finally:
         tracer.uninstall()
     called = {span[0] for span in tracer.spans}
-    return [qualname for mod, qualname in TRACER["TARGETS"]
-            if mod == module and f"{module}.{qualname}" not in called]
+    return [f"{mod}.{qualname}" for mod, qualname in TRACER["TARGETS"]
+            if mod in modules and f"{mod}.{qualname}" not in called]
 
 
 def test_lift_deep_reaches_every_deform_target(monkeypatch, capsys):
@@ -96,4 +96,14 @@ def test_wild_fp_reaches_every_cohomology_target(monkeypatch, capsys):
     and the coboundary solve on them."""
     monkeypatch.chdir(ROOT)
     assert _missed_targets("wild_fp", "cohomology") == []
+    capsys.readouterr()
+
+
+def test_wild_fp_reaches_every_ambient_target(monkeypatch, capsys):
+    """The wild_fp operations call every traced ``ambient`` and
+    ``gaction`` function, ``GroupAction.apply`` included, so the slices
+    still act through ``NormalModule.act`` and its bench counters stay
+    live."""
+    monkeypatch.chdir(ROOT)
+    assert _missed_targets("wild_fp", "ambient", "gaction") == []
     capsys.readouterr()
