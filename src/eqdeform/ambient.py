@@ -162,6 +162,21 @@ class EquivariantAmbient:
                                         for m, c in p.terms.items()))
 
     @cached_property
+    def inverse_linear_columns(self) -> dict:
+        """Per generator g and variable i, column i of the linear part L
+        of g^-1 as (r, L[r][i]) pairs, r ascending, with (i, 0) when
+        L[i][i] = 0.  The conjugation action on derivation vectors is
+        (g.D)_r = sum_i L[r][i] NF(g(D_i)), so for D = x^m e_i these r are
+        the positions where g.D - D can be nonzero."""
+        action, zero, n = self.action, self.ring.field.zero, self.ring.nvars
+        out = {}
+        for g in action.generators:
+            linear = action.elements[action.inv(g)].linear_part()
+            out[g] = [[(r, linear[r].get(i, zero)) for r in range(n)
+                       if i in linear[r] or r == i] for i in range(n)]
+        return out
+
+    @cached_property
     def twist_images(self) -> list:
         """Per element i, the rows of sigma_i(T_{sigma_i^-1}) mod I as (l, entry)
         pairs: a constant entry, which sigma fixes, as its field value, any
@@ -308,21 +323,12 @@ class NormalModule:
         return (self.ring.zero,) * self.rank
 
 
-def derivation_action(amb: EquivariantAmbient, i: int, vec):
-    """Conjugation action on ambient derivation vectors in B^n:
-    (sigma.D)_i = sum_k L[i][k] sigma(D_k) with L the linear part of
-    sigma^-1, mod I from the ambient's monomial images."""
-    action = amb.action
-    images = [amb.image(i, p) for p in vec]
-    return tuple(_combination(amb.ring, ((c, images[k]) for k, c in row.items()))
-                 for row in action.elements[action.inv(i)].linear_part())
-
-
 def normal_image(amb: EquivariantAmbient, vec):
     """Image of an ambient derivation vector in the normal module:
-    F_j -> sum_i dF_j/dX_i * D_i, mod I."""
-    return tuple(amb.pres.nf(sum((d * v for d, v in zip(row, vec) if d and v), amb.ring.zero))
-                 for row in amb.pres.jacobian)
+    F_j -> sum_i dF_j/dX_i * D_i, mod I (a zero sum is not reduced)."""
+    sums = (sum((d * v for d, v in zip(row, vec) if d and v), amb.ring.zero)
+            for row in amb.pres.jacobian)
+    return tuple(amb.pres.nf(p) if p else p for p in sums)
 
 
 class _SliceCoordinates:
@@ -344,35 +350,47 @@ def ambient_vector_slice(amb: EquivariantAmbient, degree: int,
     """k-basis of the invariant ambient derivation vectors in B^n with
     standard-monomial components of degree <= degree.
 
-    Invariance under the conjugation action is always imposed;
-    tangent=True adds the equations J.D = 0 mod I (actual derivations of
-    B).
+    Invariance under the conjugation action is always imposed, by the
+    generators (the action is a homomorphism, so fixed by the generators
+    is fixed by all); tangent=True adds the equations J.D = 0 mod I
+    (actual derivations of B).  For the unknown D = x^m e_i and a
+    generator g, (g.D - D)_r = L[r][i] NF(g(x^m)) - [r = i] x^m with L
+    the linear part of g^-1, so each constraint entry is a memo image
+    times an entry of a cached column of L.
     """
     pres = amb.pres
     ring = amb.ring
+    field = ring.field
+    zero = field.zero
     monos = pres.std_monomials_upto(degree)
     unknowns = [(i, m) for i in range(ring.nvars) for m in monos]
     if not unknowns:
         return []
-
-    # one sparse constraint row per (block, position, monomial)
+    # one sparse constraint row per (block, position, monomial), in the
+    # order first met: unknown by unknown, position ascending, the image's
+    # terms, then x^m
     rows: dict = {}
-
-    def constrain(block, u, vec):
-        for pos, p in enumerate(vec):
-            for m, c in p.terms.items():
-                rows.setdefault((block, pos, m), {})[u] = c
-
-    # derivation_action is a homomorphism: fixed by the generators is fixed by all
     for u, (i, m) in enumerate(unknowns):
-        v = tuple(ring.monomial(m) if k == i else ring.zero for k in range(ring.nvars))
         if tangent:
-            constrain(None, u, normal_image(amb, v))
-        for g_idx in amb.action.generators:
-            constrain(g_idx, u, tuple(
-                a - b for a, b in zip(derivation_action(amb, g_idx, v), v)))
+            unit = tuple(ring.monomial(m) if k == i else ring.zero for k in range(ring.nvars))
+            for j, p in enumerate(normal_image(amb, unit)):
+                for mono, c in p.terms.items():
+                    rows.setdefault((None, j, mono), {})[u] = c
+        for g, cols in amb.inverse_linear_columns.items():
+            image = amb._monomial_image(g, m).terms
+            for r, c in cols[i]:
+                entries = {mono: field.mul(c, d) for mono, d in image.items()} \
+                    if c != zero else {}
+                if r == i:
+                    x = field.sub(entries.get(m, zero), field.one)
+                    if x == zero:
+                        del entries[m]
+                    else:
+                        entries[m] = x
+                for mono, x in entries.items():
+                    rows.setdefault((g, r, mono), {})[u] = x
     basis = []
-    for sol in kernel_basis(ring.field, list(rows.values()), len(unknowns)):
+    for sol in kernel_basis(field, list(rows.values()), len(unknowns)):
         vec = [ring.zero] * ring.nvars
         for u, coeff in sol.items():
             i, m = unknowns[u]

@@ -5,7 +5,9 @@ normal-form module vectors together with one exact action matrix per
 generator of G.  For filtered infinite modules, slices are the span of
 the G-orbit of all standard-monomial vectors up to a degree bound, so
 they are honestly G-stable even when the twist matrices are
-non-constant.
+non-constant.  The span is grown one orbit block at a time until it is
+closed under the generators, which makes it G-stable; the generators'
+images of its basis, expressed in one ``solve``, are the matrices.
 
 The cocycle convention is c(s*t) = s.c(t) + c(s) and the coboundary of
 phi is s -> s.phi - phi.  A representation, a cocycle and a fixed vector
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 from .ambient import NormalModule, _SliceCoordinates
 from .gaction import GroupAction
-from .linalg import add_scaled, kernel_basis, rref, solve, span_modulo, transpose
+from .linalg import SpanBuilder, add_scaled, kernel_basis, solve, span_modulo, transpose
 
 
 class CocycleError(ValueError):
@@ -107,11 +109,26 @@ class GModuleSlice:
 def slice_of_normal_module(module: NormalModule, degree: int,
                            extra_vectors=()) -> GModuleSlice:
     """G-stable slice of the normal module: span of the G-orbit of all
-    standard-monomial vectors of degree <= degree (plus extra seeds).
+    standard-monomial vectors of degree <= degree (plus extra seeds),
+    closed under the generators.
 
-    The payloads are the pivot columns of the one elimination of the
-    orbit vectors, and M_g sends payload j.s to orbit vector (gj).s for
-    each generator g."""
+    The orbit is taken one block at a time in element-index order, block
+    e being the seeds; the orbit vectors that enlarge the span in turn
+    are the payloads.  After each block every generator acts on the
+    payloads, and one ``solve`` expresses the images over them; once all
+    of them land, their coordinates are the generator matrices.  A span
+    closed under the generators is G-stable, so no later orbit vector
+    would be a payload: the payloads are the greedy independent vectors
+    of the whole element-major orbit, and the matrices are their unique
+    coordinates.  When the last block leaves the span unclosed, the
+    action is not a representation on it and CocycleError is raised.
+
+    Check strength: the image of a payload in block e under a generator
+    g is act(g, seed), which is also the orbit vector the group table
+    predicts for it; so where block e closes, "every image lies in the
+    span and the matrices satisfy the relations" (``GModuleSlice``)
+    checks as much as comparing each image with its predicted orbit
+    vector does."""
     pres = module.amb.pres
     ring = module.ring
     group = module.amb.action
@@ -125,29 +142,27 @@ def slice_of_normal_module(module: NormalModule, degree: int,
     for v in extra_vectors:
         seeds.append(tuple(pres.nf(p) for p in v))
 
-    # orbit[i * len(seeds) + k] is element i applied to seed k
-    orbit = []
+    coords = _SliceCoordinates()
+    span = SpanBuilder(field)
+    payloads, columns = [], []
+    images = {g: [] for g in group.generators}  # g -> g.payload, payload order
     for i in group.indices():
         for s in seeds:
-            orbit.append(module.act(i, s) if i != group.identity_index else s)
-    coords = _SliceCoordinates()
-    columns = [coords.row(v) for v in orbit]
-    red, kept = rref(field, transpose(columns, len(coords.index)))
-    orbit_coords = transpose(red, len(orbit))
-
-    def image(i, k):
-        """Orbit index of element i applied to orbit vector k."""
-        j, seed = divmod(k, len(seeds))
-        return group.mul(i, j) * len(seeds) + seed
-
-    for g in group.generators:
-        for k in kept:
-            if module.act(g, orbit[k]) != orbit[image(g, k)]:
-                raise CocycleError("slice is not closed under the action")
-    matrices = {g: transpose([orbit_coords[image(g, k)] for k in kept], len(kept))
-                for g in group.generators}
-    return GModuleSlice(group, field, len(kept), matrices,
-                        payloads=[orbit[k] for k in kept])
+            v = s if i == group.identity_index else module.act(i, s)
+            row = coords.row(v)
+            if span.add(row):
+                payloads.append(v)
+                columns.append(row)
+        for g, acted in images.items():
+            acted += [module.act(g, p) for p in payloads[len(acted):]]
+        rhs = [coords.row(v) for acted in images.values() for v in acted]
+        solved = solve(field, columns, rhs, len(coords.index))
+        if None not in solved:
+            dim = len(payloads)
+            matrices = {g: transpose(solved[k * dim:(k + 1) * dim], dim)
+                        for k, g in enumerate(images)}
+            return GModuleSlice(group, field, dim, matrices, payloads=payloads)
+    raise CocycleError("slice is not closed under the action")
 
 
 def invariants(m: GModuleSlice):
@@ -299,15 +314,15 @@ def solve_coboundary(m: GModuleSlice, cochain) -> dict | None:
 
 class Cocycle:
     """A 1-cocycle valued in a normal module, stored in standard form
-    (c(st) = s.c(t) + c(s) for the conjugation twist)."""
+    (c(st) = s.c(t) + c(s) for the conjugation twist).
+
+    The values {s: c(s)} must be vectors of normal forms; they are stored
+    as given, less the one at the identity."""
 
     def __init__(self, module: NormalModule, values: dict):
         self.module = module
-        self.values = {
-            i: tuple(module.amb.pres.nf(p) for p in vec)
-            for i, vec in values.items()
-            if i != module.amb.action.identity_index
-        }
+        self.values = {i: vec for i, vec in values.items()
+                       if i != module.amb.action.identity_index}
 
     @classmethod
     def from_generators(cls, module: NormalModule, values: dict) -> "Cocycle":

@@ -85,19 +85,23 @@ def solve(field: Field, columns: list[dict], rhs_list: list[dict],
     when b is outside the span of the columns; None for every b when
     nrows is 0.  Each x is the canonical solution, with the free
     variables zero (so b = 0 yields {}).  One elimination of [A | B]
-    serves every right-hand side."""
+    serves every right-hand side, and one pass over the reduced rows
+    reads all of them off: row r < rank(A) gives x[pivot r] in each
+    column past A, in ascending pivot order, and b is unsolvable when a
+    row past rank(A) has an entry in its column."""
     if not nrows:
         return [None] * len(rhs_list)
     n = len(columns)
     red, pivots = rref(field, transpose(columns + rhs_list, nrows))
     rank_a = bisect_left(pivots, n)
-    out = []
-    for j in range(n, n + len(rhs_list)):
-        # b is solvable iff the rows past rank(A) vanish in its column
-        if any(j in red[r] for r in range(rank_a, len(pivots))):
-            out.append(None)
-        else:
-            out.append({pivots[r]: red[r][j] for r in range(rank_a) if j in red[r]})
+    out = [{} for _ in rhs_list]
+    for row, p in zip(red[:rank_a], pivots):
+        for j, x in row.items():
+            if j >= n:
+                out[j - n][p] = x
+    for row in red[rank_a:]:
+        for j in row:
+            out[j - n] = None
     return out
 
 

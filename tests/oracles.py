@@ -3,10 +3,13 @@
 Everything here works on raw coefficient vectors with its own plain
 dense linear algebra (or honest enumeration over F_2) and never calls
 the Groebner machinery or ``eqdeform.linalg``, so it can vouch for the
-main implementation.  Two exceptions lean on the package for polynomial
-work only.  The invariant vector slice takes its condition vectors from
-``eqdeform.ambient`` (normal forms included): it checks which conditions
+main implementation.  Three exceptions lean on the package for polynomial
+work only.  The invariant vector slice takes its normal images from
+``eqdeform.ambient`` and its group action from ``derivation_act`` below
+(normal forms included): it checks which conditions
 ``ambient_vector_slice`` imposes and how it eliminates them.  The
+full-orbit slice acts through ``NormalModule.act``: it checks how
+``slice_of_normal_module`` picks its payloads and matrices.  The
 eps-peeling copy at the end is handed a Groebner representer: it checks
 the stage bookkeeping of ``eqdeform.deform.eps_divide``, not the
 membership test.
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import weakref
 
-from eqdeform.ambient import derivation_action, normal_image
+from eqdeform.ambient import normal_image
 from eqdeform.cohomology import CocycleError
 from eqdeform.deform import DeformationError, EpsPoly
 from eqdeform.fields import Field
@@ -365,7 +368,7 @@ def invariant_vector_slice(amb, degree: int, tangent: bool) -> list:
         image = list(normal_image(amb, v)) if tangent else []
         for s in action.indices():
             if s != action.identity_index:
-                image += [a - b for a, b in zip(derivation_action(amb, s, v), v)]
+                image += [a - b for a, b in zip(derivation_act(amb, s, v), v)]
         images.append(image)
     keys = sorted({(slot, m) for image in images
                    for slot, p in enumerate(image) for m in p.terms})
@@ -409,6 +412,42 @@ def derivation_act(amb, i, vec) -> tuple:
             total = total + action.apply(i, vec[k]).scale(coeff)
         out.append(amb.pres.nf(total))
     return tuple(out)
+
+
+def orbit_slice(module, degree: int, extra_vectors=()) -> tuple[list, dict]:
+    """(payloads, {generator: dense matrix}) of the G-stable slice read
+    from the whole orbit, the reference for ``slice_of_normal_module``:
+    every element acts on every seed, one dense elimination of the
+    element-major orbit picks the independent orbit vectors as
+    payloads, and M_g sends the payload (j, seed) to the coordinates of
+    the orbit vector (gj, seed), once act(g, payload) is checked to be
+    that vector."""
+    pres, ring = module.amb.pres, module.ring
+    group, field = module.amb.action, ring.field
+    seeds = []
+    for j in range(module.rank):
+        for m in pres.std_monomials_upto(degree):
+            vec = [ring.zero] * module.rank
+            vec[j] = ring.monomial(m)
+            seeds.append(tuple(vec))
+    seeds += [tuple(pres.nf(p) for p in v) for v in extra_vectors]
+    orbit = [s if i == group.identity_index else module.act(i, s)
+             for i in group.indices() for s in seeds]
+    keys = sorted({(pos, m) for v in orbit for pos, p in enumerate(v) for m in p.terms})
+    red, kept = rref(field, [[v[pos].terms.get(m, field.zero) for v in orbit]
+                             for pos, m in keys])
+
+    def image(g, k):
+        j, seed = divmod(k, len(seeds))
+        return group.mul(g, j) * len(seeds) + seed
+
+    for g in group.generators:
+        for k in kept:
+            if module.act(g, orbit[k]) != orbit[image(g, k)]:
+                raise CocycleError("slice is not closed under the action")
+    matrices = {g: [[red[r][image(g, k)] for k in kept] for r in range(len(kept))]
+                for g in group.generators}
+    return [orbit[k] for k in kept], matrices
 
 
 # --- group cohomology over all pairs of elements ----------------------------

@@ -330,7 +330,7 @@ def test_ambient_option(tmp_path, capsys):
 
 def _obstructed_step(d, trunc=None):
     """A lift step that reports an obstruction class, as no shipped input does."""
-    values = {i: (d.amb.ring.var("x"),) for i in d.amb.action.indices()}
+    values = {i: (d.amb.pres.nf(d.amb.ring.var("x")),) for i in d.amb.action.indices()}
     return LiftOutcome(False, None, Cocycle(NormalModule(d.amb), values),
                        f"slice:{trunc}")
 

@@ -18,6 +18,7 @@ from eqdeform.cohomology import (
     solve_coboundary,
     zcocycles,
 )
+from eqdeform.deform import SLACK, obstruction_cocycle
 from eqdeform.fields import GF, QQ
 from eqdeform.gaction import close_group
 from eqdeform.poly import PolyRing
@@ -183,31 +184,40 @@ def test_unit_coboundaries_are_the_columns_of_the_action(path, degree):
 
 
 def test_slice_factors_the_action_matrices_once(monkeypatch):
-    """One elimination of the orbit matrix gives every action matrix: the
-    module acts once per (nonidentity element, seed) and once per
-    (generator, payload)."""
+    """On klein_f2 at D = 2 the seeds already span a G-stable space: the
+    module is acted on only by the generators, once per (generator,
+    payload), and the one elimination is that solve's, of the payloads
+    beside their images: no orbit matrix of |G| * #seeds columns is
+    eliminated."""
     text = (ROOT / "bench" / "problems" / "klein_f2.prob").read_text(encoding="utf-8")
     workspace = Workspace(parse_problem(text))
     module = NormalModule(workspace.ambient)
-    seeds = len(module.amb.pres.std_monomials_upto(2)) * module.rank
-    rref_calls, act_calls = [], []
-    rref, act = cohomology.rref, NormalModule.act
+    rref_calls, solve_calls, act_calls = [], [], []
+    rref, solve, act = linalg.rref, cohomology.solve, NormalModule.act
 
     def counted_rref(field, rows):
-        rref_calls.append(len(rows))
+        rref_calls.append(1 + max(c for row in rows for c in row))
         return rref(field, rows)
+
+    def counted_solve(field, columns, rhs_list, nrows):
+        solve_calls.append(len(rhs_list))
+        return solve(field, columns, rhs_list, nrows)
 
     def counted_act(self, i, vec):
         act_calls.append(i)
         return act(self, i, vec)
 
-    monkeypatch.setattr(cohomology, "rref", counted_rref)
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    monkeypatch.setattr(cohomology, "solve", counted_solve)
     monkeypatch.setattr(NormalModule, "act", counted_act)
     m = slice_of_normal_module(module, 2)
     group = workspace.group
+    seeds = len(module.amb.pres.std_monomials_upto(2)) * module.rank
     assert len(group) == 4 and len(group.generators) == 2 and m.dim > 1
-    assert len(rref_calls) == 1
-    assert len(act_calls) == (len(group) - 1) * seeds + len(group.generators) * m.dim
+    assert sorted(act_calls) == sorted(group.generators * m.dim)
+    assert solve_calls == [len(group.generators) * m.dim]
+    assert rref_calls == [(1 + len(group.generators)) * m.dim]
+    assert rref_calls[0] < len(group) * seeds
 
 
 def _random_involution(field, n, rng):
@@ -328,6 +338,69 @@ def test_slice_with_a_stray_generator_image_is_rejected(monkeypatch):
     monkeypatch.setattr(NormalModule, "act", stray_act)
     with pytest.raises(CocycleError, match="slice is not closed under the action"):
         slice_of_normal_module(module, 2)
+
+
+def assert_matches_the_orbit_slice(module, degree, extra_vectors=()):
+    """The slice closed under the generators has the payloads and the
+    generator matrices of the full-orbit reference in oracles."""
+    m = slice_of_normal_module(module, degree, extra_vectors)
+    payloads, matrices = oracles.orbit_slice(module, degree, extra_vectors)
+    assert m.payloads == payloads
+    assert {g: [oracles.dense(m.field, row, m.dim) for row in rows]
+            for g, rows in m.matrices.items()} == matrices
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+@pytest.mark.parametrize("path", PROBLEMS)
+def test_slice_matches_the_full_orbit_oracle(path, degree):
+    workspace = Workspace(parse_problem((ROOT / path).read_text(encoding="utf-8")))
+    assert_matches_the_orbit_slice(NormalModule(workspace.ambient), degree)
+
+
+def test_slice_with_a_lift_defect_matches_the_full_orbit_oracle():
+    """The extra seeds of equivariantize: the nonzero defect cocycle of
+    klein_twist_f2's coefficientwise lift, at its search bound 2 + SLACK."""
+    text = (ROOT / "bench" / "problems" / "klein_twist_f2.prob").read_text(encoding="utf-8")
+    workspace = Workspace(parse_problem(text))
+    d = workspace.deformation(workspace.problem, workspace.problem.eps_order)
+    c = obstruction_cocycle(d, tuple(g.lift(d.order + 1) for g in d.gens))
+    group = workspace.ambient.action
+    extra = [c.value(i) for i in group.indices() if i != group.identity_index]
+    assert not c.is_zero()
+    assert_matches_the_orbit_slice(NormalModule(workspace.ambient), 2 + SLACK, extra)
+
+
+UNCLOSED_IDENTITY_BLOCK = {
+    # Z/3 through a regular ambient with non-constant twists: later blocks
+    # add payloads, and the span closes only with the last block
+    "nonconstant_twist": "field F 3\nvars x y z\nideal: x; y + x*z^2\ngen s: z -> z + 1\n",
+    # S3 through its regular ambient: block 1 adds payloads, and the span
+    # closes before the other four blocks act
+    "s3_sym_f2": "field F 2\nvars x y z\nideal: x*y + y*z + z*x\n"
+                 "gen r: x -> y, y -> z, z -> x\ngen s: x -> y, y -> x\n",
+}
+
+
+@pytest.mark.parametrize("name,blocks", [("nonconstant_twist", 3), ("s3_sym_f2", 2)])
+def test_slice_beyond_the_identity_block_matches_the_full_orbit_oracle(
+        monkeypatch, name, blocks):
+    """The seeds do not span a G-stable space: later orbit blocks add
+    payloads, in the order of the full orbit, until the span closes."""
+    module = NormalModule(Workspace(parse_problem(UNCLOSED_IDENTITY_BLOCK[name])).ambient)
+    group = module.amb.action
+    seeds = len(module.amb.pres.std_monomials_upto(1)) * module.rank
+    acted = []
+    act = NormalModule.act
+    monkeypatch.setattr(NormalModule, "act",
+                        lambda self, i, vec: acted.append(i) or act(self, i, vec))
+    m = slice_of_normal_module(module, 1)
+    assert m.dim > seeds
+    # the first `blocks` elements act on every seed, the generators on
+    # every payload, and no later block is taken
+    assert len(acted) == (blocks - 1) * seeds + len(group.generators) * m.dim
+    assert all(i < blocks or i in group.generators for i in acted)
+    monkeypatch.setattr(NormalModule, "act", act)
+    assert_matches_the_orbit_slice(module, 1)
 
 
 def test_trivial_action_in_characteristic_two_has_h1():

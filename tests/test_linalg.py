@@ -96,6 +96,44 @@ def test_solves_match_the_dense_oracle(seed):
     assert rhs_columns == _sparse_rows(field, rhs_list)
 
 
+MANY_RHS_SEEDS = range(1000, 1100)
+
+
+def many_rhs_system(seed):
+    """(field, rows, ncols, rhs_list) with more right-hand sides than
+    rank(A), each A x for a random x or an arbitrary b."""
+    field, rows, ncols, rng = system(seed)
+    rank = len(oracles.rref(field, rows)[1])
+    rhs_list = [_right_hand_side(field, rows, ncols, rng)
+                for _ in range(rank + rng.randint(1, 6))]
+    return field, rows, ncols, rhs_list
+
+
+@pytest.mark.parametrize("seed", MANY_RHS_SEEDS)
+def test_more_right_hand_sides_than_the_rank(seed):
+    """One call with more right-hand sides than rank(A), solvable and
+    unsolvable mixed, reads each one off as the dense oracle solves it,
+    every solution's keys ascending."""
+    field, rows, ncols, rhs_list = many_rhs_system(seed)
+    columns = _sparse_rows(field, ([row[c] for row in rows] for c in range(ncols)))
+    solutions = linalg.solve(field, columns, _sparse_rows(field, rhs_list), len(rows))
+    assert all(x is None or list(x) == sorted(x) for x in solutions)
+    assert [None if x is None else oracles.dense(field, x, ncols) for x in solutions] == \
+        [oracles.solve(field, rows, b) for b in rhs_list]
+
+
+def test_many_right_hand_side_cases_mix_solvable_and_unsolvable():
+    """The seeds above cover calls whose right-hand sides are partly
+    solvable and partly not, and solutions with several keys."""
+    mixed = several = 0
+    for seed in MANY_RHS_SEEDS:
+        field, rows, _, rhs_list = many_rhs_system(seed)
+        solved = [oracles.solve(field, rows, b) for b in rhs_list]
+        mixed += None in solved and any(x is not None for x in solved)
+        several += any(x is not None and sum(v != field.zero for v in x) > 1 for x in solved)
+    assert mixed >= 20 and several >= 20
+
+
 def test_systems_without_rows_have_no_solution():
     for field in FIELDS:
         assert linalg.solve(field, [{}, {}, {}], [{}], 0) == [None]
