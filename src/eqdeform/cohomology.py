@@ -263,24 +263,30 @@ def h1_bounded(m_small: GModuleSlice, m_big: GModuleSlice) -> H1Result:
     m_small's payload vectors must lie inside m_big; this implements the
     slice policy for filtered modules (value slice at D, coboundary
     search at a higher bound).  A cocycle is fixed by its values on the
-    generators, so Z^1 and B^1 of m_big are compared there."""
+    generators, so Z^1 and B^1 of m_big are compared there.  When m_big
+    is m_small (a graded setup searched at the slice itself, see
+    deform._search_degree) the embedding is the identity, and no
+    ``express`` solve is made."""
     field = m_small.field
     z_small = zcocycles(m_small)
     if not z_small:
         return H1Result(0, [])
-    emb = m_big.express(m_small.payloads)
-    if any(coords is None for coords in emb):
-        raise CocycleError("small slice does not embed in the search slice")
     gens = _Blocks(m_big, m_big.group.generators)
+    if m_big is m_small:
+        embed = gens.stack
+    else:
+        emb = m_big.express(m_small.payloads)
+        if any(coords is None for coords in emb):
+            raise CocycleError("small slice does not embed in the search slice")
 
-    def embed(z):
-        """The generator values of a cocycle of m_small, in m_big."""
-        values = {}
-        for s in gens.elements:
-            values[s] = {}
-            for r, c in z.get(s, {}).items():
-                add_scaled(field, values[s], c, emb[r])
-        return gens.stack(values)
+        def embed(z):
+            """The generator values of a cocycle of m_small, in m_big."""
+            values = {}
+            for s in gens.elements:
+                values[s] = {}
+                for r, c in z.get(s, {}).items():
+                    add_scaled(field, values[s], c, emb[r])
+            return gens.stack(values)
 
     _, kept = span_modulo(field, _unit_coboundaries(m_big), (embed(z) for z in z_small))
     return H1Result(len(kept), [z_small[k] for k in kept])

@@ -47,7 +47,8 @@ from .linalg import solve, span_modulo
 from .poly import PolyRing, Polynomial, substitute
 
 
-# Degrees by which a coboundary or image search slice exceeds the value slice.
+# Degrees by which a coboundary or image search slice exceeds the value
+# slice, outside graded equal-degree setups (see _search_degree).
 SLACK = 2
 
 
@@ -465,7 +466,11 @@ def obstruction_cocycle(d: Deformation, lift_gens) -> Cocycle:
 def is_graded_setup(amb: EquivariantAmbient) -> bool:
     """Homogeneous generators with a linear (degree-preserving) action:
     coboundary solves are then exact, not merely slice-certified.  The
-    action is linear when the generators' images are."""
+    action is linear when the generators' images are.  B is then graded
+    and G preserves its grading (normal forms by the homogeneous reduced
+    basis keep degree).  When the generators also share one degree, G
+    preserves the grading of the normal module too, and the search slices
+    run at the value slice (``_search_degree``)."""
     if not all(f.is_homogeneous() for f in amb.pres.gens):
         return False
     for s in amb.action.generators:
@@ -473,6 +478,36 @@ def is_graded_setup(amb: EquivariantAmbient) -> bool:
             if any(sum(m) != 1 for m in img.terms):
                 return False
     return True
+
+
+def _search_degree(amb: EquivariantAmbient, D: int) -> int:
+    """The degree of the coboundary search slice of ``obstruction_space``
+    and of the derivation image slice of ``tangent_spaces`` for the value
+    slice D: D itself on a graded setup whose generators share one
+    degree d, else D + SLACK.
+
+    There the slack changes no output byte.  With a linear action and
+    homogeneous f_j, s(f_j) = sum_k a_jk f_k with a_jk of degree
+    deg f_j - deg f_k, a constant when all degrees are d.  So G preserves
+    the grading of N, and the slice "standard-monomial degree <= D in
+    every position" is the G-stable sum of the N_e, e <= D.  The graded
+    projection pi onto it commutes with G and fixes it.
+
+    - Obstruction: if z_k - sum a_i z_i = delta(phi) with phi in the
+      D + SLACK slice, then z_k - sum a_i z_i = delta(pi phi); so
+      ``span_modulo`` keeps the same cocycles of the value slice.
+    - Tangent: an invariant derivation splits into invariant homogeneous
+      parts, and the normal image of the part of coefficient degree e is
+      homogeneous of degree e + d - 1 >= e.  So pi of an image from
+      degree D + SLACK is an image from degree <= D, and the same
+      invariant normal vectors are kept.
+
+    With unequal degrees that slice is not a sum of graded pieces, so it
+    keeps the slack, as do the non-homogeneous seeds of
+    ``equivariantize`` and ``isomorphism_witness``."""
+    if is_graded_setup(amb) and len({f.degree() for f in amb.pres.gens}) == 1:
+        return D
+    return D + SLACK
 
 
 @dataclass
@@ -555,8 +590,10 @@ def tangent_spaces(amb: EquivariantAmbient,
     Jacobian image (exact regardless of grading).  T^1_G is the fixed
     space of the generators' induced action when averaging is available
     and T^1 is finite, each fixed vector averaged over G; otherwise it is
-    the slice quotient of invariant normal vectors by images of invariant
-    ambient derivations.
+    the slice quotient of invariant normal vectors of degree <= D by the
+    images of invariant ambient derivations of degree <= D + SLACK, or
+    <= D on a graded setup with one generator degree, where both give the
+    same quotient (``_search_degree``).
     """
     pres = amb.pres
     ring = amb.ring
@@ -602,7 +639,7 @@ def tangent_spaces(amb: EquivariantAmbient,
 
     # slice route (wild case, or infinite T^1)
     V = invariant_normal_slice(amb, D)
-    U_src = ambient_vector_slice(amb, D + SLACK)
+    U_src = ambient_vector_slice(amb, _search_degree(amb, D))
     U = [normal_image(amb, v) for v in U_src]
     coords = _SliceCoordinates()
     _, kept = span_modulo(ring.field, (coords.row(u) for u in U),
@@ -620,13 +657,19 @@ class ObstructionReport:
 
 def obstruction_space(amb: EquivariantAmbient,
                       trunc: int | None = None) -> ObstructionReport:
-    """H^1(G, normal module) on slices; exactly zero in the tame case."""
+    """H^1(G, normal module) on slices; exactly zero in the tame case.
+
+    The cocycles come from the slice at D, and the coboundaries that may
+    kill them from the slice at ``_search_degree(amb, D)``: D + SLACK in
+    general, D itself (one slice, no embedding) on a graded setup with
+    one generator degree, where the larger slice kills no more classes."""
     D = trunc if trunc is not None else default_truncation(amb)
     if amb.action.is_tame() or not amb.pres.gens:
         return ObstructionReport(0, [], "exact")
     N = NormalModule(amb)
     m_small = slice_of_normal_module(N, D)
-    m_big = slice_of_normal_module(N, D + SLACK)
+    search = _search_degree(amb, D)
+    m_big = m_small if search == D else slice_of_normal_module(N, search)
     res = h1_bounded(m_small, m_big)
     others = [i for i in amb.action.indices() if i != amb.action.identity_index]
     reps = [Cocycle(N, {s: m_small.materialize(z.get(s, {})) for s in others})

@@ -23,15 +23,34 @@ from .fields import Field
 
 
 def add_scaled(field: Field, v: dict, factor, row: dict) -> None:
-    """v += factor * row in place, dropping the entries that cancel."""
-    zero = field.zero
-    mul, add = field.mul, field.add
-    for k, y in row.items():
-        x = add(v.get(k, zero), mul(factor, y))
-        if x == zero:
-            v.pop(k, None)
-        else:
-            v[k] = x
+    """v += factor * row in place, dropping the entries that cancel.
+
+    factor must be nonzero.  Then factor * y is nonzero for every entry
+    y of row, so an entry that cancels was in v.  The loop is written
+    once per kind of field: over F_2 the factor and the entries are one,
+    so each key of row toggles; over F_p one residue is taken per entry;
+    over Q the sum starts from the Fraction zero."""
+    p = field.characteristic
+    get = v.get
+    if p == 2:
+        for k in row:
+            if v.pop(k, 0) == 0:
+                v[k] = 1
+    elif p:
+        for k, y in row.items():
+            x = (get(k, 0) + factor * y) % p
+            if x:
+                v[k] = x
+            else:
+                del v[k]
+    else:
+        zero = field.zero
+        for k, y in row.items():
+            x = get(k, zero) + factor * y
+            if x:
+                v[k] = x
+            else:
+                del v[k]
 
 
 def rref(field: Field, rows: list[dict]) -> tuple[list[dict], list[int]]:
@@ -129,8 +148,9 @@ class SpanBuilder:
         if not v:
             return False
         c = min(v)
-        inv = field.inv(v[c])
-        v = {k: field.mul(inv, x) for k, x in v.items()}
+        if v[c] != field.one:
+            inv = field.inv(v[c])
+            v = {k: field.mul(inv, x) for k, x in v.items()}
         for row in rows.values():
             if c in row:
                 add_scaled(field, row, field.neg(row[c]), v)

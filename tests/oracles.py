@@ -12,17 +12,28 @@ full-orbit slice acts through ``NormalModule.act``: it checks how
 ``slice_of_normal_module`` picks its payloads and matrices.  The
 eps-peeling copy at the end is handed a Groebner representer: it checks
 the stage bookkeeping of ``eqdeform.deform.eps_divide``, not the
-membership test.
+membership test.  The slack-path references at the end run the
+package's own slices and eliminators with the search two degrees up on
+every input: they check the graded gate of ``obstruction_space`` and
+``tangent_spaces``, not the machinery under it.
 """
 
 from __future__ import annotations
 
 import weakref
 
-from eqdeform.ambient import normal_image
-from eqdeform.cohomology import CocycleError
-from eqdeform.deform import DeformationError, EpsPoly
+from eqdeform import cohomology
+from eqdeform.ambient import NormalModule, _SliceCoordinates, ambient_vector_slice, normal_image
+from eqdeform.cohomology import Cocycle, CocycleError, slice_of_normal_module
+from eqdeform.deform import (
+    SLACK,
+    DeformationError,
+    EpsPoly,
+    ObstructionReport,
+    invariant_normal_slice,
+)
 from eqdeform.fields import Field
+from eqdeform.linalg import span_modulo
 from eqdeform.poly import PolyRing, Polynomial, monomial_degree
 
 
@@ -105,6 +116,20 @@ def dense(field: Field, vec: dict, n: int) -> list:
     """The ``{column: value}`` dict as the dense row of length n: the
     inverse of ``sparse``."""
     return [vec.get(c, field.zero) for c in range(n)]
+
+
+def add_scaled(field: Field, v: dict, factor, row: dict) -> dict:
+    """v + factor * row as a new sparse dict, entry by entry through
+    ``field.add`` and ``field.mul``: the reference for the per-field
+    loops of ``eqdeform.linalg.add_scaled``."""
+    out = dict(v)
+    for k, y in row.items():
+        x = field.add(out.get(k, field.zero), field.mul(factor, y))
+        if x == field.zero:
+            out.pop(k, None)
+        else:
+            out[k] = x
+    return out
 
 
 class SpanBuilder:
@@ -697,3 +722,36 @@ def defect_cocycle(amb, gens):
     }
     exact = all(w is None for row in remainders.values() for w in row)
     return values, exact
+
+
+# --- the search two degrees up ----------------------------------------------
+# obstruction_space and the slice route of tangent_spaces with the
+# coboundary and image searches at D + SLACK on every input, through a
+# second slice distinct from the value slice: the graded equal-degree
+# path searches at D itself, and these are its reference.
+
+def slack_obstruction_space(amb, D: int) -> ObstructionReport:
+    """H^1(G, N) with Z^1 from the slice at D and B^1 from a second slice
+    at D + SLACK, embedded through ``express``."""
+    if amb.action.is_tame() or not amb.pres.gens:
+        return ObstructionReport(0, [], "exact")
+    N = NormalModule(amb)
+    m_small = slice_of_normal_module(N, D)
+    m_big = slice_of_normal_module(N, D + SLACK)
+    res = cohomology.h1_bounded(m_small, m_big)  # not the all-pairs copy above
+    others = [i for i in amb.action.indices() if i != amb.action.identity_index]
+    reps = [Cocycle(N, {s: m_small.materialize(z.get(s, {})) for s in others})
+            for z in res.representatives]
+    return ObstructionReport(res.dimension, reps, f"slice:{D}")
+
+
+def slack_tangent_quotient(amb, D: int) -> list:
+    """The T^1_G representatives of the slice route: invariant normal
+    vectors of degree <= D modulo the normal images of the invariant
+    derivations of degree <= D + SLACK."""
+    V = invariant_normal_slice(amb, D)
+    U = [normal_image(amb, v) for v in ambient_vector_slice(amb, D + SLACK)]
+    coords = _SliceCoordinates()
+    _, kept = span_modulo(amb.ring.field, (coords.row(u) for u in U),
+                          (coords.row(v) for v in V))
+    return [V[k] for k in kept]

@@ -165,3 +165,42 @@ def test_field_units_are_plain_attributes():
     assert type(QQ.one) is Fraction and QQ.one == 1
     assert not isinstance(inspect.getattr_static(type(QQ), "zero", None), property)
     assert not isinstance(inspect.getattr_static(type(QQ), "one", None), property)
+
+
+def _nonzero(field, rng):
+    x = field.zero
+    while x == field.zero:
+        x = _scalar(field, rng, 1.0)
+    return x
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_add_scaled_matches_the_reference_loop(seed):
+    """Each row of a seeded system added, with a random nonzero factor, to
+    each row in turn, and to the row's own negative (full cancellation),
+    gives what the field.add/field.mul loop gives; no value is zero, and
+    every value is a Fraction over Q and an int in [0, p) over F_p."""
+    field, rows, _, rng = system(seed)
+    sparse_rows = _sparse_rows(field, rows)
+    cases = [(v, _nonzero(field, rng), row) for v in sparse_rows for row in sparse_rows]
+    cases += [(row, field.neg(field.one), row) for row in sparse_rows]
+    for v, factor, row in cases:
+        out = dict(v)
+        linalg.add_scaled(field, out, factor, row)
+        assert out == oracles.add_scaled(field, v, factor, row)
+        assert field.zero not in out.values()
+        if field is QQ:
+            assert all(type(x) is Fraction for x in out.values())
+        else:
+            assert all(type(x) is int and 0 <= x < field.p for x in out.values())
+    assert sparse_rows == _sparse_rows(field, rows)
+
+
+def test_add_scaled_cases_cover_every_field():
+    """The seeds above reach all four fields with nonempty rows."""
+    fields = set()
+    for seed in SEEDS:
+        field, rows, _, _ = system(seed)
+        if any(x != field.zero for row in rows for x in row):
+            fields.add(field)
+    assert fields == set(FIELDS)
