@@ -24,7 +24,7 @@ from .groebner import (
     is_regular_sequence,
     staircase,
 )
-from .linalg import kernel_basis
+from .linalg import kernel_basis, transpose
 from .poly import (
     ContextMismatchError,
     MonomialOrder,
@@ -175,6 +175,20 @@ class EquivariantAmbient:
             out[g] = [[(r, linear[r].get(i, zero)) for r in range(n)
                        if i in linear[r] or r == i] for i in range(n)]
         return out
+
+    @cached_property
+    def vector_slices(self) -> dict:
+        """degree -> (basis, normal images), filled on demand."""
+        return {}
+
+    def vector_slice(self, degree: int) -> tuple:
+        """(``ambient_vector_slice(self, degree)``, the normal image of
+        each basis vector), computed once per degree: T^0_G, the slice
+        route of T^1_G and isomorphism witnesses all take it from here."""
+        if degree not in self.vector_slices:
+            basis = ambient_vector_slice(self, degree)
+            self.vector_slices[degree] = basis, [normal_image(self, v) for v in basis]
+        return self.vector_slices[degree]
 
     @cached_property
     def twist_images(self) -> list:
@@ -345,18 +359,18 @@ class _SliceCoordinates:
                 for pos, p in enumerate(vec) for m, c in p.terms.items()}
 
 
-def ambient_vector_slice(amb: EquivariantAmbient, degree: int,
-                         tangent: bool = False):
+def ambient_vector_slice(amb: EquivariantAmbient, degree: int):
     """k-basis of the invariant ambient derivation vectors in B^n with
     standard-monomial components of degree <= degree.
 
-    Invariance under the conjugation action is always imposed, by the
-    generators (the action is a homomorphism, so fixed by the generators
-    is fixed by all); tangent=True adds the equations J.D = 0 mod I
-    (actual derivations of B).  For the unknown D = x^m e_i and a
-    generator g, (g.D - D)_r = L[r][i] NF(g(x^m)) - [r = i] x^m with L
-    the linear part of g^-1, so each constraint entry is a memo image
-    times an entry of a cached column of L.
+    Invariance under the conjugation action is imposed by the generators
+    (the action is a homomorphism, so fixed by the generators is fixed by
+    all).  For the unknown D = x^m e_i and a generator g,
+    (g.D - D)_r = L[r][i] NF(g(x^m)) - [r = i] x^m with L the linear part
+    of g^-1, so each constraint entry is a memo image times an entry of a
+    cached column of L.  The basis is ``kernel_basis``'s, one vector per
+    free unknown in order; callers take it with its normal images from
+    ``EquivariantAmbient.vector_slice``.
     """
     pres = amb.pres
     ring = amb.ring
@@ -371,11 +385,6 @@ def ambient_vector_slice(amb: EquivariantAmbient, degree: int,
     # terms, then x^m
     rows: dict = {}
     for u, (i, m) in enumerate(unknowns):
-        if tangent:
-            unit = tuple(ring.monomial(m) if k == i else ring.zero for k in range(ring.nvars))
-            for j, p in enumerate(normal_image(amb, unit)):
-                for mono, c in p.terms.items():
-                    rows.setdefault((None, j, mono), {})[u] = c
         for g, cols in amb.inverse_linear_columns.items():
             image = amb._monomial_image(g, m).terms
             for r, c in cols[i]:
@@ -402,5 +411,18 @@ def ambient_vector_slice(amb: EquivariantAmbient, degree: int,
 def derivations(amb: EquivariantAmbient, degree: int):
     """The degree <= degree slice of T^0_G: a k-basis of the G-invariant
     derivations of B (the infinitesimal automorphisms), as ambient
-    derivation vectors in B^n."""
-    return ambient_vector_slice(amb, degree, tangent=True)
+    derivation vectors in B^n.
+
+    A derivation of B is an ambient vector D with J.D = 0 mod I, and
+    normal_image is k-linear, so T^0_G on the slice is the kernel of the
+    normal-image map on the invariant slice: one ``kernel_basis`` over
+    the images (as columns), each kernel vector returned as the
+    combination of the slice basis it names."""
+    basis, images = amb.vector_slice(degree)
+    ring = amb.ring
+    coords = _SliceCoordinates()
+    columns = [coords.row(u) for u in images]
+    kernel = kernel_basis(ring.field, transpose(columns, len(coords.index)), len(basis))
+    return [tuple(_combination(ring, ((c, basis[k][i]) for k, c in sol.items()))
+                  for i in range(ring.nvars))
+            for sol in kernel]

@@ -31,8 +31,6 @@ from .ambient import (
     EquivariantAmbient,
     NormalModule,
     _SliceCoordinates,
-    ambient_vector_slice,
-    normal_image,
 )
 from .cohomology import (
     Cocycle,
@@ -412,12 +410,12 @@ def isomorphism_witness(d1: Deformation, d2: Deformation,
     if nu.is_zero():
         return DerivationWitness(amb, (amb.ring.zero,) * amb.ring.nvars)
     bound = (trunc if trunc is not None else default_truncation(amb)) + SLACK
-    basis = ambient_vector_slice(amb, bound)
+    basis, images = amb.vector_slice(bound)
     if not basis:
         return None
     coords = _SliceCoordinates()
-    images = [coords.row(normal_image(amb, v)) for v in basis]
-    (sol,) = solve(amb.ring.field, images, [coords.row(nu.vector)], len(coords.index))
+    columns = [coords.row(u) for u in images]
+    (sol,) = solve(amb.ring.field, columns, [coords.row(nu.vector)], len(coords.index))
     if sol is None:
         return None
     components = [amb.ring.zero] * amb.ring.nvars
@@ -593,7 +591,9 @@ def tangent_spaces(amb: EquivariantAmbient,
     the slice quotient of invariant normal vectors of degree <= D by the
     images of invariant ambient derivations of degree <= D + SLACK, or
     <= D on a graded setup with one generator degree, where both give the
-    same quotient (``_search_degree``).
+    same quotient (``_search_degree``).  The images come from
+    ``EquivariantAmbient.vector_slice``, so there ``derivations(amb, D)``
+    and this quotient share one slice.
     """
     pres = amb.pres
     ring = amb.ring
@@ -639,8 +639,7 @@ def tangent_spaces(amb: EquivariantAmbient,
 
     # slice route (wild case, or infinite T^1)
     V = invariant_normal_slice(amb, D)
-    U_src = ambient_vector_slice(amb, _search_degree(amb, D))
-    U = [normal_image(amb, v) for v in U_src]
+    _, U = amb.vector_slice(_search_degree(amb, D))
     coords = _SliceCoordinates()
     _, kept = span_modulo(ring.field, (coords.row(u) for u in U),
                           (coords.row(v) for v in V))

@@ -1,8 +1,12 @@
 """Exact base fields: the rationals and prime fields F_p.
 
-Field elements are plain Python values (``Fraction`` for Q, ints in
-``[0, p)`` for F_p); a ``Field`` object supplies the arithmetic so the
-rest of the package stays generic over the coefficient field.
+Field elements are plain Python values: over Q an ``int`` when the
+value is integral and a ``Fraction`` only when its denominator exceeds
+one; over F_p ints in ``[0, p)``.  A ``Field`` object supplies the
+arithmetic so the rest of the package stays generic over the
+coefficient field.  An integral ``Fraction`` and its ``int`` compare,
+hash and print alike, so the canonical form changes no output; it only
+keeps the common integer coefficients in machine arithmetic.
 """
 
 from __future__ import annotations
@@ -62,30 +66,43 @@ class Field:
         return self.of(n) != self.zero
 
 
+def canonical_rational(x):
+    """The rational x as an ``int`` when it is integral, else unchanged."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
 class RationalField(Field):
+    """Q, its elements in canonical form (``canonical_rational``)."""
+
     characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
+        if isinstance(value, (int, Fraction)):
+            return canonical_rational(value)
         if isinstance(value, str):
-            return Fraction(value)
+            return canonical_rational(Fraction(value))
         raise FieldError(f"cannot coerce {value!r} into Q")
 
+    def add(self, a, b):
+        return canonical_rational(a + b)
+
+    def sub(self, a, b):
+        return canonical_rational(a - b)
+
     def mul(self, a, b):
-        return a * b
+        return canonical_rational(a * b)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / Fraction(a)
+        return canonical_rational(1 / Fraction(a))
 
     def fraction(self, num: int, den: int):
-        return Fraction(num, den)
+        return canonical_rational(Fraction(num, den))
 
     def __repr__(self):
         return "QQ"

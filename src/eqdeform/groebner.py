@@ -74,8 +74,11 @@ def _vec_monic(field, v: Vec, lt) -> Vec:
 
 
 def _vec_canonical_key(ring: PolyRing, v: Vec):
+    """Terms in descending order, each coefficient by its printed form:
+    ``str`` is the same for an ``int`` and its integral ``Fraction``, and
+    orders rationals as ``repr`` of their ``Fraction`` forms does."""
     items = sorted(v.items(), key=lambda t: _term_key(ring, t[0]), reverse=True)
-    return tuple((t[0][0], ring.order.key(t[0][1]), repr(t[1])) for t in items)
+    return tuple((t[0][0], ring.order.key(t[0][1]), str(t[1])) for t in items)
 
 
 def reduce_vec(ring: PolyRing, v: Vec, basis: list[tuple]) -> Vec:

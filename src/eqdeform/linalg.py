@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 
-from .fields import Field
+from .fields import Field, canonical_rational
 
 
 def add_scaled(field: Field, v: dict, factor, row: dict) -> None:
@@ -29,7 +29,8 @@ def add_scaled(field: Field, v: dict, factor, row: dict) -> None:
     y of row, so an entry that cancels was in v.  The loop is written
     once per kind of field: over F_2 the factor and the entries are one,
     so each key of row toggles; over F_p one residue is taken per entry;
-    over Q the sum starts from the Fraction zero."""
+    over Q the sum starts from the int zero and each stored entry is put
+    in canonical form (an ``int`` when integral)."""
     p = field.characteristic
     get = v.get
     if p == 2:
@@ -44,11 +45,10 @@ def add_scaled(field: Field, v: dict, factor, row: dict) -> None:
             else:
                 del v[k]
     else:
-        zero = field.zero
         for k, y in row.items():
-            x = get(k, zero) + factor * y
+            x = get(k, 0) + factor * y
             if x:
-                v[k] = x
+                v[k] = canonical_rational(x)
             else:
                 del v[k]
 

@@ -331,8 +331,10 @@ def partial(f: Polynomial, i: int) -> Polynomial:
 
 
 def _render_coeff(field, c) -> tuple[bool, str]:
-    """(negative, magnitude-string) for a coefficient, per field conventions."""
-    if isinstance(c, Fraction) and c < 0:
+    """(negative, magnitude-string) for a coefficient, per field conventions:
+    over Q (an ``int`` or a ``Fraction``) the sign is read off, over F_p
+    the residue in [0, p) is printed as is."""
+    if field.characteristic == 0 and c < 0:
         return True, field.render(-c)
     return False, field.render(c)
 

@@ -15,14 +15,22 @@ the stage bookkeeping of ``eqdeform.deform.eps_divide``, not the
 membership test.  The slack-path references at the end run the
 package's own slices and eliminators with the search two degrees up on
 every input: they check the graded gate of ``obstruction_space`` and
-``tangent_spaces``, not the machinery under it.
+``tangent_spaces``, not the machinery under it.  So does
+``joint_derivations``, the T^0_G slice by one joint elimination of the
+invariance and Jacobian rows: it checks that ``derivations`` may take
+the kernel of the normal images on the invariant slice instead.
+``FractionRationals`` is Q with every element a ``Fraction``: the
+all-Fraction arithmetic the canonical ``int``/``Fraction`` form of
+``eqdeform.fields`` must agree with.
 """
 
 from __future__ import annotations
 
 import weakref
 
-from eqdeform import cohomology
+from fractions import Fraction
+
+from eqdeform import cohomology, linalg
 from eqdeform.ambient import NormalModule, _SliceCoordinates, ambient_vector_slice, normal_image
 from eqdeform.cohomology import Cocycle, CocycleError, slice_of_normal_module
 from eqdeform.deform import (
@@ -376,10 +384,11 @@ class F2SliceOracle:
 
 
 def invariant_vector_slice(amb, degree: int, tangent: bool) -> list:
-    """``ambient_vector_slice(amb, degree, tangent=tangent)`` with the
-    invariance imposed by every s != e, not the generators only,
-    on dense rows: one per (condition slot, monomial), a column per
-    unknown (ambient variable, standard monomial)."""
+    """``ambient_vector_slice(amb, degree)`` (tangent=False) or the
+    ``derivations(amb, degree)`` slice (tangent=True, adding the rows
+    J.D = 0 mod I) with the invariance imposed by every s != e, not the
+    generators only, on dense rows: one per (condition slot, monomial),
+    a column per unknown (ambient variable, standard monomial)."""
     ring = amb.ring
     field = ring.field
     action = amb.action
@@ -755,3 +764,98 @@ def slack_tangent_quotient(amb, D: int) -> list:
     _, kept = span_modulo(amb.ring.field, (coords.row(u) for u in U),
                           (coords.row(v) for v in V))
     return [V[k] for k in kept]
+
+
+def joint_derivations(amb, degree: int) -> list:
+    """The degree <= degree slice of T^0_G by one joint elimination: the
+    rows J.D = 0 mod I of each unknown D = x^m e_i next to its invariance
+    rows under the generators, in one ``kernel_basis``."""
+    ring = amb.ring
+    field = ring.field
+    zero = field.zero
+    unknowns = [(i, m) for i in range(ring.nvars) for m in amb.pres.std_monomials_upto(degree)]
+    rows: dict = {}
+    for u, (i, m) in enumerate(unknowns):
+        unit = tuple(ring.monomial(m) if k == i else ring.zero for k in range(ring.nvars))
+        for j, p in enumerate(normal_image(amb, unit)):
+            for mono, c in p.terms.items():
+                rows.setdefault((None, j, mono), {})[u] = c
+        for g, cols in amb.inverse_linear_columns.items():
+            image = amb._monomial_image(g, m).terms
+            for r, c in cols[i]:
+                entries = {mono: field.mul(c, d) for mono, d in image.items()} \
+                    if c != zero else {}
+                if r == i:
+                    x = field.sub(entries.get(m, zero), field.one)
+                    if x == zero:
+                        del entries[m]
+                    else:
+                        entries[m] = x
+                for mono, x in entries.items():
+                    rows.setdefault((g, r, mono), {})[u] = x
+    basis = []
+    for sol in linalg.kernel_basis(field, list(rows.values()), len(unknowns)):
+        vec = [ring.zero] * ring.nvars
+        for u, coeff in sol.items():
+            i, m = unknowns[u]
+            vec[i] = vec[i] + ring.monomial(m, coeff)
+        basis.append(tuple(vec))
+    return basis
+
+
+def row_space(field: Field, vector_lists) -> list:
+    """For each list of vectors of polynomials, the nonzero rows of the
+    dense reduced echelon form of their coefficients, all on one set of
+    (position, monomial) columns: two lists span the same space exactly
+    when their results are equal."""
+    coords = _SliceCoordinates()
+    sparse_lists = [[coords.row(v) for v in vectors] for vectors in vector_lists]
+    n = len(coords.index)
+    out = []
+    for rows in sparse_lists:
+        red, pivots = rref(field, [dense(field, row, n) for row in rows])
+        out.append(red[:len(pivots)])
+    return out
+
+
+# --- Q with every element a Fraction ------------------------------------------
+
+class FractionRationals(Field):
+    """Q as it was before the canonical form: every element, integers
+    included, is a ``Fraction``."""
+
+    characteristic = 0
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def of(self, value):
+        return Fraction(value)
+
+    def add(self, a, b):
+        return Fraction(a) + Fraction(b)
+
+    def sub(self, a, b):
+        return Fraction(a) - Fraction(b)
+
+    def neg(self, a):
+        return -Fraction(a)
+
+    def mul(self, a, b):
+        return Fraction(a) * Fraction(b)
+
+    def inv(self, a):
+        return 1 / Fraction(a)
+
+    def fraction(self, num: int, den: int):
+        return Fraction(num, den)
+
+    def render(self, a) -> str:
+        return str(a)
+
+
+FRACTION_QQ = FractionRationals()
+
+
+def is_canonical_rational(x) -> bool:
+    """An ``int``, or a ``Fraction`` whose denominator exceeds one."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from eqdeform import ambient as ambient_module
 from eqdeform import deform
 from eqdeform.ambient import NotCompleteIntersectionError
 from eqdeform.cli import Workspace, _render_cocycle, _render_vector
@@ -64,11 +65,13 @@ def _recording(degrees, original):
 
 @pytest.fixture
 def slice_calls(monkeypatch):
-    """The degrees passed to slice_of_normal_module and
-    ambient_vector_slice from deform, in call order."""
+    """The degrees passed to slice_of_normal_module from deform and to
+    ambient_vector_slice (through ``EquivariantAmbient.vector_slice``),
+    in call order."""
     calls = {"slice": [], "vectors": []}
-    for name, key in (("slice_of_normal_module", "slice"), ("ambient_vector_slice", "vectors")):
-        monkeypatch.setattr(deform, name, _recording(calls[key], getattr(deform, name)))
+    for module, name, key in ((deform, "slice_of_normal_module", "slice"),
+                              (ambient_module, "ambient_vector_slice", "vectors")):
+        monkeypatch.setattr(module, name, _recording(calls[key], getattr(module, name)))
     return calls
 
 
