@@ -178,14 +178,17 @@ class EquivariantAmbient:
 
     @cached_property
     def vector_slices(self) -> dict:
-        """degree -> (basis, normal images), filled on demand."""
+        """degree -> (basis, normal images) of the last degree built."""
         return {}
 
     def vector_slice(self, degree: int) -> tuple:
         """(``ambient_vector_slice(self, degree)``, the normal image of
-        each basis vector), computed once per degree: T^0_G, the slice
-        route of T^1_G and isomorphism witnesses all take it from here."""
+        each basis vector): T^0_G, the slice route of T^1_G and
+        isomorphism witnesses all take it from here.  Only the last
+        degree is kept (a graded ``tangent`` reuses it); another degree
+        frees it before it is built."""
         if degree not in self.vector_slices:
+            self.vector_slices.clear()
             basis = ambient_vector_slice(self, degree)
             self.vector_slices[degree] = basis, [normal_image(self, v) for v in basis]
         return self.vector_slices[degree]

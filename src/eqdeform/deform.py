@@ -3,10 +3,11 @@
 All arithmetic over a truncated base is eps-order peeling: every check
 or solve reduces to staged problems over k handled by Groebner normal
 forms, so there is no Groebner theory over non-field coefficients
-anywhere.  eps_divide keeps only the final remainder, and stage 0 of
-every equivariance division reads the twist cofactors of sigma(f_j)
-(amb.twists.exact) instead of dividing sigma(f_j) again; the group
-acts on nonzero eps coefficients only.
+anywhere.  eps_divide keeps only the final remainder.  An equivariance
+division divides s^-1(F_j) - sum_l T[j][l] F_l, T the twist cofactors
+of s^-1(f_j) (amb.twists.exact), whose eps^0 coefficient is zero and
+is never formed: the group acts on nonzero eps coefficients of order
+>= 1 only.
 
 The group is read through its generators.  The equivariance divisions
 run at the inverses s^-1 of the generators only: they generate G, so an
@@ -42,7 +43,7 @@ from .cohomology import (
 )
 from .groebner import ModulePresentation, QuotientBasis, quotient_basis
 from .linalg import solve, span_modulo
-from .poly import PolyRing, Polynomial, substitute
+from .poly import PolyRing, Polynomial
 
 
 # Degrees by which a coboundary or image search slice exceeds the value
@@ -138,22 +139,6 @@ class EpsPoly:
             raise ValueError("use truncate to lower the order")
         return EpsPoly(self.ring, order, self.coeffs)
 
-    def map_coeffs(self, fn) -> "EpsPoly":
-        return EpsPoly(self.ring, self.order, [fn(c) for c in self.coeffs])
-
-    def const(self, c) -> "EpsPoly":
-        """The constant c over the same ring and base."""
-        return EpsPoly.constant(self.ring, self.order, self.ring.const(c))
-
-    def substitute(self, images: dict) -> "EpsPoly":
-        """Exact substitution x_i -> images[x_i] (EpsPoly or Polynomial images)."""
-        ring = self.ring
-        full = {v: self._coerce(images.get(v, ring.var(v))) for v in ring.variables}
-        total = EpsPoly(ring, self.order, [])
-        for t, c in enumerate(self.coeffs):
-            total = total + substitute(c, full).shift(t)
-        return total
-
     def __repr__(self):
         pieces = []
         for t, c in enumerate(self.coeffs):
@@ -198,34 +183,26 @@ class Deformation:
                 + "; ".join(repr(g) for g in self.gens) + ")")
 
 
-def eps_divide(h: EpsPoly, gens, representer, allow_final_remainder=False,
-               stage0=None):
+def eps_divide(h: EpsPoly, gens, representer, allow_final_remainder=False):
     """Stagewise division of h by the lifted generators.
 
     Returns the remainder w with h = sum S_l gens_l + eps^order * w
     exactly over the truncated base, or None when the division is exact
     (the quotients S_l are not kept).  Raises DeformationError when an
     intermediate stage leaves the ideal.
-
-    stage0, when given, holds cofactors of h's eps^0 coefficient over the
-    generators' eps^0 coefficients; stage 0 subtracts them instead of
-    dividing that coefficient again.
     """
     order = h.order
     r = list(h.coeffs)
     for t in range(order + 1):
-        if t == 0 and stage0 is not None:
-            cof = stage0
-        elif r[t].is_zero():
+        if r[t].is_zero():
             continue
-        else:
-            cof = representer.express(r[t])
-            if cof is None:
-                if allow_final_remainder and t == order:
-                    return r[t]
-                raise DeformationError(
-                    f"eps^{t} coefficient is not in the base ideal"
-                )
+        cof = representer.express(r[t])
+        if cof is None:
+            if allow_final_remainder and t == order:
+                return r[t]
+            raise DeformationError(
+                f"eps^{t} coefficient is not in the base ideal"
+            )
         for c, g in zip(cof, gens):
             if c.is_zero():
                 continue
@@ -242,21 +219,28 @@ def _equivariance_remainders(amb: EquivariantAmbient, gens,
     where exact).
 
     The generators must reduce to the ambient presentation mod eps, so
-    the stage-0 cofactors are the twist row of s^-1(f_j)."""
+    with T the twist row of s^-1(f_j) the division may start from
+    s^-1(F_j) - sum_l T[j][l] F_l, which vanishes at eps^0."""
     action = amb.action
     if len(gens) != len(amb.pres.gens) or any(
             g.coeff(0) != f for g, f in zip(gens, amb.pres.gens)):
         raise DeformationError("reduction mod eps is not the base presentation")
     rep = amb.pres.representer
-    twist = amb.twists.exact
+    # the nonzero (t, F_j[t]), t >= 1, of each generator
+    higher = [[(t, c) for t, c in enumerate(g.coeffs) if t and c] for g in gens]
     out = {}
     for i in map(action.inv, action.generators):
         row = []
-        for j, g in enumerate(gens):
-            moved = g.map_coeffs(
-                lambda c: c if c.is_zero() else action.apply(i, c))
-            row.append(eps_divide(moved, gens, rep, allow_final_remainder,
-                                  stage0=twist[i][j]))
+        for g, terms, cofactors in zip(gens, higher, amb.twists.exact[i]):
+            h = [amb.ring.zero] * (g.order + 1)
+            for t, c in terms:
+                h[t] = action.apply(i, c)
+            for T, lifted in zip(cofactors, higher):
+                if T:
+                    for t, c in lifted:
+                        h[t] = h[t] - T * c
+            row.append(eps_divide(EpsPoly(amb.ring, g.order, h), gens, rep,
+                                  allow_final_remainder))
         out[i] = row
     return out
 
@@ -383,16 +367,18 @@ class DerivationWitness:
 
 
 def apply_flow(d: Deformation, components) -> Deformation:
-    """Apply the substitution x_i -> x_i + eps^m * D_i to the lift."""
+    """Apply the substitution x_i -> x_i + eps^m * D_i to the lift, m >= 1
+    (DeformationError at m = 0).  As eps^(2m) = 0 this adds
+    sum_i J[j][i] D_i to the eps^m coefficient of F_j, J the Jacobian,
+    exactly in every characteristic."""
     m = d.order
-    ring = d.amb.ring
-    images = {}
-    for v, comp in zip(ring.variables, components):
-        if comp.is_zero():
-            continue
-        delta = EpsPoly.constant(ring, m, comp).shift(m)
-        images[v] = EpsPoly.constant(ring, m, ring.var(v)) + delta
-    gens = tuple(g.substitute(images) for g in d.gens)
+    if m == 0:
+        raise DeformationError("a flow needs an eps order of at least 1")
+    gens = []
+    for g, row in zip(d.gens, d.amb.pres.jacobian):
+        coeffs = list(g.coeffs)
+        coeffs[m] = sum((df * c for df, c in zip(row, components) if df and c), coeffs[m])
+        gens.append(EpsPoly(g.ring, m, coeffs))
     out = Deformation(d.amb, d.order, gens)
     certify_equivariance(d.amb, gens)
     return out

@@ -177,6 +177,12 @@ def close_group(generators, ring: PolyRing | None = None, bound: int = 512) -> G
     when a generator is not invertible or the closure exceeds bound.  The
     result records the element indices of the nonidentity generators as
     ``generators``.
+
+    The closure walk, each element times each generator, is the only
+    composing: it records right[a][k] = index(a * g_k) and the (a, k)
+    first reaching each element t = a * g_k, so the table follows by
+    associativity, i * t = right[i * a][k], and inverse[i] is where row
+    i holds e.
     """
     subs = []
     for g in generators:
@@ -201,36 +207,29 @@ def close_group(generators, ring: PolyRing | None = None, bound: int = 512) -> G
     identity = Substitution.identity(ring)
     elements = [identity]
     index = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        new_frontier = []
-        for s in frontier:
-            for g in subs:
-                t = s.compose(g)
-                if t not in index:
-                    if len(elements) >= bound:
-                        raise ClosureBoundExceededError(
-                            f"group closure exceeds bound {bound}"
-                        )
-                    index[t] = len(elements)
-                    elements.append(t)
-                    new_frontier.append(t)
-        frontier = new_frontier
-
-    size = len(elements)
-    table = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            t = elements[i].compose(elements[j])
+    right, parent = [], [None]
+    for a, s in enumerate(elements):  # grows while it is walked
+        row = []
+        for k, g in enumerate(subs):
+            t = s.compose(g)
             if t not in index:
-                raise ClosureBoundExceededError("closure not multiplicatively closed")
-            table[i][j] = index[t]
-    inverse = [0] * size
-    for i in range(size):
-        for j in range(size):
-            if table[i][j] == 0:
-                inverse[i] = j
-                break
+                if len(elements) >= bound:
+                    raise ClosureBoundExceededError(
+                        f"group closure exceeds bound {bound}"
+                    )
+                index[t] = len(elements)
+                elements.append(t)
+                parent.append((a, k))
+            row.append(index[t])
+        right.append(row)
+
+    table = []
+    for i in range(len(elements)):
+        row = [i]
+        for a, k in parent[1:]:
+            row.append(right[row[a]][k])
+        table.append(row)
+    inverse = [row.index(0) for row in table]
     generator_indices = list(dict.fromkeys(index[g] for g in subs if index[g] != 0))
     return GroupAction(ring, elements, table, inverse, generator_indices)
 
@@ -251,9 +250,9 @@ class TwistMatrices:
     """Per group element, a c x c matrix T with sigma(f_j) = sum_l T[j][l] f_l.
 
     `exact` entries are an actual division expression in the ambient ring;
-    the lift's equivariance divisions (deform.eps_divide) take them as
-    their stage-0 cofactors.  `reduced` entries are their normal forms mod
-    the ideal (the matrix of the action on the conormal module)."""
+    the lift's equivariance divisions subtract sum_l T[j][l] F_l from
+    sigma(F_j), cancelling eps^0.  `reduced` entries are their normal forms
+    mod the ideal (the matrix of the action on the conormal module)."""
 
     def __init__(self, exact, reduced):
         self.exact = exact

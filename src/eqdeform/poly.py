@@ -276,10 +276,10 @@ def substitute(f: Polynomial, images: dict):
 
     Variables absent from images map to themselves, so a partial map
     stays in f's ring.  When every variable has an image, the images may
-    live in another ring, or be other values with a ``ring`` and a
-    ``const(c)`` method (eps-polynomials); all images must agree.  Each
-    term c*x^m becomes const(c) times the cached image powers, left to
-    right, and the terms are summed in f's term order.
+    live in another ring; every image must be a Polynomial, and all of
+    them in one ring (ContextMismatchError otherwise).  Each term c*x^m
+    becomes c times the cached image powers, left to right, and the terms
+    are summed in f's term order.
     """
     ring = f.ring
     for name in images:
@@ -290,15 +290,12 @@ def substitute(f: Polynomial, images: dict):
     else:
         image_list = [images[v] if v in images else ring.var(v) for v in ring.variables]
     first = image_list[0] if image_list else ring.one
-    kind, home = type(first), first.ring
     for name, g in zip(ring.variables, image_list):
-        if type(g) is not kind or g.ring is not home:
-            raise ContextMismatchError(f"image of {name!r} lives in a different ring")
-    if kind is Polynomial:
-        const, result = home.const, home.zero
-    else:
-        const = first.const
-        result = const(0)
+        # a non-Polynomial first image fails here before its ring is read
+        if type(g) is not Polynomial or g.ring is not first.ring:
+            raise ContextMismatchError(
+                f"image of {name!r} is not a polynomial in the images' ring")
+    const, result = first.ring.const, first.ring.zero
     # powers[i][e - 1] is image i to the power e, built one factor at a time
     powers = [[g] for g in image_list]
     for m, c in f.terms.items():

@@ -21,7 +21,11 @@ invariance and Jacobian rows: it checks that ``derivations`` may take
 the kernel of the normal images on the invariant slice instead.
 ``FractionRationals`` is Q with every element a ``Fraction``: the
 all-Fraction arithmetic the canonical ``int``/``Fraction`` form of
-``eqdeform.fields`` must agree with.
+``eqdeform.fields`` must agree with.  ``composed_table`` closes a group
+and composes every pair of its elements (``Substitution.compose``): it
+checks the table ``close_group`` reads off its closure walk.
+``flow_by_substitution`` multiplies a flow out in full with ``EpsPoly``
+arithmetic: it checks the Jacobian shortcut of ``apply_flow``.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from eqdeform.deform import (
     invariant_normal_slice,
 )
 from eqdeform.fields import Field
+from eqdeform.gaction import ClosureBoundExceededError, Substitution
 from eqdeform.linalg import span_modulo
 from eqdeform.poly import PolyRing, Polynomial, monomial_degree
 
@@ -679,8 +684,10 @@ def h1_bounded(m_small, m_big) -> list[int]:
 
 # --- eps-order peeling ------------------------------------------------------
 # A copy of the first eps_divide, kept apart from eqdeform.deform: it
-# divides every stage afresh (no stage-0 cofactors), works on whole
-# EpsPoly values instead of one coefficient list, and keeps the quotients.
+# divides every stage afresh, eps^0 included (the equivariance divisions
+# subtract the twist cofactors first, which cancels eps^0), works on
+# whole EpsPoly values instead of one coefficient list, and keeps the
+# quotients.
 
 def eps_divide(h: EpsPoly, gens, representer, allow_final_remainder=False):
     """(S, remainder) with h = sum S_l gens_l + eps^order * remainder
@@ -721,7 +728,7 @@ def defect_cocycle(amb, gens):
     for i in others:
         remainders[i] = []
         for g in gens:
-            moved = g.map_coeffs(lambda c: action.apply(i, c))
+            moved = EpsPoly(g.ring, g.order, [action.apply(i, c) for c in g.coeffs])
             remainders[i].append(eps_divide(moved, list(gens), amb.pres.representer,
                                             allow_final_remainder=True)[1])
     values = {
@@ -731,6 +738,58 @@ def defect_cocycle(amb, gens):
     }
     exact = all(w is None for row in remainders.values() for w in row)
     return values, exact
+
+
+# --- group tables by composing every pair ------------------------------------
+# close_group reads its table off the closure walk by associativity; this
+# is the closure by frontiers and the table by |G|^2 compositions.
+
+def composed_table(ring: PolyRing, subs, bound: int) -> tuple:
+    """(elements, table, inverse) of the group the substitutions generate:
+    elements in the order a breadth-first closure by right
+    multiplication meets them, table[i][j] the index of
+    elements[i].compose(elements[j]), inverse[i] the first j with
+    table[i][j] = 0.  Raises ClosureBoundExceededError as soon as a new
+    element would exceed bound."""
+    identity = Substitution.identity(ring)
+    elements, frontier = [identity], [identity]
+    while frontier:
+        new = []
+        for s in frontier:
+            for g in subs:
+                t = s.compose(g)
+                if t not in elements:
+                    if len(elements) >= bound:
+                        raise ClosureBoundExceededError(f"group closure exceeds bound {bound}")
+                    elements.append(t)
+                    new.append(t)
+        frontier = new
+    table = [[elements.index(s.compose(t)) for t in elements] for s in elements]
+    inverse = [row.index(0) for row in table]
+    return elements, table, inverse
+
+
+# --- flows multiplied out ------------------------------------------------------
+
+def flow_by_substitution(d, components) -> tuple:
+    """The generators of d after x_i -> x_i + eps^m D_i, every eps
+    coefficient of every F_j substituted term by term with eps-polynomial
+    images and multiplied out in full over the truncated base."""
+    ring, m = d.amb.ring, d.order
+    images = [EpsPoly.constant(ring, m, x) + EpsPoly.constant(ring, m, comp).shift(m)
+              for x, comp in zip(ring.gens(), components)]
+    out = []
+    for g in d.gens:
+        total = EpsPoly(ring, m, [])
+        for t, coeff in enumerate(g.coeffs):
+            for mono, c in coeff.terms.items():
+                part = EpsPoly.constant(ring, m, ring.const(c))
+                for image, e in zip(images, mono):
+                    for _ in range(e):
+                        part = part * image
+                total = total + part.shift(t)
+        out.append(total)
+    return tuple(out)
 
 
 # --- the search two degrees up ----------------------------------------------

@@ -41,7 +41,7 @@ from eqdeform.poly import PolyRing, canonical_render
 from eqdeform.problem import parse_problem
 
 from conftest import verified
-from oracles import cocycle_identity_holds
+from oracles import cocycle_identity_holds, flow_by_substitution
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,12 +87,6 @@ def test_eps_poly_arithmetic():
     assert (a - a).is_zero()
     assert a.truncate(0).coeff(0) == x
     assert a.lift(3).coeff(3).is_zero()
-    # exact substitution including higher eps orders
-    flow = {"x": EpsPoly(ring, 2, [x, ring.one])}
-    moved = EpsPoly.constant(ring, 2, x**2).substitute(flow)
-    assert moved.coeff(0) == x**2
-    assert moved.coeff(1) == 2 * x
-    assert moved.coeff(2) == ring.one
 
 
 def test_tangent_cusp(cusp_q):
@@ -476,9 +470,10 @@ def file_deformation(path):
 
 
 def test_lift_steps_express_only_to_build_the_twists(monkeypatch):
-    """Stage 0 of each equivariance division reads the twist cofactors,
-    and every coefficientwise lift of trans_f3 is equivariant, so ten
-    lift steps call Representer.express only for the twist build."""
+    """Each equivariance division starts from s^-1(F_j) - sum_l T[j][l] F_l
+    with T the twist cofactors, whose eps^0 coefficient is zero, and
+    every coefficientwise lift of trans_f3 is equivariant, so ten lift
+    steps call Representer.express only for the twist build."""
     amb = workspace("bench/problems/trans_f3.prob").ambient
     calls = []
     express = Representer.express
@@ -496,24 +491,33 @@ def test_lift_steps_express_only_to_build_the_twists(monkeypatch):
                                   "problems/cusp_q.prob",
                                   "bench/problems/klein_twist_f2.prob"])
 def test_group_never_acts_on_zero_coefficients(monkeypatch, path):
-    """certify_equivariance and obstruction_cocycle skip the zero eps
-    coefficients (here the two appended by a coefficientwise lift)."""
+    """certify_equivariance and obstruction_cocycle act on the nonzero eps
+    coefficients of order >= 1 only: never on eps^0 (the twist cofactors
+    cancel it), never on a zero coefficient (here the one appended by a
+    coefficientwise lift), never by the identity.  A noise term at
+    eps^(m+1) gives the group something to act on."""
     d = file_deformation(path)
     amb = d.amb
     if d.order == 0:
         d = lift_step(d).deformation
-    lift_gens = tuple(g.lift(d.order + 2) for g in d.gens)
-    handed = []
+    top = d.order + 1
+    noise = EpsPoly.constant(amb.ring, top + 1, amb.ring.gens()[0]).shift(top)
+    lift_gens = tuple(g.lift(top + 1) + noise for g in d.gens)
+    handed, acted = [], []
     apply = GroupAction.apply
-    monkeypatch.setattr(GroupAction, "apply",
-                        lambda self, i, f: handed.append(f) or apply(self, i, f))
+    monkeypatch.setattr(GroupAction, "apply", lambda self, i, f: acted.append(i)
+                        or handed.append(f) or apply(self, i, f))
     try:
         certify_equivariance(amb, lift_gens)
     except DeformationError:
-        pass  # klein_twist_f2's coefficientwise lift is not equivariant
-    obstruction_cocycle(d, tuple(g.truncate(d.order + 1) for g in lift_gens))
+        pass  # the noise leaves the ideal at eps^(m+1)
+    obstruction_cocycle(d, tuple(g.truncate(top) for g in lift_gens))
+    higher = [c for g in lift_gens for c in g.coeffs[1:] if c]
     assert handed
+    assert amb.action.identity_index not in acted
     assert not any(f.is_zero() for f in handed)
+    assert not any(f == base for f in handed for base in amb.pres.gens)
+    assert all(any(f == c for c in higher) for f in handed)
 
 
 @pytest.mark.parametrize("path,steps,trunc", [
@@ -535,21 +539,27 @@ def test_every_lift_step_passes_the_independent_check(path, steps, trunc):
 
 def test_certify_divides_once_per_generator_inverse(monkeypatch):
     """klein_f2 has one generator polynomial and two group generators, so
-    a certificate is two divisions, and the identity never acts."""
+    a certificate is two divisions.  On the equivariant lift
+    f + eps*(a + b + c + d) the group acts once per division, on the
+    eps^1 coefficient: never on f, never by the identity."""
     amb = workspace("bench/problems/klein_f2.prob").ambient
-    d = lift_step(Deformation.initial(amb)).deformation
+    (f,) = amb.pres.gens
+    invariant = sum(amb.ring.gens(), amb.ring.zero)
+    gens = (EpsPoly(amb.ring, 1, [f, invariant]),)
     amb.twists  # built over every element once, before counting
-    divided, acted = [], []
+    divided, acted, handed = [], [], []
     eps_divide = deform.eps_divide
     monkeypatch.setattr(deform, "eps_divide",
                         lambda *a, **k: divided.append(a) or eps_divide(*a, **k))
     apply = GroupAction.apply
-    monkeypatch.setattr(GroupAction, "apply",
-                        lambda self, i, f: acted.append(i) or apply(self, i, f))
-    certify_equivariance(amb, d.gens)
-    assert len(amb.action.generators) == 2 and len(amb.pres.gens) == 1
+    monkeypatch.setattr(GroupAction, "apply", lambda self, i, p: acted.append(i)
+                        or handed.append(p) or apply(self, i, p))
+    certify_equivariance(amb, gens)
+    assert len(amb.action.generators) == 2
     assert len(divided) == 2
-    assert acted and amb.action.identity_index not in acted
+    assert sorted(acted) == sorted(map(amb.action.inv, amb.action.generators))
+    assert amb.action.identity_index not in acted
+    assert handed == [invariant, invariant]
 
 
 def test_tame_tangent_acts_by_the_generators_to_build_its_matrix(monkeypatch):
@@ -572,3 +582,76 @@ def test_tame_tangent_acts_by_the_generators_to_build_its_matrix(monkeypatch):
     assert acted[:matrix_loop] == [1] * rep.t1_dim
     assert rep.t1_equivariant_dim
     assert acted[matrix_loop:] == list(group.indices()) * rep.t1_equivariant_dim
+
+
+def _twisted_lift(amb, order, rng):
+    """A lift U*F of the presentation with U = I + sum_t eps^t A_t and
+    one nonzero entry per order in the A_t: equivariant, with nonzero
+    eps coefficients."""
+    ring, fs = amb.ring, amb.pres.gens
+    coeffs = [[f] + [ring.zero] * order for f in fs]
+    for t in range(1, order + 1):
+        j = rng.randrange(len(fs))
+        mono = rng.choice(ring.monomials_upto(1))
+        coeffs[j][t] = coeffs[j][t] + ring.monomial(mono) * rng.choice(fs)
+    return Deformation(amb, order, [EpsPoly(ring, order, c) for c in coeffs])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("path", ["problems/cusp_q.prob", "problems/node_f2.prob",
+                                  "bench/problems/trans_f3.prob",
+                                  "bench/problems/klein_f2.prob"])
+def test_apply_flow_matches_the_substitution_on_t0_slices(path, order):
+    """Every vector of the degree <= 2 slice of T^0_G, as a flow on a lift
+    with nonzero eps coefficients: the Jacobian update equals the flow
+    multiplied out in full."""
+    amb = workspace(path).ambient
+    d = _twisted_lift(amb, order, random.Random(order))
+    flows = derivations(amb, 2)
+    assert flows
+    for D in flows:
+        assert apply_flow(d, D).gens == flow_by_substitution(d, D)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_apply_flow_matches_the_substitution_on_seeded_flows(seed):
+    """Seeded hypersurfaces over F2, F3 and Q under the trivial group,
+    where every flow is equivariant: random lifts of orders 1-3 and
+    random flow components of degree <= 2."""
+    rng = random.Random(seed)
+    ring = PolyRing((GF(2), GF(3), QQ)[seed % 3], ["x", "y", "z"][:rng.randint(1, 3)])
+
+    def sparse(degree, terms):
+        monos = ring.monomials_upto(degree)
+        return sum((ring.monomial(rng.choice(monos), rng.choice((1, -1, 2)))
+                    for _ in range(terms)), ring.zero)
+
+    f = ring.zero
+    while f.degree() < 1:
+        f = sparse(3, 3)
+    amb = choose_ambient(AffinePresentation.build(ring, [f]), close_group([], ring=ring))
+    order = 1 + seed % 3
+    d = Deformation(amb, order, [EpsPoly(ring, order, [amb.pres.gens[0]] + [
+        sparse(2, 2) for _ in range(order)])])
+    D = tuple(sparse(2, 2) for _ in ring.variables)
+    assert apply_flow(d, D).gens == flow_by_substitution(d, D)
+
+
+def test_flow_oracle_multiplies_out_the_square():
+    """x -> x + eps^m on x^2 (+ eps*x) over Q[x]: the oracle's full
+    product and apply_flow agree with the flow worked by hand."""
+    ring = PolyRing(QQ, ["x"])
+    x = ring.var("x")
+    amb = choose_ambient(AffinePresentation.build(ring, [x**2]), close_group([], ring=ring))
+    for coeffs, expected in (([x**2, ring.zero], [x**2, 2 * x]),
+                             ([x**2, x, ring.zero], [x**2, x, 2 * x])):
+        d = Deformation(amb, len(coeffs) - 1, [EpsPoly(ring, len(coeffs) - 1, coeffs)])
+        (moved,) = flow_by_substitution(d, (ring.one,))
+        assert list(moved.coeffs) == expected
+        assert apply_flow(d, (ring.one,)).gens == (moved,)
+
+
+def test_apply_flow_needs_an_infinitesimal_order(cusp_q):
+    p, g, amb = cusp_q
+    with pytest.raises(DeformationError):
+        apply_flow(Deformation.initial(amb), (amb.ring.one, amb.ring.zero))

@@ -122,3 +122,28 @@ def test_tangent_builds_one_vector_slice(monkeypatch, capsys):
     assert capsys.readouterr().out == \
         (ROOT / "bench" / "expected" / "tangent_klein_f2_t2.txt").read_text(encoding="utf-8")
     assert calls == [2]
+
+
+
+def test_tangent_ends_with_one_vector_slice_held(monkeypatch, capsys):
+    """trans_f3 is not graded: ``tangent --truncate 3`` counts T^0_G on
+    the slice at 3 and searches the T^1_G images at 5.  The ambient keeps
+    the last slice only: the one at 3 is freed before the one at 5 is
+    built, and the command ends holding one slice."""
+    ambients, held = [], []
+    original = ambient_module.ambient_vector_slice
+
+    def counted(amb, degree):
+        ambients.append(amb)
+        held.append(list(amb.vector_slices))
+        return original(amb, degree)
+
+    monkeypatch.setattr(ambient_module, "ambient_vector_slice", counted)
+    monkeypatch.chdir(ROOT)
+    assert main(["tangent", "bench/problems/trans_f3.prob", "--truncate", "3"]) == 0
+    assert capsys.readouterr().out == \
+        (ROOT / "bench" / "expected" / "tangent_trans_f3_t3.txt").read_text(encoding="utf-8")
+    amb, second = ambients
+    assert second is amb
+    assert held == [[], []]
+    assert list(amb.vector_slices) == [5]

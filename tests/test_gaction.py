@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from eqdeform.fields import GF, QQ
 from eqdeform.gaction import (
     ClosureBoundExceededError,
@@ -161,3 +162,79 @@ def test_variable_orbits_free(ring):
     assert not sign.variable_orbits_free()
     triv = close_group([], ring=ring)
     assert triv.variable_orbits_free()
+
+
+FIELDS = (GF(2), GF(3), QQ)
+BOUND = 24
+
+
+def draw_generators(seed):
+    """(ring, substitutions) for the seed: one to three generators over
+    F2, F3 or Q on two to four variables, each a permutation of the
+    variables, a sign flip, a translation (an infinite group over Q), the
+    identity or a repeat of an earlier one."""
+    rng = random.Random(seed)
+    ring = PolyRing(FIELDS[seed % len(FIELDS)], ["x", "y", "z", "w"][:rng.randint(2, 4)])
+    xs = ring.gens()
+    subs = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("permutation", "permutation", "sign", "translation",
+                           "identity", "repeat"))
+        if kind == "repeat" and subs:
+            subs.append(rng.choice(subs))
+            continue
+        images = list(xs)
+        if kind == "permutation":
+            images = rng.sample(images, len(images))
+        elif kind == "sign":
+            images = [-x if rng.random() < 0.5 else x for x in images]
+        elif kind == "translation":
+            i = rng.randrange(len(images))
+            images[i] = images[i] + 1
+        subs.append(Substitution(ring, images))
+    return ring, subs
+
+
+def closure_or_bound(close, *args):
+    """close(*args), or None when it raises ClosureBoundExceededError."""
+    try:
+        return close(*args)
+    except ClosureBoundExceededError:
+        return None
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_close_group_matches_the_composed_table(seed):
+    """Elements, table and inverses read off the closure walk equal the
+    composition of every pair, and both closures stop at the same bound."""
+    ring, subs = draw_generators(seed)
+    expected = closure_or_bound(oracles.composed_table, ring, subs, BOUND)
+    group = closure_or_bound(close_group, subs, ring, BOUND)
+    if expected is None:
+        assert group is None
+        return
+    elements, table, inverse = expected
+    assert group.elements == elements
+    assert group.table == table
+    assert group.inverse == inverse
+    if len(elements) > 1:
+        smaller = len(elements) - 1
+        assert closure_or_bound(oracles.composed_table, ring, subs, smaller) is None
+        assert closure_or_bound(close_group, subs, ring, smaller) is None
+
+
+def test_the_seeded_groups_cover_the_cases():
+    """The seeds reach every field, groups of order 1 to at least 16, and
+    the bound on both finite and infinite groups."""
+    orders, fields, bounded = set(), set(), 0
+    for seed in range(80):
+        ring, subs = draw_generators(seed)
+        group = closure_or_bound(close_group, subs, ring, BOUND)
+        fields.add(ring.field.characteristic)
+        if group is None:
+            bounded += 1
+        else:
+            orders.add(len(group))
+    assert fields == {0, 2, 3}
+    assert 1 in orders and max(orders) >= 16
+    assert bounded

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from eqdeform.deform import EpsPoly
 from eqdeform.fields import GF, QQ, FieldError
 from eqdeform.poly import (
     ContextMismatchError,
@@ -87,6 +88,11 @@ def test_substitute_context_mismatch(ring):
         substitute(ring.var("x"), {"x": other.var("x")})
     with pytest.raises(ContextMismatchError):
         ring.var("x") + other.var("x")
+    # images are polynomials only, eps-polynomials included
+    x = ring.var("x")
+    for image in (EpsPoly(ring, 1, [x, ring.one]), 1):
+        with pytest.raises(ContextMismatchError):
+            substitute(x**2, {"x": image, "y": ring.var("y")})
 
 
 def test_substitute_into_another_ring(ring):
