@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gaction import GroupAction, StabilityError, Substitution, TwistMatrices, \
-    twist_matrices, verify_stability
+from .gaction import GroupAction, StabilityError, Substitution, verify_stability
 from .groebner import (
     GroebnerBasis,
     RegularityCertificate,
@@ -133,9 +132,16 @@ class EquivariantAmbient:
         return self.origin.nf(substitute(f, images))
 
     @cached_property
-    def twists(self) -> TwistMatrices:
-        return twist_matrices(list(self.pres.gens), self.action, self.pres.gb,
-                              self.pres.representer)
+    def twists(self) -> dict:
+        """Per generator s, keyed by the index i of s^-1, the exact cofactor
+        rows T with sigma_i(f_j) = sum_l T[j][l] f_l: the only divisions of
+        the twist, one per generator inverse and generator polynomial."""
+        action, rep, out = self.action, self.pres.representer, {}
+        for i in map(action.inv, action.generators):
+            out[i] = [rep.express(action.apply(i, f)) for f in self.pres.gens]
+            if None in out[i]:
+                raise StabilityError("group image of a generator is not in the ideal")
+        return out
 
     @cached_property
     def monomial_images(self) -> dict:
@@ -195,14 +201,26 @@ class EquivariantAmbient:
 
     @cached_property
     def twist_images(self) -> list:
-        """Per element i, the rows of sigma_i(T_{sigma_i^-1}) mod I as (l, entry)
-        pairs: a constant entry, which sigma fixes, as its field value, any
-        other as its image."""
-        zero = (0,) * self.ring.nvars
-        return [[[(l, t.terms[zero] if t.degree() == 0 else self.image(i, t))
-                  for l, t in enumerate(row) if t]
-                 for row in self.twists.reduced[self.action.inv(i)]]
-                for i in self.action.indices()]
+        """Per element i, the rows of A_i = sigma_i(T_{sigma_i^-1}) mod I as
+        (l, entry) pairs: a constant entry, which sigma fixes, as its field
+        value, any other as its normal form.
+
+        I/I^2 is free on the f_j, so T mod I is unique and A_{ag} =
+        A_a sigma_a(A_g): A_e = 1, a generator's A_g is the image of the
+        division at g^-1, and every other element is read off the Cayley
+        tree edge (a, g, ag) that reaches it."""
+        action, ring, nf = self.action, self.ring, self.pres.nf
+        e, zero = action.identity_index, (0,) * ring.nvars
+        A = {e: [[ring.one if j == l else ring.zero for l in range(self.rank)]
+                 for j in range(self.rank)]}
+        for a, g, ag in action.tree:
+            if a == e:  # ag = g, a generator
+                A[g] = [[self.image(g, nf(t)) for t in row] for row in self.twists[action.inv(g)]]
+            else:
+                A[ag] = [[nf(sum((x * self.image(a, y) for x, y in zip(row, col) if x and y),
+                                 ring.zero)) for col in zip(*A[g])] for row in A[a]]
+        return [[[(l, t.terms[zero] if t.degree() == 0 else t) for l, t in enumerate(row) if t]
+                 for row in A[i]] for i in action.indices()]
 
     def __repr__(self):
         return f"EquivariantAmbient({self.kind}, {self.pres.ring})"

@@ -8,8 +8,9 @@ A command loads its problem file into a ``Workspace`` (presentation,
 group closure and ambient, with ``Workspace.deformation`` building the
 verified lift a file writes) and fills one ``Report``: each ``put``
 sets a JSON field of ``report.schema.json`` together with its text
-lines, and ``emit`` prints one form or the other.  Library errors reach
-``main``, which maps them to exit 3 with their message.
+lines, and ``emit`` prints one form or the other.  Library errors and
+malformed command lines reach ``main``, which maps them to exit 3 with
+their message.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from itertools import combinations
 
 from .ambient import (
@@ -66,6 +68,14 @@ REPORT_FIELDS = (
 
 class InputError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (its subparsers too) whose usage errors are
+    input errors, not argparse's exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def _render_vector(vec) -> str:
@@ -321,8 +331,10 @@ def cmd_ramify(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built on first use."""
+    parser = _Parser(
         prog="eqdeform",
         description="Equivariant deformation calculus for affine complete "
                     "intersections (exact arithmetic).",
@@ -373,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, ProblemError, ParseError, DeformationError, StabilityError,
             NotCompleteIntersectionError, VariableNameCollisionError, FieldError,

@@ -4,10 +4,10 @@ All arithmetic over a truncated base is eps-order peeling: every check
 or solve reduces to staged problems over k handled by Groebner normal
 forms, so there is no Groebner theory over non-field coefficients
 anywhere.  eps_divide keeps only the final remainder.  An equivariance
-division divides s^-1(F_j) - sum_l T[j][l] F_l, T the twist cofactors
-of s^-1(f_j) (amb.twists.exact), whose eps^0 coefficient is zero and
-is never formed: the group acts on nonzero eps coefficients of order
->= 1 only.
+division divides s^-1(F_j) - sum_l T[j][l] F_l, T the exact twist
+cofactors of s^-1(f_j) (amb.twists[s^-1], the ambient's one division
+per generator inverse), whose eps^0 coefficient is zero and is never
+formed: the group acts on nonzero eps coefficients of order >= 1 only.
 
 The group is read through its generators.  The equivariance divisions
 run at the inverses s^-1 of the generators only: they generate G, so an
@@ -219,8 +219,9 @@ def _equivariance_remainders(amb: EquivariantAmbient, gens,
     where exact).
 
     The generators must reduce to the ambient presentation mod eps, so
-    with T the twist row of s^-1(f_j) the division may start from
-    s^-1(F_j) - sum_l T[j][l] F_l, which vanishes at eps^0."""
+    with T the exact twist row of s^-1(f_j), amb.twists[i], the division
+    may start from s^-1(F_j) - sum_l T[j][l] F_l, which vanishes at
+    eps^0."""
     action = amb.action
     if len(gens) != len(amb.pres.gens) or any(
             g.coeff(0) != f for g, f in zip(gens, amb.pres.gens)):
@@ -231,7 +232,7 @@ def _equivariance_remainders(amb: EquivariantAmbient, gens,
     out = {}
     for i in map(action.inv, action.generators):
         row = []
-        for g, terms, cofactors in zip(gens, higher, amb.twists.exact[i]):
+        for g, terms, cofactors in zip(gens, higher, amb.twists[i]):
             h = [amb.ring.zero] * (g.order + 1)
             for t, c in terms:
                 h[t] = action.apply(i, c)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .groebner import GroebnerBasis, Representer
+from .groebner import GroebnerBasis
 from .linalg import rank as matrix_rank
 from .poly import ContextMismatchError, PolyRing, Polynomial, substitute
 
@@ -244,41 +244,4 @@ def verify_stability(gb: GroebnerBasis, action: GroupAction) -> bool:
             if not gb.normal_form(action.apply(i, f)).is_zero():
                 return False
     return True
-
-
-class TwistMatrices:
-    """Per group element, a c x c matrix T with sigma(f_j) = sum_l T[j][l] f_l.
-
-    `exact` entries are an actual division expression in the ambient ring;
-    the lift's equivariance divisions subtract sum_l T[j][l] F_l from
-    sigma(F_j), cancelling eps^0.  `reduced` entries are their normal forms
-    mod the ideal (the matrix of the action on the conormal module)."""
-
-    def __init__(self, exact, reduced):
-        self.exact = exact
-        self.reduced = reduced
-
-
-def twist_matrices(gens, action: GroupAction, gb: GroebnerBasis,
-                   representer: Representer | None) -> TwistMatrices:
-    """Division matrices for sigma(f_j) over the generator list itself,
-    through its representer (None, and empty matrices, when the list is
-    empty)."""
-    exact = []
-    reduced = []
-    for i in action.indices():
-        rows_exact = []
-        rows_reduced = []
-        for f in gens:
-            cofactors = representer.express(action.apply(i, f))
-            if cofactors is None:
-                raise StabilityError(
-                    "group image of a generator is not in the ideal; "
-                    "verify_stability should have failed"
-                )
-            rows_exact.append(tuple(cofactors))
-            rows_reduced.append(tuple(gb.normal_form(c) for c in cofactors))
-        exact.append(rows_exact)
-        reduced.append(rows_reduced)
-    return TwistMatrices(exact, reduced)
 

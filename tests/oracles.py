@@ -3,7 +3,7 @@
 Everything here works on raw coefficient vectors with its own plain
 dense linear algebra (or honest enumeration over F_2) and never calls
 the Groebner machinery or ``eqdeform.linalg``, so it can vouch for the
-main implementation.  Three exceptions lean on the package for polynomial
+main implementation.  The exceptions below lean on the package for polynomial
 work only.  The invariant vector slice takes its normal images from
 ``eqdeform.ambient`` and its group action from ``derivation_act`` below
 (normal forms included): it checks which conditions
@@ -26,6 +26,9 @@ and composes every pair of its elements (``Substitution.compose``): it
 checks the table ``close_group`` reads off its closure walk.
 ``flow_by_substitution`` multiplies a flow out in full with ``EpsPoly``
 arithmetic: it checks the Jacobian shortcut of ``apply_flow``.
+``twist_matrices`` divides sigma(f_j) over the generators at every
+element with a Groebner representer: it checks the twists the ambient
+divides at the generators' inverses and reads off the Cayley tree.
 """
 
 from __future__ import annotations
@@ -428,11 +431,52 @@ def invariant_vector_slice(amb, degree: int, tangent: bool) -> list:
 # eqdeform.ambient computes both actions by linearity from one normal
 # form per (element, monomial); these are its reference.
 
+def twist_matrices(gens, action, gb, representer) -> list:
+    """Per group element, the c x c matrix T mod I with sigma(f_j) =
+    sum_l T[j][l] f_l, divided over the generator list itself through
+    its representer at every element: the reference for the ambient's
+    twists, which divide at the generators' inverses only."""
+    reduced = []
+    for i in action.indices():
+        rows = []
+        for f in gens:
+            cofactors = representer.express(action.apply(i, f))
+            assert cofactors is not None, "group image of a generator is not in the ideal"
+            rows.append(tuple(gb.normal_form(c) for c in cofactors))
+        reduced.append(rows)
+    return reduced
+
+
+_TWISTS = weakref.WeakKeyDictionary()  # EquivariantAmbient -> twist_matrices
+
+
+def ambient_twists(amb) -> list:
+    """``twist_matrices`` of the ambient presentation, built once per ambient."""
+    if amb not in _TWISTS:
+        _TWISTS[amb] = twist_matrices(list(amb.pres.gens), amb.action, amb.pres.gb,
+                                      amb.pres.representer)
+    return _TWISTS[amb]
+
+
+def twist_image_rows(amb, i) -> list:
+    """The rows of sigma_i(T_{sigma_i^-1}) mod I at element i, substituted
+    and reduced entry by entry, in the (l, entry) pair form of
+    ``EquivariantAmbient.twist_images`` (a constant as its field value)."""
+    action, zero = amb.action, (0,) * amb.ring.nvars
+    rows = []
+    for row in ambient_twists(amb)[action.inv(i)]:
+        images = (amb.pres.nf(action.apply(i, t)) for t in row)
+        rows.append([(l, t.terms[zero] if t.degree() == 0 else t)
+                     for l, t in enumerate(images) if t])
+    return rows
+
+
 def normal_module_act(amb, i, vec) -> tuple:
-    """(sigma.psi)_j = NF(sum_l sigma(T_{sigma^-1}[j][l]) sigma(psi_l))."""
+    """(sigma.psi)_j = NF(sum_l sigma(T_{sigma^-1}[j][l]) sigma(psi_l)),
+    T from the all-elements ``twist_matrices``."""
     action = amb.action
     out = []
-    for row in amb.twists.reduced[action.inv(i)]:
+    for row in ambient_twists(amb)[action.inv(i)]:
         total = amb.ring.zero
         for entry, p in zip(row, vec):
             total = total + action.apply(i, entry) * action.apply(i, p)

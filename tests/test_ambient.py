@@ -358,8 +358,8 @@ def test_actions_by_linearity_match_the_direct_formulas(name):
     assert len(ACTION_CASES) == 14 + len(NONCONSTANT_TWIST)
     if name in NONCONSTANT_TWIST:
         assert amb.kind == "regular" and amb.rank >= 8
-        assert any(t.degree() > 0 for rows in amb.twists.reduced
-                   for row in rows for t in row)
+        assert any(isinstance(e, Polynomial) for rows in amb.twist_images
+                   for row in rows for _, e in row)
     N = NormalModule(amb)
     rng = random.Random(sum(map(ord, name)))
     for _ in range(3):
@@ -378,6 +378,46 @@ def test_actions_by_linearity_match_the_direct_formulas(name):
                 acted[r] = amb._monomial_image(g, m).scale(c)
             unit = tuple(ring.monomial(m) if k == i else ring.zero for k in range(ring.nvars))
             assert tuple(acted) == oracles.derivation_act(amb, g, unit)
+
+
+S3_SYM_F2 = ("field F 2\nvars x y z\nideal: x*y + y*z + z*x\n"
+             "gen r: x -> y, y -> z, z -> x\ngen s: x -> y, y -> x\n")
+
+
+@pytest.mark.parametrize("name", [*ACTION_CASES, "parabola_q_lex", "s3_sym_f2"])
+def test_twist_images_off_the_tree_match_the_division_at_every_element(name):
+    """A_i = sigma_i(T_{sigma_i^-1}) mod I, read off the Cayley tree from
+    the divisions at the generators' inverses, equals dividing at every
+    element and substituting: on the 14 shipped and bench problems, the
+    non-constant twists, a lex ambient and S3 through its regular
+    ambient of 18 variables, where the tree goes two edges deep."""
+    if name == "parabola_q_lex":
+        amb = _forced_regular_ambient(GRAPH_CASES["parabola_q"], "lex")
+    else:
+        amb = Workspace(parse_problem(S3_SYM_F2 if name == "s3_sym_f2"
+                                      else ACTION_CASES[name])).ambient
+    if name == "s3_sym_f2":
+        assert amb.kind == "regular" and amb.ring.nvars == 18
+        assert any(a != amb.action.identity_index for a, _, _ in amb.action.tree)
+    for i in amb.action.indices():
+        assert amb.twist_images[i] == oracles.twist_image_rows(amb, i)
+
+
+@pytest.mark.parametrize("name,calls", [("trans_f3", 5), ("klein_f2", 2), ("d4_f2", 2)])
+def test_the_twists_divide_once_per_generator_inverse_and_polynomial(
+        monkeypatch, name, calls):
+    """Building every twist image divides each s^-1(f_j) once, s a
+    generator: |S| c calls of Representer.express, the rows keyed by
+    the index of s^-1."""
+    amb = Workspace(parse_problem(ACTION_CASES[f"problems/{name}"])).ambient
+    counted = []
+    express = eqdeform.groebner.Representer.express
+    monkeypatch.setattr(eqdeform.groebner.Representer, "express",
+                        lambda self, h: counted.append(h) or express(self, h))
+    amb.twist_images
+    generators = amb.action.generators
+    assert len(counted) == len(generators) * amb.rank == calls
+    assert sorted(amb.twists) == sorted(map(amb.action.inv, generators))
 
 
 class _CountingMemo(dict):

@@ -265,6 +265,38 @@ def test_negative_truncation_is_an_input_error(argv, capsys):
     assert "--truncate must be non-negative" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["tangent"], "the following arguments are required: problem"),
+    (["obstruction", "problems/node_f2.prob", "--truncate", "abc"],
+     "argument --truncate: invalid int value: 'abc'"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["lift", "problems/node_q.prob"], "the following arguments are required: --order"),
+    (["check", "problems/cusp_q.prob", "--verbose"], "unrecognized arguments: --verbose"),
+], ids=["no_problem", "truncate_abc", "unknown_command", "no_order", "unknown_option"])
+def test_a_malformed_command_line_is_an_input_error(argv, message, capsys):
+    """argparse's usage errors exit 3 like every other input error, with
+    one error line on stderr and nothing on stdout, not argparse's 2,
+    which is the obstructed exit."""
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tangent", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: eqdeform tangent")
+
+
+def test_the_parser_is_built_once():
+    """main builds its parser on the first call and reuses it."""
+    eqdeform.cli.build_parser.cache_clear()
+    main(["ramify", "--d", "1", "--m", "2", "--p", "5"])
+    main(["ramify", "--d", "1", "--m", "2", "--p", "5", "--json"])
+    assert eqdeform.cli.build_parser.cache_info().misses == 1
+
+
 def test_negative_truncate_option_is_an_input_error(tmp_path, capsys):
     prob = tmp_path / "neg.prob"
     prob.write_text((ROOT / "problems/node_f2.prob").read_text()

@@ -473,7 +473,8 @@ def test_lift_steps_express_only_to_build_the_twists(monkeypatch):
     """Each equivariance division starts from s^-1(F_j) - sum_l T[j][l] F_l
     with T the twist cofactors, whose eps^0 coefficient is zero, and
     every coefficientwise lift of trans_f3 is equivariant, so ten lift
-    steps call Representer.express only for the twist build."""
+    steps call Representer.express only for the twist build: once per
+    generator inverse and generator polynomial."""
     amb = workspace("bench/problems/trans_f3.prob").ambient
     calls = []
     express = Representer.express
@@ -484,7 +485,7 @@ def test_lift_steps_express_only_to_build_the_twists(monkeypatch):
         out = lift_step(d)
         assert out.success
         d = out.deformation
-    assert 0 < len(calls) <= len(amb.action) * len(amb.pres.gens)
+    assert 0 < len(calls) <= len(amb.action.generators) * len(amb.pres.gens)
 
 
 @pytest.mark.parametrize("path", ["bench/problems/trans_f3.prob",
@@ -546,7 +547,7 @@ def test_certify_divides_once_per_generator_inverse(monkeypatch):
     (f,) = amb.pres.gens
     invariant = sum(amb.ring.gens(), amb.ring.zero)
     gens = (EpsPoly(amb.ring, 1, [f, invariant]),)
-    amb.twists  # built over every element once, before counting
+    amb.twists  # divided at the generators' inverses once, before counting
     divided, acted, handed = [], [], []
     eps_divide = deform.eps_divide
     monkeypatch.setattr(deform, "eps_divide",

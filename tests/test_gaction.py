@@ -3,17 +3,17 @@ import random
 import pytest
 
 import oracles
+from eqdeform.ambient import AffinePresentation, original_ambient
 from eqdeform.fields import GF, QQ
 from eqdeform.gaction import (
     ClosureBoundExceededError,
     NotInvertibleError,
     Substitution,
     close_group,
-    twist_matrices,
     verify_stability,
 )
-from eqdeform.groebner import Representer, buchberger
-from eqdeform.poly import PolyRing
+from eqdeform.groebner import buchberger
+from eqdeform.poly import PolyRing, Polynomial
 
 
 @pytest.fixture
@@ -106,52 +106,68 @@ def test_verify_stability_reads_every_generator(ring):
     assert not verify_stability(buchberger([y]), group)
 
 
+def _twist_ambient(ring, group, gens):
+    return original_ambient(AffinePresentation.build(ring, gens), group)
+
+
 def test_twist_matrices_examples(ring):
+    """The ambient divides at the generator's inverse, here the generator
+    itself, and its twist images are the conormal matrices of the
+    action: 1 on the cusp and the node, the swap on (x^2, y^2)."""
     x, y = ring.gens()
+    one = ring.field.one
     sign = close_group([{"y": -y}], ring=ring)
-    gb_cusp = buchberger([y**2 - x**3])
-    tw = twist_matrices([y**2 - x**3], sign, gb_cusp, Representer([y**2 - x**3]))
-    assert tw.reduced[1][0][0] == ring.one
+    amb = _twist_ambient(ring, sign, [y**2 - x**3])
+    assert amb.twists == {1: [[ring.one]]}
+    assert amb.twist_images == [[[(0, one)]], [[(0, one)]]]
 
     swap = close_group([{"x": y, "y": x}], ring=ring)
-    gb_sq = buchberger([x**2, y**2])
-    tws = twist_matrices([x**2, y**2], swap, gb_sq, Representer([x**2, y**2]))
-    m = tws.reduced[1]
-    assert m[0][0].is_zero() and m[0][1] == ring.one
-    assert m[1][0] == ring.one and m[1][1].is_zero()
+    amb = _twist_ambient(ring, swap, [x**2, y**2])
+    assert amb.twists == {1: [[ring.zero, ring.one], [ring.one, ring.zero]]}
+    assert amb.twist_images[1] == [[(1, one)], [(0, one)]]
 
-    gb_node = buchberger([x * y])
-    twn = twist_matrices([x * y], swap, gb_node, Representer([x * y]))
-    assert twn.reduced[1][0][0] == ring.one
+    amb = _twist_ambient(ring, swap, [x * y])
+    assert amb.twists == {1: [[ring.one]]}
+    assert amb.twist_images[1] == [[(0, one)]]
+
+
+def _twist_matrix(amb, i):
+    """A_i of the ambient as a dense matrix of polynomials."""
+    out = [[amb.ring.zero] * amb.rank for _ in range(amb.rank)]
+    for j, row in enumerate(amb.twist_images[i]):
+        for l, e in row:
+            out[j][l] = e if isinstance(e, Polynomial) else amb.ring.one.scale(e)
+    return out
 
 
 def test_twist_cocycle_compatibility(ring):
+    """On D4 acting on (x^2 + y^2, x^2 y^2), every pair of elements
+    satisfies A_{ij} = A_i sigma_i(A_j) mod I, substituted and reduced
+    as written, and each division at a generator's inverse s^-1 is
+    exact: s^-1(f_j) = sum_l T[j][l] f_l."""
     x, y = ring.gens()
     g = close_group([{"x": y, "y": x}, {"y": -y}], ring=ring)
     gens = [x**2 + y**2, x**2 * y**2]
-    gb = buchberger(gens)
-    assert verify_stability(gb, g)
-    tw = twist_matrices(gens, g, gb, Representer(gens))
+    amb = _twist_ambient(ring, g, gens)
+    gb = amb.pres.gb
+    assert len(g) == 8 and any(a != g.identity_index for a, _, _ in g.tree)
     c = len(gens)
+    A = [_twist_matrix(amb, i) for i in g.indices()]
     for i in g.indices():
         for j in g.indices():
-            ij = g.mul(i, j)
             for a in range(c):
                 for b in range(c):
-                    # T_{ij} = i(T_j) T_i entrywise mod I
                     total = ring.zero
                     for l in range(c):
-                        total = total + g.apply(i, tw.reduced[j][a][l]) \
-                            * tw.reduced[i][l][b]
-                    assert gb.normal_form(tw.reduced[ij][a][b] - total).is_zero()
-    # exact representation really divides
-    for i in g.indices():
+                        total = total + A[i][a][l] * g.apply(i, A[j][l][b])
+                    assert gb.normal_form(total) == A[g.mul(i, j)][a][b]
+    assert sorted(amb.twists) == sorted(map(g.inv, g.generators))
+    for i, rows in amb.twists.items():
         for a in range(c):
-            lhs = g.apply(i, gens[a])
             rhs = ring.zero
             for l in range(c):
-                rhs = rhs + tw.exact[i][a][l] * gens[l]
-            assert lhs == rhs
+                rhs = rhs + rows[a][l] * gens[l]
+            assert g.apply(i, gens[a]) == rhs
 
 
 def test_variable_orbits_free(ring):
