@@ -66,10 +66,6 @@ class AffinePresentation:
         """The reduced Groebner basis the certificate was read from."""
         return self.certificate.gb
 
-    @property
-    def nvars(self) -> int:
-        return self.ring.nvars
-
     def nf(self, f: Polynomial) -> Polynomial:
         return self.gb.normal_form(f)
 
@@ -102,12 +98,11 @@ class EquivariantAmbient:
     """A presentation together with a compatible ambient group action."""
 
     def __init__(self, pres: AffinePresentation, action: GroupAction,
-                 origin: AffinePresentation, kind: str, var_images, embed_images):
+                 origin: AffinePresentation, kind: str, embed_images):
         self.pres = pres
         self.action = action
         self.origin = origin
         self.kind = kind  # "original" | "regular"
-        self.var_images = tuple(var_images)    # phi': ambient variable -> element of origin B
         self.embed_images = tuple(embed_images)  # origin variable -> ambient polynomial
 
     @property
@@ -123,13 +118,6 @@ class EquivariantAmbient:
         if f.ring is not self.origin.ring:
             raise ContextMismatchError("polynomial not in the origin ring")
         return substitute(f, dict(zip(self.origin.ring.variables, self.embed_images)))
-
-    def project(self, f: Polynomial) -> Polynomial:
-        """phi': ambient polynomial -> normal form in the origin ring."""
-        if f.ring is not self.ring:
-            raise ContextMismatchError("polynomial not in the ambient ring")
-        images = dict(zip(self.ring.variables, self.var_images))
-        return self.origin.nf(substitute(f, images))
 
     @cached_property
     def twists(self) -> dict:
@@ -232,7 +220,7 @@ def original_ambient(p: AffinePresentation, g: GroupAction) -> EquivariantAmbien
     if not verify_stability(p.gb, g):
         raise StabilityError("the group does not stabilize the ideal")
     variables = p.ring.gens()
-    return EquivariantAmbient(p, g, p, "original", variables, variables)
+    return EquivariantAmbient(p, g, p, "original", variables)
 
 
 def regular_rep_embedding(p: AffinePresentation, g: GroupAction) -> EquivariantAmbient:
@@ -296,8 +284,7 @@ def regular_rep_embedding(p: AffinePresentation, g: GroupAction) -> EquivariantA
                 images[j * n + i] = bigvar(i, target)
         elements.append(Substitution(big, images))
     big_action = GroupAction(big, elements, g.table, g.inverse, g.generators)
-    return EquivariantAmbient(big_pres, big_action, p, "regular",
-                              var_images, embed_images)
+    return EquivariantAmbient(big_pres, big_action, p, "regular", embed_images)
 
 
 def choose_ambient(p: AffinePresentation, g: GroupAction,

@@ -41,7 +41,7 @@ from .cohomology import (
     slice_of_normal_module,
     solve_coboundary,
 )
-from .groebner import ModulePresentation, QuotientBasis, quotient_basis
+from .groebner import ModuleGB, QuotientBasis, quotient_basis
 from .linalg import solve, span_modulo
 from .poly import PolyRing, Polynomial
 
@@ -87,9 +87,6 @@ class EpsPoly:
             and other.coeffs == self.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
     def __add__(self, other):
         other = self._coerce(other)
         return EpsPoly(self.ring, self.order,
@@ -99,22 +96,6 @@ class EpsPoly:
         other = self._coerce(other)
         return EpsPoly(self.ring, self.order,
                        [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return EpsPoly(self.ring, self.order, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        out = [self.ring.zero] * (self.order + 1)
-        for s, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for t, b in enumerate(other.coeffs):
-                if s + t > self.order:
-                    break
-                if not b.is_zero():
-                    out[s + t] = out[s + t] + a * b
-        return EpsPoly(self.ring, self.order, out)
 
     def _coerce(self, other):
         if isinstance(other, EpsPoly):
@@ -587,10 +568,10 @@ def tangent_spaces(amb: EquivariantAmbient,
     D = trunc if trunc is not None else default_truncation(amb)
     rank = len(pres.gens)
     if rank == 0:
-        empty = QuotientBasis(True, 0, (), None)
+        empty = QuotientBasis(True, 0, ())
         return TangentReport(empty, [], 0, [], "exact")
     relations = tuple(zip(*pres.jacobian))
-    module_gb = ModulePresentation(ring, rank, relations, pres.gb).groebner()
+    module_gb = ModuleGB.of_cokernel(ring, rank, relations, pres.gb)
     qb = quotient_basis(module_gb, D)
     t1_vectors = [_basis_vector(ring, rank, pos, m) for (pos, m) in qb.monomials]
 

@@ -208,14 +208,22 @@ class ModuleGB:
         self.elements = elements
         self._with_lt = [(g, _vec_lt(ring, g)) for g in elements]
 
+    @classmethod
+    def of_cokernel(cls, ring: PolyRing, rank: int, relations,
+                    base_ideal: "GroebnerBasis") -> "ModuleGB":
+        """The basis of M = B^rank / <relations>, B = P/base_ideal: the
+        relations together with base_ideal times each unit vector."""
+        vectors = [vec_from_polys(rel) for rel in relations]
+        for f in base_ideal.generators:
+            for j in range(rank):
+                vectors.append({(j, m): c for m, c in f.terms.items()})
+        return cls(ring, rank, module_groebner(ring, vectors, rank))
+
     def reduce(self, v: Vec) -> Vec:
         return reduce_vec(self.ring, v, self._with_lt)
 
     def reduce_polys(self, polys):
         return vec_to_polys(self.reduce(vec_from_polys(polys)), self.rank, self.ring)
-
-    def contains(self, polys) -> bool:
-        return not self.reduce(vec_from_polys(polys))
 
     def leading_terms(self):
         return [lt for _, lt in self._with_lt]
@@ -377,30 +385,12 @@ def module_kernel(map_matrix, modulus: GroebnerBasis):
 
 
 @dataclass(frozen=True)
-class ModulePresentation:
-    """Cokernel data: M = B^rank / <relations>, B = P/base_ideal."""
-
-    ring: PolyRing
-    rank: int
-    relations: tuple
-    base_ideal: GroebnerBasis
-
-    def groebner(self) -> ModuleGB:
-        vectors = [vec_from_polys(rel) for rel in self.relations]
-        for f in self.base_ideal.generators:
-            for j in range(self.rank):
-                vectors.append({(j, m): c for m, c in f.terms.items()})
-        return ModuleGB(self.ring, self.rank, module_groebner(self.ring, vectors, self.rank))
-
-
-@dataclass(frozen=True)
 class QuotientBasis:
     """k-basis of standard monomial cosets (position, exponents)."""
 
     finite: bool
     dimension: int | None
     monomials: tuple
-    truncated_at: int | None
 
 
 def staircase(ring: PolyRing, rank: int, leading_terms, degree: int | None):
@@ -433,7 +423,7 @@ def staircase(ring: PolyRing, rank: int, leading_terms, degree: int | None):
 
 def quotient_basis(gb: ModuleGB, trunc: int | None = None) -> QuotientBasis:
     """Standard monomials of the quotient module with the Groebner basis
-    gb (``ModulePresentation.groebner``); exact dimension when finite,
+    gb (``ModuleGB.of_cokernel``); exact dimension when finite,
     otherwise all standard monomials up to trunc with the infinite flag."""
     lts = gb.leading_terms()
     # finite: each position has a unit or a pure power of every variable
@@ -444,9 +434,9 @@ def quotient_basis(gb: ModuleGB, trunc: int | None = None) -> QuotientBasis:
         for pos in range(gb.rank))
     if finite:
         monomials = staircase(gb.ring, gb.rank, lts, None)
-        return QuotientBasis(True, len(monomials), tuple(monomials), None)
+        return QuotientBasis(True, len(monomials), tuple(monomials))
     monomials = staircase(gb.ring, gb.rank, lts, trunc) if trunc is not None else ()
-    return QuotientBasis(False, None, tuple(monomials), trunc)
+    return QuotientBasis(False, None, tuple(monomials))
 
 
 @dataclass(frozen=True)

@@ -109,24 +109,6 @@ class PolyRing:
         clean = {m: c for m, c in terms.items() if c != self.field.zero}
         return Polynomial(self, clean)
 
-    def monomials_upto(self, degree: int):
-        """All exponent tuples of total degree <= degree, by degree then
-        order.  A brute-force listing: the standard monomials of a
-        quotient come from ``groebner.staircase``."""
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                yield prefix + (remaining,)
-                return
-            for e in range(remaining + 1):
-                yield from rec(prefix + (e,), remaining - e, slots - 1)
-
-        if self.nvars == 0:
-            return [()] if degree >= 0 else []
-        out = []
-        for d in range(degree + 1):
-            out.extend(sorted(rec((), d, self.nvars), key=self.order.key))
-        return out
-
     def __repr__(self):
         return f"{self.field}[{', '.join(self.variables)}]"
 
@@ -235,14 +217,6 @@ class Polynomial:
             return self.ring.zero
         field = self.ring.field
         return Polynomial(self.ring, {m: field.mul(v, c) for m, v in self.terms.items()})
-
-    def mul_monomial(self, exps: tuple[int, ...], coeff=None):
-        field = self.ring.field
-        c = field.one if coeff is None else coeff
-        return Polynomial(
-            self.ring,
-            {monomial_mul(m, exps): field.mul(v, c) for m, v in self.terms.items()},
-        )
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

@@ -42,30 +42,7 @@ class ProblemFile:
     ideal: list            # list of eps-coefficient lists [f0, f1, ...]
     group_maps: list       # list of (name, {var: Polynomial})
     options: dict
-    eps_order: int = 0
-
-    def canonical_text(self) -> str:
-        lines = [f"field {self.field_text}"]
-        lines.append("vars " + " ".join(self.variables))
-        eps_ring = PolyRing(self.field, self.variables + (EPS_NAME,))
-        rendered = []
-        for coeffs in self.ideal:
-            total = eps_ring.zero
-            for t, c in enumerate(coeffs):
-                lifted = eps_ring.from_terms(
-                    {m + (t,): v for m, v in c.terms.items()}
-                )
-                total = total + lifted
-            rendered.append(repr(total))
-        lines.append("ideal: " + " ; ".join(rendered))
-        for name, mapping in self.group_maps:
-            images = ", ".join(
-                f"{v} -> {mapping[v]!r}" for v in self.variables if v in mapping
-            )
-            lines.append(f"gen {name}: {images}")
-        for key in sorted(self.options):
-            lines.append(f"option {key} = {self.options[key]}")
-        return "\n".join(lines) + "\n"
+    eps_order: int
 
 
 def _split_eps(poly, ring: PolyRing, eps_index: int):

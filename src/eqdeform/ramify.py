@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import Field, FieldError, GF, QQ
+from .fields import Field
 from .linalg import kernel_basis
 
 
@@ -41,18 +41,29 @@ def primitive_root_of_unity(field: Field, m: int):
     if (p - 1) % m != 0:
         raise RootOfUnityError(f"F_{p} has no primitive {m}-th root of unity "
                                f"(need m | p-1)")
+    # z = a^((p-1)/m) has order dividing m, exactly m unless z^(m/q) = 1
+    # for a prime q | m; a generator of F_p^* passes, so the scan stops
+    primes = _prime_factors(m)
     for a in range(2, p):
-        elt = field.of(a)
-        power = field.one
-        order = 0
-        for k in range(1, m + 1):
-            power = field.mul(power, elt)
-            if power == field.one:
-                order = k
-                break
-        if order == m:
-            return field.of(a)
+        z = pow(a, (p - 1) // m, p)
+        if all(pow(z, m // q, p) != 1 for q in primes):
+            return field.of(z)
     raise RootOfUnityError(f"no element of order {m} found in F_{p}")
+
+
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m, by trial division."""
+    out = []
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            out.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        out.append(m)
+    return out
 
 
 @dataclass(frozen=True)
@@ -101,7 +112,7 @@ class TruncatedSeriesModule:
         return len(kernel_basis(field, rows, self.modulus_degree))
 
 
-def local_ext1_invariants(d: int, m: int, field: Field | None = None) -> int:
+def local_ext1_invariants(d: int, m: int, field: Field) -> int:
     """dim of the stabilizer invariants of Ext^1(Omega_local, R).
 
     Ext^1 = (R/(t^d)) e_1^* with e_1^* of weight -(d+1); when
@@ -110,23 +121,8 @@ def local_ext1_invariants(d: int, m: int, field: Field | None = None) -> int:
         raise RamifyError("different must be >= 0")
     if m < 2:
         raise RamifyError("stabilizer order must be >= 2")
-    if field is None:
-        field = QQ if m <= 2 else _smallest_prime_field(m)
     module = TruncatedSeriesModule(d, (-(d + 1)) % m, m, field)
     return module.invariant_count()
-
-
-def _smallest_prime_field(m: int):
-    p = m + 1
-    while True:
-        try:
-            f = GF(p)
-        except FieldError:
-            p += 1
-            continue
-        if (p - 1) % m == 0:
-            return f
-        p += 1
 
 
 def tame_different(m: int) -> int:

@@ -29,6 +29,8 @@ arithmetic: it checks the Jacobian shortcut of ``apply_flow``.
 ``twist_matrices`` divides sigma(f_j) over the generators at every
 element with a Groebner representer: it checks the twists the ambient
 divides at the generators' inverses and reads off the Cayley tree.
+``monomials_upto`` lists every monomial of a ring up to a degree, the
+coefficient index of the dense oracles.
 """
 
 from __future__ import annotations
@@ -51,6 +53,25 @@ from eqdeform.fields import Field
 from eqdeform.gaction import ClosureBoundExceededError, Substitution
 from eqdeform.linalg import span_modulo
 from eqdeform.poly import PolyRing, Polynomial, monomial_degree
+
+
+def monomials_upto(ring: PolyRing, degree: int):
+    """All exponent tuples of total degree <= degree, by degree then
+    order.  A brute-force listing: the standard monomials of a quotient
+    come from ``groebner.staircase``."""
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            yield prefix + (remaining,)
+            return
+        for e in range(remaining + 1):
+            yield from rec(prefix + (e,), remaining - e, slots - 1)
+
+    if ring.nvars == 0:
+        return [()] if degree >= 0 else []
+    out = []
+    for d in range(degree + 1):
+        out.extend(sorted(rec((), d, ring.nvars), key=ring.order.key))
+    return out
 
 
 # --- dense Gaussian elimination -------------------------------------------
@@ -212,16 +233,16 @@ def bounded_membership(f: Polynomial, gens, total_bound: int):
     ring = f.ring
     if f.degree() > total_bound:
         return None
-    target_monos = ring.monomials_upto(total_bound)
+    target_monos = monomials_upto(ring, total_bound)
     index = {m: i for i, m in enumerate(target_monos)}
     unknowns = []
     columns = []
     for gi, g in enumerate(gens):
         if g.is_zero():
             continue
-        for m in ring.monomials_upto(max(total_bound - g.degree(), 0)):
+        for m in monomials_upto(ring, max(total_bound - g.degree(), 0)):
             unknowns.append((gi, m))
-            columns.append(_coeff_vector(g.mul_monomial(m), target_monos, index))
+            columns.append(_coeff_vector(g * ring.monomial(m), target_monos, index))
     if not unknowns:
         return None
     rows = [[columns[u][r] for u in range(len(unknowns))]
@@ -241,7 +262,7 @@ def module_quotient_slice_dim(ring: PolyRing, rank: int, relations, ideal_gens,
                               degree: int) -> int:
     """dim_k of (degree <= degree slice of B^rank) / (bounded relation span),
     with B = P/(ideal_gens), entirely by coefficient linear algebra."""
-    monos = ring.monomials_upto(degree)
+    monos = monomials_upto(ring, degree)
     index = {}
     keys = []
     for pos in range(rank):
@@ -266,14 +287,14 @@ def module_quotient_slice_dim(ring: PolyRing, rank: int, relations, ideal_gens,
 
     for rel in relations:
         rel_deg = max([p.degree() for p in rel if not p.is_zero()] + [0])
-        for m in ring.monomials_upto(max(degree - rel_deg, 0)):
-            add_vector(tuple(p.mul_monomial(m) for p in rel))
+        for m in monomials_upto(ring, max(degree - rel_deg, 0)):
+            add_vector(tuple(p * ring.monomial(m) for p in rel))
     for f in ideal_gens:
         fdeg = f.degree()
         for pos in range(rank):
-            for m in ring.monomials_upto(max(degree - fdeg, 0)):
+            for m in monomials_upto(ring, max(degree - fdeg, 0)):
                 vec = [ring.zero] * rank
-                vec[pos] = f.mul_monomial(m)
+                vec[pos] = f * ring.monomial(m)
                 add_vector(tuple(vec))
     return len(keys) - span.dim
 
@@ -290,27 +311,27 @@ def bounded_kernel_elements(map_matrix, ideal_gens, ring: PolyRing,
     ideal_deg = max([g.degree() for g in ideal_gens if not g.is_zero()] + [0])
     cof_bound = degree + entry_deg + slack
     target_deg = max(degree + entry_deg, cof_bound + ideal_deg)
-    target = ring.monomials_upto(target_deg)
+    target = monomials_upto(ring, target_deg)
     index = {m: i for i, m in enumerate(target)}
 
-    v_unknowns = [(k, m) for k in range(r) for m in ring.monomials_upto(degree)]
+    v_unknowns = [(k, m) for k in range(r) for m in monomials_upto(ring, degree)]
     w_unknowns = [
         (j, gi, m)
         for j in range(c)
         for gi in range(len(ideal_gens))
-        for m in ring.monomials_upto(cof_bound)
+        for m in monomials_upto(ring, cof_bound)
     ]
     columns = []
     for (k, m) in v_unknowns:
         col = []
         for j in range(c):
-            col.extend(_coeff_vector(map_matrix[j][k].mul_monomial(m), target, index))
+            col.extend(_coeff_vector(map_matrix[j][k] * ring.monomial(m), target, index))
         columns.append(col)
     for (j, gi, m) in w_unknowns:
         col = []
         for jj in range(c):
             if jj == j:
-                col.extend(_coeff_vector(ideal_gens[gi].mul_monomial(m), target, index))
+                col.extend(_coeff_vector(ideal_gens[gi] * ring.monomial(m), target, index))
             else:
                 col.extend([ring.field.zero] * len(target))
         columns.append(col)
@@ -733,6 +754,17 @@ def h1_bounded(m_small, m_big) -> list[int]:
 # whole EpsPoly values instead of one coefficient list, and keeps the
 # quotients.
 
+def eps_mul(a: EpsPoly, b: EpsPoly) -> EpsPoly:
+    """The product in k[x][eps]/(eps^(order+1))."""
+    if a.ring is not b.ring or a.order != b.order:
+        raise DeformationError("eps-polynomials over different bases")
+    out = [a.ring.zero] * (a.order + 1)
+    for s, p in enumerate(a.coeffs):
+        for t, q in enumerate(b.coeffs[: a.order + 1 - s]):
+            out[s + t] = out[s + t] + p * q
+    return EpsPoly(a.ring, a.order, out)
+
+
 def eps_divide(h: EpsPoly, gens, representer, allow_final_remainder=False):
     """(S, remainder) with h = sum S_l gens_l + eps^order * remainder
     exactly over the truncated base; remainder is None on full success.
@@ -757,7 +789,7 @@ def eps_divide(h: EpsPoly, gens, representer, allow_final_remainder=False):
                 continue
             piece = EpsPoly.constant(ring, order, c).shift(t)
             S[l] = S[l] + piece
-            r = r - piece * gens[l]
+            r = r - eps_mul(piece, gens[l])
     return S, None
 
 
@@ -830,7 +862,7 @@ def flow_by_substitution(d, components) -> tuple:
                 part = EpsPoly.constant(ring, m, ring.const(c))
                 for image, e in zip(images, mono):
                     for _ in range(e):
-                        part = part * image
+                        part = eps_mul(part, image)
                 total = total + part.shift(t)
         out.append(total)
     return tuple(out)

@@ -5,7 +5,6 @@ import pytest
 from eqdeform.fields import GF, QQ
 from eqdeform.groebner import (
     ModuleGB,
-    ModulePresentation,
     Representer,
     buchberger,
     is_regular_sequence,
@@ -18,7 +17,12 @@ from eqdeform.groebner import (
 )
 from eqdeform.poly import MonomialOrder, PolyRing, canonical_render, monomial_divides
 
-from oracles import bounded_kernel_elements, bounded_membership, module_quotient_slice_dim
+from oracles import (
+    bounded_kernel_elements,
+    bounded_membership,
+    module_quotient_slice_dim,
+    monomials_upto,
+)
 
 
 @pytest.fixture
@@ -145,7 +149,7 @@ def test_module_kernel_examples(ring):
     mgb = ModuleGB(ring, 2, module_groebner(ring, vectors, 2))
     for v in [(2 * x, 3 * y), (2 * y, 3 * x**2)]:
         assert gb.normal_form(-3 * x**2 * v[0] + 2 * y * v[1]).is_zero()
-        assert mgb.contains(v)
+        assert not mgb.reduce(vec_from_polys(v))
 
 
 def test_module_kernel_congruence_random(ring):
@@ -181,27 +185,25 @@ def test_module_kernel_contains_bruteforce_elements(ring):
         brute = bounded_kernel_elements(matrix, ideal_gens, ring, 3)
         assert brute, "oracle should find kernel elements"
         for v in brute:
-            assert mgb.contains(v)
+            assert not mgb.reduce(vec_from_polys(v))
 
 
 def test_quotient_basis_examples(ring):
     x, y = ring.gens()
     gb_cusp = buchberger([y**2 - x**3])
-    pres = ModulePresentation(ring, 1, ((3 * x**2,), (2 * y,)), gb_cusp)
-    qb = quotient_basis(pres.groebner())
+    qb = quotient_basis(ModuleGB.of_cokernel(ring, 1, ((3 * x**2,), (2 * y,)), gb_cusp))
     assert qb.finite and qb.dimension == 2
     assert qb.monomials == ((0, (0, 0)), (0, (1, 0)))
 
-    pres_node = ModulePresentation(ring, 1, ((y,), (x,)), buchberger([x * y]))
-    qb2 = quotient_basis(pres_node.groebner())
+    qb2 = quotient_basis(ModuleGB.of_cokernel(ring, 1, ((y,), (x,)), buchberger([x * y])))
     assert qb2.finite and qb2.dimension == 1
 
     r1 = PolyRing(QQ, ["x"])
-    free = ModulePresentation(r1, 1, (), buchberger([], ring=r1))
-    qb3 = quotient_basis(free.groebner(), trunc=7)
+    free = ModuleGB.of_cokernel(r1, 1, (), buchberger([], ring=r1))
+    qb3 = quotient_basis(free, trunc=7)
     assert not qb3.finite
     assert len(qb3.monomials) == 8
-    assert quotient_basis(free.groebner(), trunc=3).finite is False
+    assert quotient_basis(free, trunc=3).finite is False
 
 
 def test_quotient_basis_matches_slice_oracle(ring):
@@ -213,7 +215,7 @@ def test_quotient_basis_matches_slice_oracle(ring):
     ]
     for ideal_gens, relations, rank in cases:
         gb = buchberger(ideal_gens)
-        qb = quotient_basis(ModulePresentation(ring, rank, relations, gb).groebner())
+        qb = quotient_basis(ModuleGB.of_cokernel(ring, rank, relations, gb))
         assert qb.finite
         oracle = module_quotient_slice_dim(ring, rank, relations, ideal_gens, 4)
         assert qb.dimension == oracle
@@ -225,15 +227,15 @@ def test_quotient_basis_permutation_invariant(ring):
     rels = [(3 * x**2,), (2 * y,), (x * y,)]
     dims = set()
     for perm in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
-        pres = ModulePresentation(ring, 1, tuple(rels[i] for i in perm), gb)
-        dims.add(quotient_basis(pres.groebner()).dimension)
+        mgb = ModuleGB.of_cokernel(ring, 1, tuple(rels[i] for i in perm), gb)
+        dims.add(quotient_basis(mgb).dimension)
     assert len(dims) == 1
 
 
 def _filtered_monomials(ring, rank, leading_terms, degree):
     """Brute-force staircase: every term of degree <= degree that no
     leading term divides, by (degree, position, order key)."""
-    out = [(pos, m) for m in ring.monomials_upto(degree) for pos in range(rank)
+    out = [(pos, m) for m in monomials_upto(ring, degree) for pos in range(rank)
            if not any(p == pos and monomial_divides(lm, m) for p, lm in leading_terms)]
     out.sort(key=lambda t: (sum(t[1]), t[0], ring.order.key(t[1])))
     return out
@@ -289,14 +291,16 @@ def test_staircase_matches_the_brute_force_filter():
             # every standard monomial has degree below 3 per variable
             full = _filtered_monomials(ring, rank, lts, 3 * nvars)
             assert staircase(ring, rank, lts, None) == full
+            # a finite quotient ignores the truncation
             qb = quotient_basis(gb, trunc=1)
-            assert qb.dimension == len(full) and qb.monomials == tuple(full)
-            assert qb.truncated_at is None
+            assert qb.finite and qb.dimension == len(full) and qb.monomials == tuple(full)
         else:
             seen["infinite"] += 1
             qb = quotient_basis(gb, trunc=3)
-            assert not qb.finite and qb.dimension is None and qb.truncated_at == 3
+            assert not qb.finite and qb.dimension is None
             assert qb.monomials == tuple(_filtered_monomials(ring, rank, lts, 3))
+            # an infinite order ideal has standard monomials of every degree
+            assert max(sum(m) for _, m in qb.monomials) == 3
             assert quotient_basis(gb).monomials == ()
     assert min(seen.values()) > 20, seen
 

@@ -2,6 +2,7 @@ from math import ceil
 
 import pytest
 
+from eqdeform.cli import main
 from eqdeform.fields import GF, QQ
 from eqdeform.ramify import (
     RootOfUnityError,
@@ -67,3 +68,25 @@ def test_root_of_unity_requirements():
         local_ext1_invariants(-1, 2, GF(5))
     with pytest.raises(ValueError):
         local_ext1_invariants(1, 1, GF(5))
+
+
+def _order(z, p):
+    power, k = z, 1
+    while power != 1:
+        power, k = power * z % p, k + 1
+    return k
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 100) if all(p % q for q in range(2, p))])
+def test_primitive_roots_have_exact_order(p):
+    for m in range(1, p):
+        if (p - 1) % m == 0:
+            assert _order(primitive_root_of_unity(GF(p), m), p) == m
+
+
+def test_ramify_over_a_large_prime_does_not_scan_the_field(capsys):
+    """The root is a power of a generator, not the first element of order
+    m: with m = 2 a scan would walk the field up to p - 1."""
+    assert main(["ramify", "--d", "4", "--m", "2", "--p", "1000000007"]) == 0
+    out = capsys.readouterr().out
+    assert "invariant dim: 2\n" in out and "matrix cross-check: 2\n" in out
