@@ -18,8 +18,10 @@ from functools import cached_property
 from .gaction import GroupAction, StabilityError, Substitution, verify_stability
 from .groebner import (
     GroebnerBasis,
+    ModuleGB,
     RegularityCertificate,
     Representer,
+    canonical_order,
     is_regular_sequence,
     staircase,
 )
@@ -92,6 +94,63 @@ class AffinePresentation:
         return tuple(
             tuple(partial(f, i) for i in range(self.ring.nvars)) for f in self.gens
         )
+
+    @cached_property
+    def t1_module(self) -> ModuleGB:
+        """The basis of T^1 = B^c modulo the Jacobian columns."""
+        return ModuleGB.of_cokernel(self.ring, len(self.gens), tuple(zip(*self.jacobian)),
+                                    self.gb)
+
+
+@dataclass
+class GraphPresentation(AffinePresentation):
+    """The regular ambient's presentation, f(X_{.,0}) and the graph
+    X_b - L_b(X_{.,0}): its representer and T^1 bases are the origin's,
+    written down (``regular_rep_embedding`` says why they are reduced)."""
+
+    origin: AffinePresentation
+
+    def _padded(self, v: dict) -> dict:
+        """x_i -> X_{i,0}: the exponents extended by zeros."""
+        pad = (0,) * (self.ring.nvars - self.origin.ring.nvars)
+        return {(pos, m + pad): c for (pos, m), c in v.items()}
+
+    @cached_property
+    def representer(self) -> Representer | None:
+        """The origin's augmented basis, each (G_b, e_b), and the Koszul
+        syzygy g_b e_a - g_a e_b of every pair a < b with b in the graph;
+        None when there are no generators."""
+        if not self.gens:
+            return None
+        field, zero = self.ring.field, (0,) * self.ring.nvars
+        rep = self.origin.representer
+        out = [self._padded(v) for v in (rep.gb.elements if rep else ())]
+        for b in range(len(self.origin.gens), len(self.gens)):
+            out.append({**{(0, m): c for m, c in self.gens[b].terms.items()},
+                        (1 + b, zero): field.one})
+            for a in range(b):
+                out.append({**{(1 + a, m): c for m, c in self.gens[b].terms.items()},
+                            **{(1 + b, m): field.neg(c) for m, c in self.gens[a].terms.items()}})
+        return Representer.of_reduced(self.gens, out)
+
+    @cached_property
+    def t1_module(self) -> ModuleGB:
+        """The origin's T^1 basis; X_b e_j less the origin's normal form
+        of L_b e_j at each position j without a unit; and the unit at
+        each graph position, whose Jacobian column it is."""
+        small, c, n = self.origin.t1_module, len(self.origin.gens), self.origin.ring.nvars
+        one, zero = self.ring.field.one, (0,) * self.ring.nvars
+        out = [self._padded(v) for v in small.elements]
+        units = {pos for pos, m in small.leading_terms() if not any(m)}
+        for graph in self.gens[c:]:  # X_b - L_b, led by X_b
+            x_b = graph.leading_monomial()
+            for j in set(range(c)) - units:
+                v = self._padded(small.reduce(
+                    {(j, m[:n]): d for m, d in graph.terms.items() if m != x_b}))
+                v[(j, x_b)] = one
+                out.append(v)
+        out += [{(b, zero): one} for b in range(c, len(self.gens))]
+        return ModuleGB(self.ring, len(self.gens), canonical_order(self.ring, out))
 
 
 class EquivariantAmbient:
@@ -236,6 +295,23 @@ def regular_rep_embedding(p: AffinePresentation, g: GroupAction) -> EquivariantA
     The quotient dimension is that of B, and n|G| - (c + n(|G|-1)) = n - c.
     I' = ker phi' is stable: phi'(tau X_{i,s}) = (tau s)(x_i) =
     tau(phi'(X_{i,s})), and tau stabilizes (f).
+
+    ``GraphPresentation`` writes two more reduced bases down; g is
+    (f(X_{.,0}), G_1..G_r) with G_b = X_b - L_b, padding is x_i -> X_{i,0}.
+    The augmented basis of (g_a, e_a) is the origin's padded, each
+    (G_b, e_b), and the Koszul g_b e_a - g_a e_b for a < b, b in the
+    graph.  Position 0 gives the basis above.  A syzygy s leading at a
+    graph position p has s_p in (G_{>p}), as G_p is monic in a variable
+    free modulo them, so some X_b, b > p, divides LT(s_p): Koszul (p, b).
+    One leading at an f position has a graph variable in LT(s_p), covered
+    by a Koszul element, or LT(s_p) = LT(phi(s_p)) with phi: X_b -> L_b,
+    and phi(s) on the f positions is an origin syzygy.  It is reduced:
+    Koszul tails at position a are terms of L_b, standard for I, and the
+    origin's syzygy leading terms lie in LT(I), f being regular.  The T^1
+    basis: the Jacobian column of X_b is e_{c+b}, a unit at each graph
+    position; so B'^t / J is B^c / J_f, and its basis is the origin's
+    padded, the units, and X_b e_j less the origin's normal form of
+    L_b e_j at each position j without a unit (G_b e_j = X_b e_j - L_b e_j).
     """
     if not verify_stability(p.gb, g):
         raise StabilityError("the group does not stabilize the ideal")
@@ -271,7 +347,7 @@ def regular_rep_embedding(p: AffinePresentation, g: GroupAction) -> EquivariantA
         big, [substitute(f, section) for f in p.gb.generators] + graph)
     cert = RegularityCertificate(True, p.certificate.quotient_dimension,
                                  big.nvars - len(gens), big.nvars, len(gens), basis)
-    big_pres = AffinePresentation(big, gens, cert)
+    big_pres = GraphPresentation(big, gens, cert, p)
 
     # left translation on the sigma index keeps phi' equivariant for the
     # covariant composition convention of GroupAction

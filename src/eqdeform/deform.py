@@ -41,7 +41,7 @@ from .cohomology import (
     slice_of_normal_module,
     solve_coboundary,
 )
-from .groebner import ModuleGB, QuotientBasis, quotient_basis
+from .groebner import QuotientBasis, quotient_basis
 from .linalg import solve, span_modulo
 from .poly import PolyRing, Polynomial
 
@@ -570,8 +570,7 @@ def tangent_spaces(amb: EquivariantAmbient,
     if rank == 0:
         empty = QuotientBasis(True, 0, ())
         return TangentReport(empty, [], 0, [], "exact")
-    relations = tuple(zip(*pres.jacobian))
-    module_gb = ModuleGB.of_cokernel(ring, rank, relations, pres.gb)
+    module_gb = pres.t1_module
     qb = quotient_basis(module_gb, D)
     t1_vectors = [_basis_vector(ring, rank, pos, m) for (pos, m) in qb.monomials]
 

@@ -195,8 +195,12 @@ def module_groebner(ring: PolyRing, vectors, rank: int) -> list[Vec]:
         r = reduce_vec(ring, G[i], others)
         if r:
             reduced.append(_vec_monic(field, r, _vec_lt(ring, r)))
-    reduced.sort(key=lambda v: _vec_canonical_key(ring, v))
-    return reduced
+    return canonical_order(ring, reduced)
+
+
+def canonical_order(ring: PolyRing, vectors) -> list[Vec]:
+    """The vectors in the order ``module_groebner`` returns its basis."""
+    return sorted(vectors, key=lambda v: _vec_canonical_key(ring, v))
 
 
 class ModuleGB:
@@ -326,14 +330,24 @@ class Representer:
             v = vec_from_polys([g])
             v[(1 + i, (0,) * self.ring.nvars)] = self.ring.field.one
             augmented.append(v)
-        self._gb = ModuleGB(self.ring, 1 + t, module_groebner(self.ring, augmented, 1 + t))
+        self.gb = ModuleGB(self.ring, 1 + t, module_groebner(self.ring, augmented, 1 + t))
+
+    @classmethod
+    def of_reduced(cls, gens, elements) -> "Representer":
+        """The representer of gens whose augmented basis is known: the
+        elements are the reduced, monic basis ``module_groebner`` would
+        return, in any order."""
+        rep = cls.__new__(cls)
+        rep.gens, rep.ring = list(gens), gens[0].ring
+        rep.gb = ModuleGB(rep.ring, 1 + len(gens), canonical_order(rep.ring, elements))
+        return rep
 
     def divide(self, h: Polynomial):
         """(remainder, cofactors) with h = remainder + sum cofactor_i * g_i."""
         if h.is_zero():
             return h, [self.ring.zero] * len(self.gens)
         v = vec_from_polys([h])
-        red = self._gb.reduce(v)
+        red = self.gb.reduce(v)
         parts = vec_to_polys(red, 1 + len(self.gens), self.ring)
         remainder = parts[0]
         cofactors = [-p for p in parts[1:]]
@@ -451,22 +465,31 @@ class RegularityCertificate:
 
 def krull_dimension(gb: GroebnerBasis) -> int:
     """Krull dimension of P/I from the leading-term ideal: the largest
-    variable subset meeting no leading monomial support.  -1 for the
-    unit ideal."""
+    variable subset containing no leading monomial support, by a
+    depth-first search pruned by size.  -1 for the unit ideal."""
     if gb.is_unit_ideal():
         return -1
     ring = gb.ring
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in
                 (g.leading_monomial() for g in gb.generators)]
-    n = ring.nvars
     best = 0
-    for mask in range(1 << n):
-        size = bin(mask).count("1")
-        if size <= best:
-            continue
-        chosen = {i for i in range(n) if mask >> i & 1}
-        if all(not s <= chosen for s in supports):
-            best = size
+
+    def search(chosen: frozenset, kept: frozenset):
+        # a set holding a support loses one of its variables; the branches
+        # drop the first, second, ... one, each keeping those before it,
+        # so no subset is visited twice
+        nonlocal best
+        if len(chosen) <= best:
+            return
+        inside = next((s for s in supports if s <= chosen), None)
+        if inside is None:
+            best = len(chosen)
+            return
+        for i in sorted(inside - kept):
+            search(chosen - {i}, kept)
+            kept = kept | {i}
+
+    search(frozenset(range(ring.nvars)), frozenset())
     return best
 
 

@@ -91,17 +91,19 @@ class TruncatedSeriesModule:
 
     def action_matrix(self):
         """The diagonal action of the chosen generator on the t^i e basis,
-        as sparse rows."""
-        z = primitive_root_of_unity(self.field, self.cyclic_order)
+        as sparse rows: z^w, w reduced mod m since z^m = 1, by
+        square-and-multiply, then one factor z per row."""
         field = self.field
-        N = self.modulus_degree
+        z = primitive_root_of_unity(field, self.cyclic_order)
+        entry, square, w = field.one, z, self.weight % self.cyclic_order
+        while w:
+            if w & 1:
+                entry = field.mul(entry, square)
+            square, w = field.mul(square, square), w >> 1
         rows = []
-        for i in range(N):
-            entry = field.one
-            for _ in range((i + self.weight) % self.cyclic_order):
-                entry = field.mul(entry, z)
-            # z^(i+w) = z^((i+w) mod m)
+        for i in range(self.modulus_degree):
             rows.append({i: entry})
+            entry = field.mul(entry, z)
         return rows
 
     def invariant_count_by_matrix(self) -> int:

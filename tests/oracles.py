@@ -30,7 +30,9 @@ arithmetic: it checks the Jacobian shortcut of ``apply_flow``.
 element with a Groebner representer: it checks the twists the ambient
 divides at the generators' inverses and reads off the Cayley tree.
 ``monomials_upto`` lists every monomial of a ring up to a degree, the
-coefficient index of the dense oracles.
+coefficient index of the dense oracles.  ``krull_dimension_by_subsets``
+tries every variable subset against the leading monomials: it checks
+the pruned search of ``groebner.krull_dimension``.
 """
 
 from __future__ import annotations
@@ -72,6 +74,24 @@ def monomials_upto(ring: PolyRing, degree: int):
     for d in range(degree + 1):
         out.extend(sorted(rec((), d, ring.nvars), key=ring.order.key))
     return out
+
+
+def krull_dimension_by_subsets(leading_monomials, nvars: int) -> int:
+    """The largest number of variables whose subset contains the support
+    of no leading monomial, over all 2^nvars subsets; -1 when a leading
+    monomial is constant (the unit ideal)."""
+    if any(not any(m) for m in leading_monomials):
+        return -1
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in leading_monomials]
+    best = 0
+    for mask in range(1 << nvars):
+        size = bin(mask).count("1")
+        if size <= best:
+            continue
+        chosen = {i for i in range(nvars) if mask >> i & 1}
+        if all(not s <= chosen for s in supports):
+            best = size
+    return best
 
 
 # --- dense Gaussian elimination -------------------------------------------

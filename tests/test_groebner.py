@@ -4,6 +4,7 @@ import pytest
 
 from eqdeform.fields import GF, QQ
 from eqdeform.groebner import (
+    GroebnerBasis,
     ModuleGB,
     Representer,
     buchberger,
@@ -20,6 +21,7 @@ from eqdeform.poly import MonomialOrder, PolyRing, canonical_render, monomial_di
 from oracles import (
     bounded_kernel_elements,
     bounded_membership,
+    krull_dimension_by_subsets,
     module_quotient_slice_dim,
     monomials_upto,
 )
@@ -316,6 +318,46 @@ def test_regular_sequences(ring):
     a, b, c, d = vars4.gens()
     assert is_regular_sequence([a * c - b * d, a * a - b * c]).regular
     assert krull_dimension(buchberger([x * y - 1, x**2])) == -1
+
+
+def test_krull_dimension_matches_the_subset_loop_on_seeded_leading_terms():
+    """The pruned search and the loop over all 2^n variable subsets agree
+    on random leading-monomial sets of up to 14 variables: a few to many
+    monomials, supports of one to four variables, sometimes a constant."""
+    rng = random.Random(2003)
+    for trial in range(300):
+        n = rng.randrange(15)
+        ring = PolyRing(GF(2), [f"x{i}" for i in range(n)])
+        lms = []
+        for _ in range(rng.randrange(1, 2 + 2 * n)):
+            m = [0] * n
+            for i in rng.sample(range(n), min(n, rng.randrange(1, 5))):
+                m[i] = rng.randrange(1, 3)
+            lms.append(tuple(m))
+        if trial % 50 == 0:
+            lms.append((0,) * n)
+        gb = GroebnerBasis(ring, tuple(ring.monomial(m) for m in lms))
+        assert krull_dimension(gb) == krull_dimension_by_subsets(lms, n), (n, lms)
+
+
+def _pairs_problem(n: int) -> str:
+    """x0*x1 + x2*x3 + ... over F2 with one involution swapping each pair."""
+    pairs = [(f"x{2 * k}", f"x{2 * k + 1}") for k in range(n // 2)]
+    return ("field F 2\nvars " + " ".join(f"x{i}" for i in range(n))
+            + "\nideal: " + " + ".join(f"{a}*{b}" for a, b in pairs)
+            + "\ngen s: " + ", ".join(f"{a} -> {b}, {b} -> {a}" for a, b in pairs) + "\n")
+
+
+@pytest.mark.parametrize("n", [24, 40])
+def test_check_of_a_wide_pairs_problem_finishes(tmp_path, capsys, n):
+    """Every command certifies the presentation through the Krull
+    dimension: at 24 variables the subset loop made 2^24 passes, at 40
+    it would not finish."""
+    from eqdeform.cli import main
+    path = tmp_path / "pairs.prob"
+    path.write_text(_pairs_problem(n), encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    assert f"regular sequence: ok (dim {n - 1} = {n} - 1)" in capsys.readouterr().out
 
 
 def test_buchberger_deterministic(ring):

@@ -90,3 +90,27 @@ def test_ramify_over_a_large_prime_does_not_scan_the_field(capsys):
     assert main(["ramify", "--d", "4", "--m", "2", "--p", "1000000007"]) == 0
     out = capsys.readouterr().out
     assert "invariant dim: 2\n" in out and "matrix cross-check: 2\n" in out
+
+
+def test_action_matrix_entries_are_the_weight_powers():
+    """Row i holds z^(i + w), w of either sign and past m, as repeated
+    multiplication by z gives it."""
+    for m, field in FIELDS.items():
+        z = primitive_root_of_unity(field, m)
+        for w in (-7, -1, 0, 1, m - 1, m, 3 * m + 2):
+            module = TruncatedSeriesModule(3 * m + 1, w, m, field)
+            expected = []
+            for i in range(module.modulus_degree):
+                entry = field.one
+                for _ in range((i + w) % m):
+                    entry = field.mul(entry, z)
+                expected.append({i: entry})
+            assert module.action_matrix() == expected
+
+
+def test_ramify_with_a_huge_stabilizer_does_not_multiply_m_times(capsys):
+    """m = p - 1 about 10^9: the action matrix takes z^w by squaring, not
+    by up to m multiplications per row."""
+    assert main(["ramify", "--d", "4", "--m", "1000000006", "--p", "1000000007"]) == 0
+    out = capsys.readouterr().out
+    assert "invariant dim: 0\n" in out and "matrix cross-check: 0\n" in out

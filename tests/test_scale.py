@@ -1,8 +1,8 @@
 """The scale instances: larger groups and ambients than the shipped
 problems, pinned to their recorded stdout and exit code.
 
-They cover |G| = 6, 8 and 16, regular ambients of 18 variables and
-original ambients of 8 and 16, so the group calculus read off the
+They cover |G| = 6, 8 and 16, regular ambients of 18 and 48 variables
+and original ambients of 8 and 16, so the group calculus read off the
 generators (the table, the twists, the cocycles) goes two or three
 Cayley-tree edges deep.  The problem texts are written here and put
 into a temporary directory, so the shipped problem set is unchanged.
@@ -22,6 +22,8 @@ Z2_CUBE = "".join(
     for name, pairs in (("s", ("ab", "cd", "ef", "gh")),
                         ("t", ("ac", "bd", "eg", "fh")),
                         ("u", ("ae", "bf", "cg", "dh"))))
+Z2_CUBE_PAIRS = "".join(f"gen {name}: {a} -> {b}, {b} -> {a}\n"
+                        for name, (a, b) in zip("stu", ("ab", "cd", "ef")))
 Z2_4 = "".join(
     f"gen g{i}: " + ", ".join(f"x{v} -> x{v ^ 1 << i}" for v in range(16)) + "\n"
     for i in range(4))
@@ -31,6 +33,7 @@ SCALE_PROBLEMS = {
     "s3_sym_f2": "field F 2\nvars x y z\nideal: x*y + y*z + z*x\n" + S3,
     "z2cube_free": "field F 2\nvars a b c d e f g h\nideal: a*b + c*d + e*f + g*h\n"
                    + Z2_CUBE,
+    "z2cube": "field F 2\nvars a b c d e f\nideal: a*b + c*d + e*f\n" + Z2_CUBE_PAIRS,
     "z2_4_free": "field F 2\nvars " + " ".join(f"x{v}" for v in range(16))
                  + "\nideal: " + " + ".join(f"x{2 * k}*x{2 * k + 1}" for k in range(8))
                  + "\n" + Z2_4,
@@ -47,6 +50,7 @@ SCALE_CASES = [
      "scale_obstruction_z2_4_free_t2.txt", 2),
     ("lift", "s3_sym_f2", ["--order", "3"], "scale_lift_s3_sym_f2_o3.txt", 0),
     ("lift", "z2cube_free", ["--order", "4"], "scale_lift_z2cube_free_o4.txt", 0),
+    ("tangent", "z2cube", ["--truncate", "1"], "scale_tangent_z2cube_t1.txt", 0),
 ]
 
 
