@@ -25,7 +25,7 @@ from .groebner import (
     is_regular_sequence,
     staircase,
 )
-from .linalg import kernel_basis, transpose
+from .linalg import kernel_basis, rank
 from .poly import (
     ContextMismatchError,
     MonomialOrder,
@@ -424,7 +424,8 @@ class NormalModule:
 def normal_image(amb: EquivariantAmbient, vec):
     """Image of an ambient derivation vector in the normal module:
     F_j -> sum_i dF_j/dX_i * D_i, mod I (a zero sum is not reduced)."""
-    sums = (sum((d * v for d, v in zip(row, vec) if d and v), amb.ring.zero)
+    one = amb.ring.field.one
+    sums = (_combination(amb.ring, ((one, d * v) for d, v in zip(row, vec) if d and v))
             for row in amb.pres.jacobian)
     return tuple(amb.pres.nf(p) if p else p for p in sums)
 
@@ -492,21 +493,14 @@ def ambient_vector_slice(amb: EquivariantAmbient, degree: int):
     return basis
 
 
-def derivations(amb: EquivariantAmbient, degree: int):
-    """The degree <= degree slice of T^0_G: a k-basis of the G-invariant
-    derivations of B (the infinitesimal automorphisms), as ambient
-    derivation vectors in B^n.
+def derivations(amb: EquivariantAmbient, degree: int) -> int:
+    """The dimension of the degree <= degree slice of T^0_G, the
+    G-invariant derivations of B (the infinitesimal automorphisms).
 
     A derivation of B is an ambient vector D with J.D = 0 mod I, and
     normal_image is k-linear, so T^0_G on the slice is the kernel of the
-    normal-image map on the invariant slice: one ``kernel_basis`` over
-    the images (as columns), each kernel vector returned as the
-    combination of the slice basis it names."""
+    normal-image map on the invariant slice: its dimension is the slice
+    dimension less the rank of the images.  No kernel vector is formed."""
     basis, images = amb.vector_slice(degree)
-    ring = amb.ring
     coords = _SliceCoordinates()
-    columns = [coords.row(u) for u in images]
-    kernel = kernel_basis(ring.field, transpose(columns, len(coords.index)), len(basis))
-    return [tuple(_combination(ring, ((c, basis[k][i]) for k, c in sol.items()))
-                  for i in range(ring.nvars))
-            for sol in kernel]
+    return len(basis) - rank(amb.ring.field, [coords.row(u) for u in images])

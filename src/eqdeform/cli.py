@@ -203,7 +203,7 @@ def cmd_check(args) -> int:
 def cmd_tangent(args) -> int:
     ws = Workspace(_load_problem(args.problem))
     trunc = ws.truncation(args.truncate)
-    t0_dim = len(derivations(ws.ambient, trunc))
+    t0_dim = derivations(ws.ambient, trunc)
     rep = tangent_spaces(ws.ambient, trunc=trunc)
     report = Report("tangent", ws)
     report.put("truncation", trunc, f"truncation: {trunc}")

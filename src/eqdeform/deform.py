@@ -549,8 +549,8 @@ def _basis_vector(ring: PolyRing, rank: int, pos: int, mono) -> tuple:
 
 def tangent_spaces(amb: EquivariantAmbient,
                    trunc: int | None = None) -> TangentReport:
-    """T^1 and T^1_G of the presentation through the ambient (T^0_G is
-    ambient.derivations).
+    """T^1 and T^1_G of the presentation through the ambient (the
+    dimension of T^0_G is ambient.derivations).
 
     T^1 comes from the standard-monomial count of B^c modulo the
     Jacobian image (exact regardless of grading).  T^1_G is the fixed

@@ -17,6 +17,7 @@ syzygies we are after.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .poly import (
     ContextMismatchError,
@@ -82,23 +83,42 @@ def _vec_canonical_key(ring: PolyRing, v: Vec):
 
 
 def reduce_vec(ring: PolyRing, v: Vec, basis: list[tuple]) -> Vec:
-    """Normal form of v against basis entries (vec, lt) pairs: no
-    remaining term is divisible by any leading term."""
-    field = ring.field
+    """Normal form of v against basis entries (vec, lt) pairs, each vec
+    monic at lt: no remaining term is divisible by any leading term.
+
+    The terms are taken largest first from a heap, each keyed once when
+    it enters; a term is reduced in place by the first entry whose
+    leading term divides it, or else kept.  Reducing t brings in only
+    terms below t, so no term enters twice; one that cancels stays
+    queued with the value zero.  The remainder lists its terms in
+    descending order."""
+    field, zero = ring.field, ring.field.zero
+    desc = ring.order.descending_key
     work = dict(v)
+    heap = [(pos, desc(m), (pos, m)) for pos, m in work]
+    heapify(heap)
     done: Vec = {}
-    while work:
-        t = _vec_lt(ring, work)
+    while heap:
+        t = heappop(heap)[2]
+        c = work.pop(t)
+        if c == zero:
+            continue
         pos, m = t
-        reduced = False
         for g, lt in basis:
-            gpos, gm = lt
-            if gpos == pos and monomial_divides(gm, m):
-                work = _vec_sub_scaled(field, work, g, work[t], monomial_div(m, gm))
-                reduced = True
+            if lt[0] == pos and monomial_divides(lt[1], m):
+                shift = monomial_div(m, lt[1])
+                for gt, y in g.items():
+                    if gt != lt:
+                        key = (gt[0], monomial_mul(gt[1], shift))
+                        x = work.get(key)
+                        if x is None:
+                            work[key] = field.neg(field.mul(c, y))
+                            heappush(heap, (key[0], desc(key[1]), key))
+                        else:
+                            work[key] = field.sub(x, field.mul(c, y))
                 break
-        if not reduced:
-            done[t] = work.pop(t)
+        else:
+            done[t] = c
     return done
 
 
@@ -112,7 +132,6 @@ def _spair(ring: PolyRing, f: Vec, flt, g: Vec, glt) -> Vec:
 def module_groebner(ring: PolyRing, vectors, rank: int) -> list[Vec]:
     """Reduced, monic, canonically sorted Groebner basis of the submodule
     of P^rank generated by the given vectors."""
-    import heapq  # on first use: importing eqdeform does not load it
     field = ring.field
     gens = [dict(v) for v in vectors if v]
     gens.sort(key=lambda v: _vec_canonical_key(ring, v))
@@ -160,7 +179,7 @@ def module_groebner(ring: PolyRing, vectors, rank: int) -> list[Vec]:
             ):
                 continue
             pairs.add((min(by_lcm[L]), k))
-            heapq.heappush(queue, (ring.order.key(L), (min(by_lcm[L]), k)))
+            heappush(queue, (ring.order.key(L), (min(by_lcm[L]), k)))
         G.append(f)
         lts.append(lt)
 
@@ -168,7 +187,7 @@ def module_groebner(ring: PolyRing, vectors, rank: int) -> list[Vec]:
         add_element(g)
 
     while queue:
-        i, j = heapq.heappop(queue)[1]
+        i, j = heappop(queue)[1]
         if (i, j) not in pairs:  # dropped by Gebauer-Moeller
             continue
         pairs.discard((i, j))

@@ -7,17 +7,21 @@ and ``transpose`` turns one form into the other.  The side of the shape
 that the list does not carry is passed explicitly.  ``SpanBuilder`` holds
 a reduced echelon basis built one row at a time and the one elimination
 step; ``rref`` feeds the rows of a matrix into a ``SpanBuilder``, and
-``rank``, ``kernel_basis`` and ``solve`` go through ``rref``, while
-``span_modulo`` uses a ``SpanBuilder`` directly.  ``solve`` is the one
-solver: it eliminates the columns and all right-hand sides together,
-once per call.  No function changes its input rows.  A vector is a sparse
-``{column: value}`` dict too, again with no zero values: kernel vectors
-and solutions alike.
+``kernel_basis`` and ``solve`` go through ``rref``, while ``rank`` and
+``span_modulo`` use a ``SpanBuilder`` directly and read no row out.
+Over Q the elimination runs on integers: each row's denominators are
+cleared once, on entry, and a ``Fraction`` is formed only when ``rref``
+hands a reduced row out.  ``solve`` is the one solver: it eliminates the
+columns and all right-hand sides together, once per call.  No function
+changes its input rows.  A vector is a sparse ``{column: value}`` dict
+too, again with no zero values: kernel vectors and solutions alike.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from fractions import Fraction
+from math import gcd, lcm
 
 from .fields import Field, canonical_rational
 
@@ -48,24 +52,28 @@ def add_scaled(field: Field, v: dict, factor, row: dict) -> None:
         for k, y in row.items():
             x = get(k, 0) + factor * y
             if x:
-                v[k] = canonical_rational(x)
+                v[k] = x if type(x) is int else canonical_rational(x)
             else:
                 del v[k]
+
+
+def _span(field: Field, rows) -> "SpanBuilder":
+    span = SpanBuilder(field)
+    for row in rows:
+        span._insert(row)
+    return span
 
 
 def rref(field: Field, rows: list[dict]) -> tuple[list[dict], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices).
 
     The reduced rows are the nonzero ones, in pivot order."""
-    span = SpanBuilder(field)
-    for row in rows:
-        span._insert(dict(row))
-    return [span._rows[p] for p in span.pivots], list(span.pivots)
+    span = _span(field, rows)
+    return span.reduced_rows(), list(span.pivots)
 
 
 def rank(field: Field, rows: list[dict]) -> int:
-    _, pivots = rref(field, rows)
-    return len(pivots)
+    return _span(field, rows).dim
 
 
 def kernel_basis(field: Field, rows: list[dict], ncols: int) -> list[dict]:
@@ -124,11 +132,30 @@ def solve(field: Field, columns: list[dict], rhs_list: list[dict],
     return out
 
 
+def _primitive(row: dict, lead: int) -> dict:
+    """The integer row divided by the gcd of its entries, with the sign
+    that makes its entry lead positive (the row itself when that divisor
+    is one)."""
+    g = abs(lead)
+    for x in row.values():
+        if g == 1:
+            break
+        g = gcd(g, x)
+    if lead < 0:
+        g = -g
+    return row if g == 1 else {k: x // g for k, x in row.items()}
+
+
 class SpanBuilder:
     """Incrementally maintained row space in reduced echelon form.
 
-    Each row is a sparse dict keyed by its pivot column; it has a one at
-    its pivot and zeros at every other pivot."""
+    Each row is a sparse dict keyed by its pivot column; it is zero at
+    every other pivot.  Over F_p it has a one at its pivot.  Over Q it
+    is a primitive integer row (the gcd of its entries is one) whose
+    positive pivot entry d stands for the monic row row/d: a new row's
+    denominators are cleared once, on entry, an elimination step is
+    integer cross-multiplication followed by dividing out the gcd
+    content, and ``reduced_rows`` hands the monic rows out."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -137,11 +164,17 @@ class SpanBuilder:
 
     def add(self, v: dict) -> bool:
         """Add the sparse row v to the span; True if it enlarged the space."""
-        return self._insert(dict(v))
+        return self._insert(v)
 
     def _insert(self, v: dict) -> bool:
+        """The body of ``add``, which ``rref`` and ``rank`` call directly,
+        so that a trace of ``add`` counts only rows added from outside;
+        v is not changed."""
         field = self.field
+        if not field.characteristic:
+            return self._insert_integral(v)
         rows = self._rows
+        v = dict(v)
         # the basis is reduced, so clearing one pivot leaves the others as they were
         for p in [c for c in v if c in rows]:
             add_scaled(field, v, field.neg(v[p]), rows[p])
@@ -157,6 +190,55 @@ class SpanBuilder:
         rows[c] = v
         insort(self.pivots, c)
         return True
+
+    def _insert_integral(self, v: dict) -> bool:
+        """``_insert`` over Q.  Clearing the pivots of v one by one leaves
+        its entries at the other pivots as they were, so v is scaled once,
+        by the lcm of the pivot entries it meets, and every such row is
+        then subtracted an integral number of times."""
+        rows = self._rows
+        den = lcm(*(x.denominator for x in v.values() if type(x) is not int))
+        w = {k: x * den if type(x) is int else x.numerator * (den // x.denominator)
+             for k, x in v.items()}
+        hits = [c for c in w if c in rows]
+        if hits:
+            scale = lcm(*(rows[p][p] for p in hits))
+            if scale != 1:
+                for k in w:
+                    w[k] *= scale
+            for p in hits:
+                add_scaled(self.field, w, -(w[p] // rows[p][p]), rows[p])
+        if not w:
+            return False
+        c = min(w)
+        w = _primitive(w, w[c])
+        d = w[c]
+        for p, row in rows.items():
+            y = row.get(c)
+            if y:
+                g = gcd(d, y)
+                a, b = d // g, y // g
+                if a != 1:
+                    for k in row:
+                        row[k] *= a
+                add_scaled(self.field, row, -b, w)
+                rows[p] = _primitive(row, row[p])
+        rows[c] = w
+        insort(self.pivots, c)
+        return True
+
+    def reduced_rows(self) -> list[dict]:
+        """The monic reduced rows in pivot order, over Q with every value
+        in canonical form (an ``int`` when integral)."""
+        rows = [self._rows[p] for p in self.pivots]
+        if self.field.characteristic:
+            return rows
+        out = []
+        for row, p in zip(rows, self.pivots):
+            d = row[p]
+            out.append(row if d == 1 else
+                       {k: x // d if x % d == 0 else Fraction(x, d) for k, x in row.items()})
+        return out
 
     @property
     def dim(self) -> int:

@@ -9,6 +9,7 @@ values are immutable and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable
 
 from .fields import Field, FieldError
@@ -41,6 +42,13 @@ class MonomialOrder:
             return (sum(exps), tuple(-e for e in exps))
         return tuple(reversed(exps))
 
+    def descending_key(self, exps: tuple[int, ...]):
+        """``key`` with every integer negated: ascending in it is
+        descending in the order."""
+        if self.kind == "grevlex":
+            return (-sum(exps), exps)
+        return tuple(-e for e in reversed(exps))
+
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and other.kind == self.kind
 
@@ -52,19 +60,19 @@ class MonomialOrder:
 
 
 def monomial_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_degree(a: tuple[int, ...]) -> int:

@@ -17,8 +17,10 @@ package's own slices and eliminators with the search two degrees up on
 every input: they check the graded gate of ``obstruction_space`` and
 ``tangent_spaces``, not the machinery under it.  So does
 ``joint_derivations``, the T^0_G slice by one joint elimination of the
-invariance and Jacobian rows: it checks that ``derivations`` may take
-the kernel of the normal images on the invariant slice instead.
+invariance and Jacobian rows: it checks that ``derivations`` may count
+the kernel of the normal images on the invariant slice instead.  So does
+``slice_derivations``, a basis of that kernel: it checks that the count
+is the dimension of the space the kernel vectors span.
 ``FractionRationals`` is Q with every element a ``Fraction``: the
 all-Fraction arithmetic the canonical ``int``/``Fraction`` form of
 ``eqdeform.fields`` must agree with.  ``composed_table`` closes a group
@@ -33,6 +35,8 @@ divides at the generators' inverses and reads off the Cayley tree.
 coefficient index of the dense oracles.  ``krull_dimension_by_subsets``
 tries every variable subset against the leading monomials: it checks
 the pruned search of ``groebner.krull_dimension``.
+``reduce_vec_by_scan`` is the normal form by a scan for the largest term
+and a copy per step: it checks the heap of ``groebner.reduce_vec``.
 """
 
 from __future__ import annotations
@@ -42,7 +46,13 @@ import weakref
 from fractions import Fraction
 
 from eqdeform import cohomology, linalg
-from eqdeform.ambient import NormalModule, _SliceCoordinates, ambient_vector_slice, normal_image
+from eqdeform.ambient import (
+    NormalModule,
+    _SliceCoordinates,
+    _combination,
+    ambient_vector_slice,
+    normal_image,
+)
 from eqdeform.cohomology import Cocycle, CocycleError, slice_of_normal_module
 from eqdeform.deform import (
     SLACK,
@@ -53,8 +63,9 @@ from eqdeform.deform import (
 )
 from eqdeform.fields import Field
 from eqdeform.gaction import ClosureBoundExceededError, Substitution
+from eqdeform.groebner import _vec_lt, _vec_sub_scaled
 from eqdeform.linalg import span_modulo
-from eqdeform.poly import PolyRing, Polynomial, monomial_degree
+from eqdeform.poly import PolyRing, Polynomial, monomial_degree, monomial_div, monomial_divides
 
 
 def monomials_upto(ring: PolyRing, degree: int):
@@ -956,6 +967,45 @@ def joint_derivations(amb, degree: int) -> list:
             vec[i] = vec[i] + ring.monomial(m, coeff)
         basis.append(tuple(vec))
     return basis
+
+
+def reduce_vec_by_scan(ring: PolyRing, v: dict, basis: list) -> dict:
+    """The normal form of v as ``groebner.reduce_vec`` took it before its
+    heap: each step finds the largest term by a scan of the whole work
+    dict and subtracts the first basis entry whose leading term divides
+    it into a copy of that dict.  Its remainder must be the heap's, term
+    for term and in the same order."""
+    field = ring.field
+    work = dict(v)
+    done = {}
+    while work:
+        t = _vec_lt(ring, work)
+        pos, m = t
+        for g, (gpos, gm) in basis:
+            if gpos == pos and monomial_divides(gm, m):
+                work = _vec_sub_scaled(field, work, g, work[t], monomial_div(m, gm))
+                break
+        else:
+            done[t] = work.pop(t)
+    return done
+
+
+def slice_derivations(amb, degree: int) -> list:
+    """A k-basis of the degree <= degree slice of T^0_G as ambient
+    derivation vectors: the kernel of the normal-image map on the
+    invariant slice, one ``kernel_basis`` over the images (as columns),
+    each kernel vector the combination of the slice basis it names.  It
+    checks that ``derivations``, which counts that kernel by one rank and
+    forms no vector, counts the space the vectors span."""
+    basis, images = amb.vector_slice(degree)
+    ring = amb.ring
+    coords = _SliceCoordinates()
+    columns = [coords.row(u) for u in images]
+    kernel = linalg.kernel_basis(ring.field, linalg.transpose(columns, len(coords.index)),
+                                 len(basis))
+    return [tuple(_combination(ring, ((c, basis[k][i]) for k, c in sol.items()))
+                  for i in range(ring.nvars))
+            for sol in kernel]
 
 
 def row_space(field: Field, vector_lists) -> list:

@@ -41,7 +41,13 @@ from eqdeform.poly import PolyRing, canonical_render
 from eqdeform.problem import parse_problem
 
 from conftest import verified
-from oracles import cocycle_identity_holds, eps_mul, flow_by_substitution, monomials_upto
+from oracles import (
+    cocycle_identity_holds,
+    eps_mul,
+    flow_by_substitution,
+    monomials_upto,
+    slice_derivations,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -410,7 +416,8 @@ def test_automorphism_flows_fix_the_lift(cusp_q, node_q):
     """Flows along invariant derivations (the infinitesimal automorphisms)
     carry a lift to itself; the automorphism group is the T0_G slice."""
     for p, g, amb in (cusp_q, node_q):
-        t0 = derivations(amb, 3)
+        t0 = slice_derivations(amb, 3)
+        assert derivations(amb, 3) == len(t0)
         d = lift_step(Deformation.initial(amb)).deformation
         assert t0, "expected invariant derivations"
         for tangent_vec in t0:
@@ -608,8 +615,8 @@ def test_apply_flow_matches_the_substitution_on_t0_slices(path, order):
     multiplied out in full."""
     amb = workspace(path).ambient
     d = _twisted_lift(amb, order, random.Random(order))
-    flows = derivations(amb, 2)
-    assert flows
+    flows = slice_derivations(amb, 2)
+    assert derivations(amb, 2) == len(flows) > 0
     for D in flows:
         assert apply_flow(d, D).gens == flow_by_substitution(d, D)
 

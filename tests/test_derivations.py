@@ -1,9 +1,11 @@
 """T^0_G through the invariant slice.
 
-``derivations(amb, D)`` is the kernel of the normal-image map on the
-invariant vector slice of degree <= D.  It must span the same space as
-the joint elimination of the invariance and Jacobian rows
-(``oracles.joint_derivations``), and ``tangent`` builds that slice once."""
+``derivations(amb, D)`` is the dimension of the kernel of the
+normal-image map on the invariant vector slice of degree <= D.  It must
+be the size of a basis of that kernel (``oracles.slice_derivations``)
+and of the joint elimination of the invariance and Jacobian rows
+(``oracles.joint_derivations``), and those two bases must span the same
+space; ``tangent`` builds that slice once."""
 
 import random
 from pathlib import Path
@@ -27,9 +29,9 @@ def ambient(text):
 
 
 def assert_matches_the_joint_elimination(amb, D):
-    basis = derivations(amb, D)
+    basis = oracles.slice_derivations(amb, D)
     joint = oracles.joint_derivations(amb, D)
-    assert len(basis) == len(joint)
+    assert derivations(amb, D) == len(basis) == len(joint)
     new, old = oracles.row_space(amb.ring.field, [basis, joint])
     assert new == old
 

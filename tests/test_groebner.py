@@ -2,14 +2,18 @@ import random
 
 import pytest
 
+from eqdeform import groebner
 from eqdeform.fields import GF, QQ
 from eqdeform.groebner import (
     GroebnerBasis,
     ModuleGB,
     Representer,
+    _vec_lt,
+    _vec_monic,
     buchberger,
     is_regular_sequence,
     krull_dimension,
+    module_groebner,
     module_kernel,
     quotient_basis,
     staircase,
@@ -24,6 +28,7 @@ from oracles import (
     krull_dimension_by_subsets,
     module_quotient_slice_dim,
     monomials_upto,
+    reduce_vec_by_scan,
 )
 
 
@@ -378,3 +383,38 @@ def test_input_generators_reduce_to_zero(ring):
         gb = buchberger(gens, ring=ring)
         for g in gens:
             assert gb.normal_form(g).is_zero()
+
+
+def _random_vec(ring, rank, rng, terms, deg):
+    field, out = ring.field, {}
+    monos = monomials_upto(ring, deg)
+    for _ in range(terms):
+        if field.characteristic:
+            c = field.of(rng.randrange(1, field.p))
+        else:
+            c = field.fraction(rng.choice((-7, -2, -1, 1, 3, 12)), rng.randint(1, 4))
+        out[(rng.randrange(rank), rng.choice(monos))] = c
+    return out
+
+
+@pytest.mark.parametrize("seed", range(96))
+def test_heap_reduction_matches_the_scan_loop(seed):
+    """Seeds cross F2, F3 and Q, grevlex and lex, ranks 1 and 3, and
+    reduced Groebner bases or random monic bases that are not Groebner
+    bases (as module_groebner reduces against while it runs); the heap's
+    remainder is the scan loop's, term for term and in the same order."""
+    rng = random.Random(seed)
+    field = (GF(2), GF(3), QQ)[seed % 3]
+    kind = ("grevlex", "lex")[seed // 3 % 2]
+    rank = (1, 3)[seed // 6 % 2]
+    ring = PolyRing(field, ["x", "y", "z"], MonomialOrder(kind))
+    gens = [v for v in (_random_vec(ring, rank, rng, rng.randint(1, 3), 2)
+                        for _ in range(rng.randint(1, 4))) if v]
+    if seed // 12 % 2:
+        basis = [(g, _vec_lt(ring, g)) for g in module_groebner(ring, gens, rank)]
+    else:
+        basis = [(_vec_monic(field, g, _vec_lt(ring, g)), _vec_lt(ring, g)) for g in gens]
+    for _ in range(4):
+        v = _random_vec(ring, rank, rng, rng.randint(0, 8), 4)
+        assert list(groebner.reduce_vec(ring, v, basis).items()) == \
+            list(reduce_vec_by_scan(ring, v, basis).items())

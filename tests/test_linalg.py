@@ -1,8 +1,14 @@
 """The sparse eliminator in eqdeform.linalg against the dense copy in oracles.
 
-Each seed gives one fixed system, so the cases are the same on every run."""
+Each seed gives one fixed system, so the cases are the same on every run.
+Over Q the entries are small fractions, wide ones (numerators up to 10^6,
+denominators up to 10^4) and integral ``Fraction``s, and some rows are
+scaled by a common factor, negative ones included, so that the integer
+rows of ``SpanBuilder`` clear denominators, divide out contents and turn
+signs; every value returned over Q must be canonical."""
 
 import inspect
+import math
 import random
 from fractions import Fraction
 
@@ -16,24 +22,51 @@ FIELDS = (GF(2), GF(3), GF(7), QQ)
 SEEDS = range(300)
 
 
+def _rational(rng):
+    kind = rng.random()
+    if kind < 0.5:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if kind < 0.8:
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+    d = rng.randint(1, 10**4)
+    return Fraction(rng.randint(-99, 99) * d, d)  # integral, still a Fraction
+
+
 def _scalar(field, rng, density):
     if rng.random() >= density:
         return field.zero
     if field is QQ:
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return _rational(rng)
     return rng.randrange(field.p)
+
+
+# common factors of a row over Q; a negative one turns its leading sign
+ROW_FACTORS = (-1, 6, -30, 210, Fraction(-35, 4))
 
 
 def system(seed):
     """(field, rows, ncols, rng): up to 8 x 8, dense, sparse or all zero,
-    with zero-width rows when ncols is 0."""
+    with zero-width rows when ncols is 0; over Q some rows scaled by one
+    of ROW_FACTORS."""
     rng = random.Random(seed)
     field = rng.choice(FIELDS)
     nrows, ncols = rng.randint(0, 8), rng.randint(0, 8)
     density = rng.choice((0.0, 0.15, 0.4, 1.0))
     rows = [[_scalar(field, rng, density) for _ in range(ncols)]
             for _ in range(nrows)]
+    if field is QQ:
+        for row in rows:
+            if rng.random() < 0.4:
+                factor = rng.choice(ROW_FACTORS)
+                row[:] = [factor * x for x in row]
     return field, rows, ncols, rng
+
+
+def _canonical(field, vectors):
+    """Over Q, whether every value of the sparse vectors is canonical (an
+    ``int`` exactly when integral); True over F_p."""
+    return field is not QQ or all(oracles.is_canonical_rational(x)
+                                  for v in vectors if v is not None for x in v.values())
 
 
 def _image(field, rows, x):
@@ -63,12 +96,14 @@ def test_rref_and_kernel_match_the_dense_oracle(seed):
     sparse_rows = _sparse_rows(field, rows)
     red, pivots = linalg.rref(field, sparse_rows)
     assert all(field.zero not in row.values() for row in red)
+    assert _canonical(field, red)
     # densified, with the zero rows padded back, as the oracle returns them
     dense = [oracles.dense(field, row, ncols) for row in red]
     dense += [[field.zero] * ncols for _ in range(len(rows) - len(red))]
     assert (dense, pivots) == oracles.rref(field, rows)
     kernel = linalg.kernel_basis(field, sparse_rows, ncols)
     assert all(field.zero not in v.values() and list(v) == sorted(v) for v in kernel)
+    assert _canonical(field, kernel)
     assert [oracles.dense(field, v, ncols) for v in kernel] == oracles.kernel_basis(field, rows, ncols)
     assert linalg.rank(field, sparse_rows) == len(oracles.rref(field, rows)[1])
     # no function changes its input rows
@@ -86,6 +121,7 @@ def test_solves_match_the_dense_oracle(seed):
 
     def dense(solutions):
         assert all(x is None or field.zero not in x.values() for x in solutions)
+        assert _canonical(field, solutions)
         return [None if x is None else oracles.dense(field, x, ncols) for x in solutions]
 
     assert dense(linalg.solve(field, columns, rhs_columns, len(rows))) == expected
@@ -118,6 +154,7 @@ def test_more_right_hand_sides_than_the_rank(seed):
     columns = _sparse_rows(field, ([row[c] for row in rows] for c in range(ncols)))
     solutions = linalg.solve(field, columns, _sparse_rows(field, rhs_list), len(rows))
     assert all(x is None or list(x) == sorted(x) for x in solutions)
+    assert _canonical(field, solutions)
     assert [None if x is None else oracles.dense(field, x, ncols) for x in solutions] == \
         [oracles.solve(field, rows, b) for b in rhs_list]
 
@@ -208,3 +245,24 @@ def test_add_scaled_cases_cover_every_field():
         if any(x != field.zero for row in rows for x in row):
             fields.add(field)
     assert fields == set(FIELDS)
+
+
+def test_rational_cases_reach_the_integer_rows():
+    """The seeds above give Q systems with wide numerators and
+    denominators, integral Fractions, rows whose cleared integer entries
+    share a factor, and rows with a negative leading entry."""
+    wide = integral = shared = negative = 0
+    for seed in SEEDS:
+        field, rows, _, _ = system(seed)
+        if field is not QQ:
+            continue
+        for row in rows:
+            values = [Fraction(x) for x in row if x != 0]
+            if not values:
+                continue
+            wide += any(abs(x.numerator) > 10**4 or x.denominator > 100 for x in values)
+            integral += any(type(x) is Fraction and x.denominator == 1 for x in row)
+            den = math.lcm(*(x.denominator for x in values))
+            shared += len(values) > 1 and math.gcd(*(int(x * den) for x in values)) > 1
+            negative += values[0] < 0
+    assert min(wide, integral, shared, negative) >= 20

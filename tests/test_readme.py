@@ -17,7 +17,7 @@ def test_the_library_example_matches_the_cusp_goldens():
     scope = {}
     exec(compile(code, "README.md", "exec"), scope)
     tangent = _golden_fields("tangent_cusp.txt")
-    assert len(scope["t0"]) == int(tangent["T0 invariant slice dim (deg <= 6)"])
+    assert scope["t0_dim"] == int(tangent["T0 invariant slice dim (deg <= 6)"])
     report = scope["report"]
     assert report.t1.dimension == int(tangent["T1 dim"])
     assert report.t1_equivariant_dim == int(tangent["T1_G dim"])
