@@ -3,11 +3,21 @@
 All arithmetic over a truncated base is eps-order peeling: every check
 or solve reduces to staged problems over k handled by Groebner normal
 forms, so there is no Groebner theory over non-field coefficients
-anywhere.  eps_divide keeps only the final remainder.  An equivariance
-division divides s^-1(F_j) - sum_l T[j][l] F_l, T the exact twist
-cofactors of s^-1(f_j) (amb.twists[s^-1], the ambient's one division
-per generator inverse), whose eps^0 coefficient is zero and is never
-formed: the group acts on nonzero eps coefficients of order >= 1 only.
+anywhere.  An EpsPoly stores only its nonzero eps coefficients.  An
+equivariance division divides s^-1(F_j) - sum_l T[j][l] F_l, T the
+exact twist cofactors of s^-1(f_j) (amb.twists[s^-1], the ambient's one
+division per generator inverse), whose eps^0 coefficient is zero and is
+never formed: the group acts on nonzero eps coefficients of order >= 1
+only.
+
+Lifting goes one order at a time, as the obstruction at eps^(m+1) comes
+from the data of order m.  A Deformation keeps the stage quotients of
+its certificate, and one division routine (_divide) starts at a given
+stage from the quotients of the stages below it: at stage 1 for a
+certificate from scratch (certify_equivariance), at the new top stage
+for a lift, a shift or a flow.  A lift step so divides its new order
+only; eps_divide, the division of an arbitrary eps-polynomial, keeps
+only the final remainder.
 
 The group is read through its generators.  The equivariance divisions
 run at the inverses s^-1 of the generators only: they generate G, so an
@@ -26,6 +36,7 @@ the other generators).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .ambient import (
@@ -57,45 +68,68 @@ class DeformationError(ValueError):
 
 class EpsPoly:
     """Polynomial with coefficients in k[eps]/(eps^(order+1)), stored as
-    one ambient polynomial per eps power."""
+    its nonzero eps coefficients: ``terms`` maps t to the nonzero ambient
+    polynomial at eps^t.  Every operation costs the number of nonzero
+    coefficients, never order + 1.
 
-    __slots__ = ("ring", "order", "coeffs")
+    The coefficients are given as a map t -> polynomial or as a sequence
+    indexed by t; zero coefficients and those above the order are
+    dropped."""
+
+    __slots__ = ("ring", "order", "terms")
 
     def __init__(self, ring: PolyRing, order: int, coeffs):
-        coeffs = list(coeffs)[: order + 1]
-        while len(coeffs) < order + 1:
-            coeffs.append(ring.zero)
+        items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
         self.ring = ring
         self.order = order
-        self.coeffs = tuple(coeffs)
+        self.terms = {t: c for t, c in items if t <= order and c}
 
     @classmethod
     def constant(cls, ring: PolyRing, order: int, p: Polynomial) -> "EpsPoly":
-        return cls(ring, order, [p])
+        return cls(ring, order, {0: p})
+
+    @classmethod
+    def _on(cls, ring: PolyRing, order: int, terms: dict) -> "EpsPoly":
+        """The EpsPoly on terms that hold only nonzero coefficients at
+        powers <= order.  The dict may be shared: no EpsPoly changes its
+        terms."""
+        out = cls.__new__(cls)
+        out.ring, out.order, out.terms = ring, order, terms
+        return out
+
+    @property
+    def coeffs(self) -> tuple:
+        """All order + 1 coefficients, zeros included: a dense view for
+        readers that index every power; the arithmetic never forms it."""
+        return tuple(self.coeff(t) for t in range(self.order + 1))
 
     def coeff(self, t: int) -> Polynomial:
-        return self.coeffs[t] if t <= self.order else self.ring.zero
+        return self.terms.get(t, self.ring.zero)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.terms
 
     def __eq__(self, other):
         return (
             isinstance(other, EpsPoly)
             and other.ring is self.ring
             and other.order == self.order
-            and other.coeffs == self.coeffs
+            and other.terms == self.terms
         )
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return EpsPoly(self.ring, self.order,
-                       [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, Polynomial.__add__)
 
     def __sub__(self, other):
+        return self._combine(other, Polynomial.__sub__)
+
+    def _combine(self, other, op):
         other = self._coerce(other)
-        return EpsPoly(self.ring, self.order,
-                       [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        terms = dict(self.terms)
+        zero = self.ring.zero
+        for t, c in other.terms.items():
+            terms[t] = op(terms.get(t, zero), c)
+        return EpsPoly(self.ring, self.order, terms)
 
     def _coerce(self, other):
         if isinstance(other, EpsPoly):
@@ -109,22 +143,23 @@ class EpsPoly:
     def shift(self, t: int) -> "EpsPoly":
         """Multiply by eps^t."""
         return EpsPoly(self.ring, self.order,
-                       [self.ring.zero] * t + list(self.coeffs))
+                       {s + t: c for s, c in self.terms.items()})
 
     def truncate(self, order: int) -> "EpsPoly":
-        return EpsPoly(self.ring, order, self.coeffs[: order + 1])
+        if max(self.terms, default=0) <= order:
+            return EpsPoly._on(self.ring, order, self.terms)
+        return EpsPoly(self.ring, order, self.terms)
 
     def lift(self, order: int) -> "EpsPoly":
-        """Coefficientwise lift: append zero higher-order terms."""
+        """Coefficientwise lift: the same nonzero coefficients over a
+        higher order."""
         if order < self.order:
             raise ValueError("use truncate to lower the order")
-        return EpsPoly(self.ring, order, self.coeffs)
+        return EpsPoly._on(self.ring, order, self.terms)
 
     def __repr__(self):
         pieces = []
-        for t, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
+        for t, c in sorted(self.terms.items()):
             if t == 0:
                 pieces.append(repr(c))
             else:
@@ -137,13 +172,27 @@ class Deformation:
     """An equivariant lift of the base presentation over k[eps]/(eps^(m+1)).
 
     Generators are eps-polynomials reducing to the ambient presentation
-    mod eps.  Constructors that build a lift run certify_equivariance on it.
+    mod eps.  ``quotients`` holds the stage quotients of its equivariance
+    certificate: per index i of a generator inverse s^-1 and per
+    generator j, the cofactor rows {t: Q_t} with
+
+        s^-1(F_j) = sum_l (T_jl + sum_t eps^t Q_t[l]) F_l  mod eps^(m+1),
+
+    T the twist cofactors amb.twists[i], kept only at the stages t >= 1
+    whose residual was nonzero.  Constructors that build a lift certify
+    it, dividing only the stage they change and carrying the stages
+    below from the deformation they start from.  A deformation built by
+    hand has none until verify_deformation, or the first lift of it,
+    certifies it from stage 1.
     """
 
     def __init__(self, amb: EquivariantAmbient, order: int, gens):
         self.amb = amb
         self.order = order
         self.gens = tuple(gens)
+        self.quotients = None
+        # (generators, division) of the last lift _divide_top divided
+        self._lift = None
         if len(self.gens) != len(amb.pres.gens):
             raise DeformationError("wrong number of lifted generators")
         for g, f in zip(self.gens, amb.pres.gens):
@@ -156,7 +205,7 @@ class Deformation:
     def initial(cls, amb: EquivariantAmbient) -> "Deformation":
         gens = tuple(EpsPoly.constant(amb.ring, 0, f) for f in amb.pres.gens)
         d = cls(amb, 0, gens)
-        certify_equivariance(amb, d.gens)
+        d.quotients = certify_equivariance(amb, d.gens)
         return d
 
     def __repr__(self):
@@ -164,90 +213,167 @@ class Deformation:
                 + "; ".join(repr(g) for g in self.gens) + ")")
 
 
+def _divide(h: dict, gens, representer, order: int, start: int,
+            quotients: dict, allow_final_remainder: bool):
+    """The stage division of the lifted generators, from stage start on.
+
+    h maps stages >= start to the coefficients being divided; quotients
+    holds the cofactor rows {t: Q_t} of the stages below start, divided
+    already for the same lower coefficients of the generators.  The
+    residual of stage k is h[k] - sum_{t<k} sum_l Q_t[l] F_l[k-t]; only
+    the stages where it is nonzero are divided, in ascending order, and
+    their rows are added to quotients.  Returns the remainder w at the
+    final stage when allowed (h = sum S_l F_l + eps^order w), else None
+    when the division is exact; raises DeformationError when a stage
+    leaves the ideal.  h is consumed."""
+    r = h
+    zero = representer.ring.zero
+    if quotients:  # what the rows below start leave at stages >= start
+        for l, g in enumerate(gens):
+            for s, gs in g.terms.items():
+                for t in range(max(start - s, 0), min(start, order + 1 - s)):
+                    row = quotients.get(t)
+                    if row is not None and row[l]:
+                        r[t + s] = r.get(t + s, zero) - row[l] * gs
+    stages = list(r)  # exactly the keys of r, popped together
+    heapq.heapify(stages)
+    while stages:
+        t = heapq.heappop(stages)
+        rt = r.pop(t)
+        if not rt:
+            continue
+        cof = representer.express(rt)
+        if cof is None:
+            if allow_final_remainder and t == order:
+                return rt
+            raise DeformationError(
+                f"eps^{t} coefficient is not in the base ideal"
+            )
+        quotients[t] = tuple(cof)
+        for c, g in zip(cof, gens):
+            if not c:
+                continue
+            # s = 0 cancels stage t itself, which is done
+            for s, gs in g.terms.items():
+                k = t + s
+                if s and k <= order:
+                    if k in r:
+                        r[k] = r[k] - c * gs
+                    else:
+                        r[k] = -(c * gs)
+                        heapq.heappush(stages, k)
+    return None
+
+
 def eps_divide(h: EpsPoly, gens, representer, allow_final_remainder=False):
-    """Stagewise division of h by the lifted generators.
+    """Stagewise division of h by the lifted generators, from eps^0 on
+    with no stages below (``_divide``).
 
     Returns the remainder w with h = sum S_l gens_l + eps^order * w
     exactly over the truncated base, or None when the division is exact
     (the quotients S_l are not kept).  Raises DeformationError when an
-    intermediate stage leaves the ideal.
-    """
-    order = h.order
-    r = list(h.coeffs)
-    for t in range(order + 1):
-        if r[t].is_zero():
-            continue
-        cof = representer.express(r[t])
-        if cof is None:
-            if allow_final_remainder and t == order:
-                return r[t]
-            raise DeformationError(
-                f"eps^{t} coefficient is not in the base ideal"
-            )
-        for c, g in zip(cof, gens):
-            if c.is_zero():
-                continue
-            for s, gs in enumerate(g.coeffs[: order - t + 1]):
-                if not gs.is_zero():
-                    r[t + s] = r[t + s] - c * gs
-    return None
+    intermediate stage leaves the ideal."""
+    return _divide(dict(h.terms), gens, representer, h.order, 0, {},
+                   allow_final_remainder)
 
 
-def _equivariance_remainders(amb: EquivariantAmbient, gens,
-                             allow_final_remainder=False):
-    """Per generator s, keyed by the index i of s^-1, the final-order
-    remainders of dividing each s^-1(F_j) by the lifted generators (None
-    where exact).
+def _equivariance_division(amb: EquivariantAmbient, gens, start: int, below,
+                           allow_final_remainder: bool):
+    """(remainders, quotients) of dividing each s^-1(F_j) by the lifted
+    generators from stage start on, both keyed by the index i of
+    s^-1 per generator s and listed by j: the final-order remainder (None
+    where exact) and the stage rows of the division.  below holds the
+    rows of the stages under start in the same layout (None from stage 1).
 
     The generators must reduce to the ambient presentation mod eps, so
     with T the exact twist row of s^-1(f_j), amb.twists[i], the division
     may start from s^-1(F_j) - sum_l T[j][l] F_l, which vanishes at
-    eps^0."""
+    eps^0.  The group acts on the nonzero coefficients of order >= start
+    only."""
     action = amb.action
-    if len(gens) != len(amb.pres.gens) or any(
-            g.coeff(0) != f for g, f in zip(gens, amb.pres.gens)):
-        raise DeformationError("reduction mod eps is not the base presentation")
     rep = amb.pres.representer
-    # the nonzero (t, F_j[t]), t >= 1, of each generator
-    higher = [[(t, c) for t, c in enumerate(g.coeffs) if t and c] for g in gens]
-    out = {}
+    zero = amb.ring.zero
+    # the nonzero (t, F_j[t]), t >= start, of each generator
+    higher = [[(t, c) for t, c in g.terms.items() if t >= start] for g in gens]
+    moving = [(l, lifted) for l, lifted in enumerate(higher) if lifted]
+    remainders, quotients = {}, {}
     for i in map(action.inv, action.generators):
-        row = []
-        for g, terms, cofactors in zip(gens, higher, amb.twists[i]):
-            h = [amb.ring.zero] * (g.order + 1)
-            for t, c in terms:
-                h[t] = action.apply(i, c)
-            for T, lifted in zip(cofactors, higher):
+        remainders[i], quotients[i] = [], []
+        for j, (g, terms, cofactors) in enumerate(zip(gens, higher, amb.twists[i])):
+            h = {t: action.apply(i, c) for t, c in terms} if terms else {}
+            for l, lifted in moving:
+                T = cofactors[l]
                 if T:
                     for t, c in lifted:
-                        h[t] = h[t] - T * c
-            row.append(eps_divide(EpsPoly(amb.ring, g.order, h), gens, rep,
-                                  allow_final_remainder))
-        out[i] = row
-    return out
+                        h[t] = h.get(t, zero) - T * c
+            prior = {} if below is None else below[i][j]
+            rows = {t: row for t, row in prior.items() if t < start} if prior else {}
+            # with no input and no rows below, every residual is zero
+            w = _divide(h, gens, rep, g.order, start, rows, allow_final_remainder) \
+                if h or rows else None
+            remainders[i].append(w)
+            quotients[i].append(rows)
+    return remainders, quotients
 
 
-def certify_equivariance(amb: EquivariantAmbient, gens) -> None:
-    """Check that s^-1(F_j) divides out over the lifted generators
-    (eps_divide) for every generator s; raises DeformationError when the
-    lift is not equivariant.
+def certify_equivariance(amb: EquivariantAmbient, gens) -> dict:
+    """Check that s^-1(F_j) divides out over the lifted generators for
+    every generator s, from stage 1 on; returns the stage quotients
+    (the layout of ``Deformation.quotients``) and raises
+    DeformationError when the lift is not equivariant.
 
     This is a complete certificate: the inverses of the generators
     generate G, so an ideal they stabilize is stable under every element.
     The identity and the other elements are never divided."""
-    _equivariance_remainders(amb, tuple(gens))
+    gens = tuple(gens)
+    if len(gens) != len(amb.pres.gens) or any(
+            g.coeff(0) != f for g, f in zip(gens, amb.pres.gens)):
+        raise DeformationError("reduction mod eps is not the base presentation")
+    return _equivariance_division(amb, gens, 1, None, False)[1]
+
+
+def _divide_top(d: Deformation, gens, order: int):
+    """The equivariance division of generators over eps order n = order
+    that agree with d's below eps^n: d.order for a shifted or flowed d,
+    d.order + 1 for a lift of d.  The stages below n are d's certificate
+    (from stage 1 first, when d has none), so only stage n is divided;
+    its remainders are allowed.
+
+    d keeps the last generators it divided, so the calls equivariantize
+    makes for one lift (its own check, obstruction_cocycle, the
+    certificate of the lift) share one division."""
+    if d._lift is not None and d._lift[0] is gens:
+        return d._lift[1]
+    if d.quotients is None:
+        d.quotients = certify_equivariance(d.amb, d.gens)
+    division = _equivariance_division(d.amb, gens, order, d.quotients, True)
+    d._lift = (gens, division)
+    return division
+
+
+def _certified(d: Deformation, gens, order: int) -> Deformation:
+    """The deformation with generators gens over eps order n = order,
+    which agree with d's below eps^n, with its certificate: d's stages
+    below n and the division of stage n (``_divide_top``).  Raises
+    DeformationError when stage n leaves the ideal."""
+    out = Deformation(d.amb, order, gens)
+    remainders, out.quotients = _divide_top(d, out.gens, order)
+    if not _exact(remainders):
+        raise DeformationError(f"eps^{order} coefficient is not in the base ideal")
+    return out
 
 
 def verify_deformation(d: Deformation) -> None:
-    """Re-run the equivariance certificate of a deformation; raises
-    DeformationError, its message prefixed with ``equivariance: ``, when
-    the lift is not equivariant.
+    """Re-run the equivariance certificate of a deformation from stage 1
+    and keep its stage quotients on d; raises DeformationError, its
+    message prefixed with ``equivariance: ``, when the lift is not
+    equivariant.
 
     Its base reduction is checked when it is built, and the presentation
     it reduces to is a certified regular sequence, so its coefficientwise
     lift is flat."""
     try:
-        certify_equivariance(d.amb, d.gens)
+        d.quotients = certify_equivariance(d.amb, d.gens)
     except DeformationError as exc:
         raise DeformationError(f"equivariance: {exc}") from exc
 
@@ -302,9 +428,9 @@ def difference_class(d1: Deformation, d2: Deformation) -> DifferenceClass:
     _check_compatible(d1, d2)
     m = d1.order
     for g1, g2 in zip(d1.gens, d2.gens):
-        for t in range(m):
-            if g1.coeff(t) != g2.coeff(t):
-                raise DeformationError("lifts do not agree below the top order")
+        if any(g1.coeff(t) != g2.coeff(t)
+               for t in g1.terms.keys() | g2.terms.keys() if t < m):
+            raise DeformationError("lifts do not agree below the top order")
     vec = tuple(
         d1.amb.pres.nf(g1.coeff(m) - g2.coeff(m))
         for g1, g2 in zip(d1.gens, d2.gens)
@@ -321,7 +447,7 @@ def difference_class(d1: Deformation, d2: Deformation) -> DifferenceClass:
 
 def shift_lift(d: Deformation, cls: DifferenceClass) -> Deformation:
     """The lift with generators F_j - eps^m * nu_j; the difference class
-    from d back to it is cls."""
+    from d back to it is cls.  Only its top stage is divided anew."""
     if cls.amb is not d.amb:
         raise DeformationError("class over a different ambient")
     m = d.order
@@ -329,9 +455,7 @@ def shift_lift(d: Deformation, cls: DifferenceClass) -> Deformation:
     for g, nu in zip(d.gens, cls.vector):
         correction = EpsPoly.constant(d.amb.ring, m, nu).shift(m)
         gens.append(g - correction)
-    out = Deformation(d.amb, d.order, tuple(gens))
-    certify_equivariance(d.amb, out.gens)
-    return out
+    return _certified(d, tuple(gens), m)
 
 
 @dataclass
@@ -352,18 +476,15 @@ def apply_flow(d: Deformation, components) -> Deformation:
     """Apply the substitution x_i -> x_i + eps^m * D_i to the lift, m >= 1
     (DeformationError at m = 0).  As eps^(2m) = 0 this adds
     sum_i J[j][i] D_i to the eps^m coefficient of F_j, J the Jacobian,
-    exactly in every characteristic."""
+    exactly in every characteristic.  Only the top stage is divided anew."""
     m = d.order
     if m == 0:
         raise DeformationError("a flow needs an eps order of at least 1")
     gens = []
     for g, row in zip(d.gens, d.amb.pres.jacobian):
-        coeffs = list(g.coeffs)
-        coeffs[m] = sum((df * c for df, c in zip(row, components) if df and c), coeffs[m])
-        gens.append(EpsPoly(g.ring, m, coeffs))
-    out = Deformation(d.amb, d.order, gens)
-    certify_equivariance(d.amb, gens)
-    return out
+        top = sum((df * c for df, c in zip(row, components) if df and c), g.coeff(m))
+        gens.append(EpsPoly(g.ring, m, {**g.terms, m: top}))
+    return _certified(d, tuple(gens), m)
 
 
 def isomorphism_witness(d1: Deformation, d2: Deformation,
@@ -402,6 +523,24 @@ def default_truncation(amb: EquivariantAmbient) -> int:
     return 2 * max(degs, default=1)
 
 
+def _lift_division(d: Deformation, lift_gens: tuple):
+    """``_divide_top`` of generators over eps order m + 1 that must lift
+    d's generators."""
+    order = d.order + 1
+    if len(lift_gens) != len(d.gens):
+        raise DeformationError("wrong number of lifted generators")
+    for g, base_g in zip(lift_gens, d.gens):
+        if g.order != order:
+            raise DeformationError("lift generators have the wrong order")
+        if g.truncate(d.order) != base_g:
+            raise DeformationError("generators do not lift the given deformation")
+    return _divide_top(d, lift_gens, order)
+
+
+def _exact(remainders) -> bool:
+    return all(w is None for row in remainders.values() for w in row)
+
+
 def obstruction_cocycle(d: Deformation, lift_gens) -> Cocycle:
     """The equivariance-defect cocycle of a (possibly non-equivariant)
     lift of d, in standard form for the normal-module action.
@@ -410,16 +549,10 @@ def obstruction_cocycle(d: Deformation, lift_gens) -> Cocycle:
     s^-1(F_j') by the lifted generators, and c(s) = NF(s(w)); this makes
     c(st) = s.c(t) + c(s) hold on the nose, which fixes c at every other
     element.  A zero cocycle means every division was exact: w is only
-    returned when it lies outside the ideal, which s stabilizes."""
+    returned when it lies outside the ideal, which s stabilizes.  The
+    stages up to m are d's certificate, so only eps^(m+1) is divided."""
     amb = d.amb
-    order = d.order + 1
-    for g, base_g in zip(lift_gens, d.gens):
-        if g.order != order:
-            raise DeformationError("lift generators have the wrong order")
-        if g.truncate(d.order) != base_g:
-            raise DeformationError("generators do not lift the given deformation")
-    remainders = _equivariance_remainders(amb, tuple(lift_gens),
-                                          allow_final_remainder=True)
+    remainders, _ = _lift_division(d, tuple(lift_gens))
     action = amb.action
     values = {
         s: tuple(amb.ring.zero if w is None else amb.image(s, w)
@@ -491,15 +624,16 @@ def equivariantize(d: Deformation, lift_gens,
 
     When the defect cocycle c is nonzero we solve s.phi - phi = -c on a
     G-stable slice and replace F_j' by F_j' - eps^(m+1) phi_j, which
-    cancels the defect exactly; the corrected lift is re-certified.  A
-    zero defect means the lift passed the divisions certify_equivariance
-    runs, so it is returned as it is."""
+    cancels the defect exactly; the corrected lift is re-certified at
+    eps^(m+1).  When every division of the lift is exact the defect is
+    zero, so the lift is returned as it is, with that division as the
+    top stage of its certificate, and no cocycle is formed."""
     amb = d.amb
     order = d.order + 1
+    lift_gens = tuple(lift_gens)
+    if _exact(_lift_division(d, lift_gens)[0]):
+        return LiftOutcome(True, _certified(d, lift_gens, order), None, "exact")
     c = obstruction_cocycle(d, lift_gens)
-    if c.is_zero():
-        return LiftOutcome(True, Deformation(amb, order, tuple(lift_gens)),
-                           None, "exact")
     N = NormalModule(amb)
     bound = (trunc if trunc is not None else default_truncation(amb)) + SLACK
     others = [i for i in amb.action.indices() if i != amb.action.identity_index]
@@ -516,9 +650,7 @@ def equivariantize(d: Deformation, lift_gens,
     gens = []
     for g, comp in zip(lift_gens, nu):
         gens.append(g - EpsPoly.constant(amb.ring, order, comp).shift(order))
-    out = Deformation(amb, order, tuple(gens))
-    certify_equivariance(amb, out.gens)
-    return LiftOutcome(True, out, None, "exact")
+    return LiftOutcome(True, _certified(d, tuple(gens), order), None, "exact")
 
 
 def lift_step(d: Deformation, trunc: int | None = None) -> LiftOutcome:

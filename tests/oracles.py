@@ -37,6 +37,8 @@ tries every variable subset against the leading monomials: it checks
 the pruned search of ``groebner.krull_dimension``.
 ``reduce_vec_by_scan`` is the normal form by a scan for the largest term
 and a copy per step: it checks the heap of ``groebner.reduce_vec``.
+``DenseEpsPoly`` keeps every eps coefficient, zeros included, in one
+tuple: it checks the sparse coefficients of ``deform.EpsPoly``.
 """
 
 from __future__ import annotations
@@ -776,6 +778,58 @@ def h1_bounded(m_small, m_big) -> list[int]:
     columns += [embed(z) for z in zcocycles(m_small)]
     _, pivots = rref(field, [list(row) for row in zip(*columns)])
     return [c - m_big.dim for c in pivots if c >= m_big.dim]
+
+
+# --- dense eps-polynomials ----------------------------------------------------
+# The first EpsPoly, kept apart from eqdeform.deform: one ambient
+# polynomial per eps power 0..order, zeros included.
+
+class DenseEpsPoly:
+    """Polynomial over k[eps]/(eps^(order+1)) as a tuple of order + 1
+    coefficients."""
+
+    def __init__(self, ring: PolyRing, order: int, coeffs):
+        coeffs = list(coeffs)[: order + 1]
+        coeffs += [ring.zero] * (order + 1 - len(coeffs))
+        self.ring = ring
+        self.order = order
+        self.coeffs = tuple(coeffs)
+
+    def coeff(self, t: int) -> Polynomial:
+        return self.coeffs[t] if t <= self.order else self.ring.zero
+
+    def __eq__(self, other):
+        return (isinstance(other, DenseEpsPoly) and other.ring is self.ring
+                and other.order == self.order and other.coeffs == self.coeffs)
+
+    def __add__(self, other):
+        return DenseEpsPoly(self.ring, self.order,
+                            [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        return DenseEpsPoly(self.ring, self.order,
+                            [a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def shift(self, t: int) -> "DenseEpsPoly":
+        return DenseEpsPoly(self.ring, self.order, [self.ring.zero] * t + list(self.coeffs))
+
+    def truncate(self, order: int) -> "DenseEpsPoly":
+        return DenseEpsPoly(self.ring, order, self.coeffs[: order + 1])
+
+    def lift(self, order: int) -> "DenseEpsPoly":
+        return DenseEpsPoly(self.ring, order, self.coeffs)
+
+    def __repr__(self):
+        pieces = []
+        for t, c in enumerate(self.coeffs):
+            if c.is_zero():
+                continue
+            if t == 0:
+                pieces.append(repr(c))
+            else:
+                power = "eps" if t == 1 else f"eps^{t}"
+                pieces.append(f"{power}*({c!r})")
+        return " + ".join(pieces) if pieces else "0"
 
 
 # --- eps-order peeling ------------------------------------------------------

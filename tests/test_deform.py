@@ -42,6 +42,7 @@ from eqdeform.problem import parse_problem
 
 from conftest import verified
 from oracles import (
+    DenseEpsPoly,
     cocycle_identity_holds,
     eps_mul,
     flow_by_substitution,
@@ -93,6 +94,42 @@ def test_eps_poly_arithmetic():
     assert (a - a).is_zero()
     assert a.truncate(0).coeff(0) == x
     assert a.lift(3).coeff(3).is_zero()
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_eps_poly_stores_no_zero_and_matches_the_dense_reference(seed):
+    """Seeded eps-polynomials over F2, F3 and Q, with zero and cancelling
+    coefficients: after +, -, shift, truncate and lift no stored
+    coefficient is zero, and coeff, equality and repr agree with the
+    dense reference."""
+    rng = random.Random(seed)
+    ring = PolyRing((GF(2), GF(3), QQ)[seed % 3], ["x", "y"])
+    monos = monomials_upto(ring, 2)
+
+    def draw(order):
+        coeffs = [sum((ring.monomial(rng.choice(monos), rng.choice((1, -1, 2)))
+                       for _ in range(rng.randint(0, 2))), ring.zero)
+                  for _ in range(rng.randint(0, order + 2))]
+        return EpsPoly(ring, order, coeffs), DenseEpsPoly(ring, order, coeffs)
+
+    def agree(sparse, dense):
+        assert all(sparse.terms.values()) and max(sparse.terms, default=0) <= sparse.order
+        assert sparse.order == dense.order
+        assert [sparse.coeff(t) for t in range(dense.order + 2)] == \
+            [dense.coeff(t) for t in range(dense.order + 2)]
+        assert repr(sparse) == repr(dense)
+
+    order = rng.randint(0, 5)
+    (a, da), (b, db) = draw(order), draw(order)
+    agree(a, da)
+    t, low, high = rng.randint(0, order + 1), rng.randint(0, order), order + rng.randint(0, 3)
+    for sparse, dense in ((a + b, da + db), (a - b, da - db), (a - a, da - da),
+                          (a + b - b, da + db - db), (a.shift(t), da.shift(t)),
+                          (a.truncate(low), da.truncate(low)), (a.lift(high), da.lift(high))):
+        agree(sparse, dense)
+    assert (a == b) == (da == db)
+    assert a + b - b == a and (a - a).is_zero() and not (a - a).terms
+    assert (a.truncate(low) == b.truncate(low)) == (da.truncate(low) == db.truncate(low))
 
 
 def test_tangent_cusp(cusp_q):
@@ -495,6 +532,44 @@ def test_lift_steps_express_only_to_build_the_twists(monkeypatch):
     assert 0 < len(calls) <= len(amb.action.generators) * len(amb.pres.gens)
 
 
+def test_lift_steps_divide_only_their_new_stage(monkeypatch):
+    """A lift step divides its new order only: the stages below are
+    carried in the deformation's certificate.  klein_twist_f2's lift has
+    nonzero residuals at every order, yet each step from order 2 to 40
+    calls Representer.express at most 2 |S| c times outside the
+    coboundary solve (one new stage per generator inverse and generator,
+    and one more after a correction), not once per stage below."""
+    d = file_deformation("bench/problems/klein_twist_f2.prob")
+    amb = d.amb
+    d = lift_step(d, trunc=2).deformation
+    calls, paused = [], []
+    express = Representer.express
+    monkeypatch.setattr(Representer, "express", lambda self, h: paused
+                        or calls.append(h) or express(self, h))
+
+    def paused_during(fn):
+        def wrapper(*args, **kwargs):
+            paused.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                paused.pop()
+        return wrapper
+
+    for name in ("slice_of_normal_module", "solve_coboundary"):
+        monkeypatch.setattr(deform, name, paused_during(getattr(deform, name)))
+    bound = 2 * len(amb.action.generators) * len(amb.pres.gens)
+    per_step = []
+    while d.order < 40:
+        before = len(calls)
+        out = lift_step(d, trunc=2)
+        assert out.success
+        d = out.deformation
+        per_step.append(len(calls) - before)
+    assert max(per_step) <= bound
+    assert sum(per_step) <= bound * 38 < 1646
+
+
 @pytest.mark.parametrize("path", ["bench/problems/trans_f3.prob",
                                   "problems/cusp_q.prob",
                                   "bench/problems/klein_twist_f2.prob"])
@@ -547,7 +622,8 @@ def test_every_lift_step_passes_the_independent_check(path, steps, trunc):
 
 def test_certify_divides_once_per_generator_inverse(monkeypatch):
     """klein_f2 has one generator polynomial and two group generators, so
-    a certificate is two divisions.  On the equivariant lift
+    a certificate is two divisions (calls of the one division routine,
+    ``_divide``).  On the equivariant lift
     f + eps*(a + b + c + d) the group acts once per division, on the
     eps^1 coefficient: never on f, never by the identity."""
     amb = workspace("bench/problems/klein_f2.prob").ambient
@@ -556,9 +632,9 @@ def test_certify_divides_once_per_generator_inverse(monkeypatch):
     gens = (EpsPoly(amb.ring, 1, [f, invariant]),)
     amb.twists  # divided at the generators' inverses once, before counting
     divided, acted, handed = [], [], []
-    eps_divide = deform.eps_divide
-    monkeypatch.setattr(deform, "eps_divide",
-                        lambda *a, **k: divided.append(a) or eps_divide(*a, **k))
+    divide = deform._divide
+    monkeypatch.setattr(deform, "_divide",
+                        lambda *a: divided.append(a) or divide(*a))
     apply = GroupAction.apply
     monkeypatch.setattr(GroupAction, "apply", lambda self, i, p: acted.append(i)
                         or handed.append(p) or apply(self, i, p))
@@ -619,6 +695,26 @@ def test_apply_flow_matches_the_substitution_on_t0_slices(path, order):
     assert derivations(amb, 2) == len(flows) > 0
     for D in flows:
         assert apply_flow(d, D).gens == flow_by_substitution(d, D)
+
+
+@pytest.mark.parametrize("path", ["problems/cusp_q.prob", "problems/node_f2.prob",
+                                  "bench/problems/trans_f3.prob",
+                                  "bench/problems/klein_f2.prob"])
+def test_shifts_and_flows_carry_a_division_from_stage_1(path):
+    """apply_flow and shift_lift divide only the top stage of a lift with
+    nonzero eps coefficients: the certificate they carry equals one from
+    stage 1, for every flow of the degree <= 2 slice of T^0_G and the
+    first invariant normal vectors of degree <= 2."""
+    amb = workspace(path).ambient
+    d = _twisted_lift(amb, 3, random.Random(3))
+    verify_deformation(d)
+    assert any(rows for row in d.quotients.values() for rows in row)
+    for D in slice_derivations(amb, 2):
+        moved = apply_flow(d, D)
+        assert moved.quotients == certify_equivariance(amb, moved.gens)
+    for nu in invariant_normal_slice(amb, 2)[:4]:
+        shifted = shift_lift(d, DifferenceClass(amb, nu))
+        assert shifted.quotients == certify_equivariance(amb, shifted.gens)
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -4,7 +4,8 @@ problems, pinned to their recorded stdout and exit code.
 They cover |G| = 6, 8 and 16, regular ambients of 18 and 48 variables
 and original ambients of 8 and 16, so the group calculus read off the
 generators (the table, the twists, the cocycles) goes two or three
-Cayley-tree edges deep.  The problem texts are written here and put
+Cayley-tree edges deep; and a lift a hundred orders deep whose
+certificate divides a nonzero residual at every order.  The problem texts are written here and put
 into a temporary directory, so the shipped problem set is unchanged.
 """
 
@@ -34,6 +35,12 @@ SCALE_PROBLEMS = {
     "z2cube_free": "field F 2\nvars a b c d e f g h\nideal: a*b + c*d + e*f + g*h\n"
                    + Z2_CUBE,
     "z2cube": "field F 2\nvars a b c d e f\nideal: a*b + c*d + e*f\n" + Z2_CUBE_PAIRS,
+    # klein_f2 with a first-order lift that needs a coboundary correction
+    # at order 2 and has nonzero stage residuals at every order after it
+    "klein_twist_f2": "field F 2\nvars a b c d\n"
+                      "ideal: a*b + c*d + eps*a^2*b + eps*a*c*d + eps\n"
+                      "gen s: a -> b, b -> a, c -> d, d -> c\n"
+                      "gen t: a -> c, c -> a, b -> d, d -> b\n",
     "z2_4_free": "field F 2\nvars " + " ".join(f"x{v}" for v in range(16))
                  + "\nideal: " + " + ".join(f"x{2 * k}*x{2 * k + 1}" for k in range(8))
                  + "\n" + Z2_4,
@@ -51,6 +58,8 @@ SCALE_CASES = [
     ("lift", "s3_sym_f2", ["--order", "3"], "scale_lift_s3_sym_f2_o3.txt", 0),
     ("lift", "z2cube_free", ["--order", "4"], "scale_lift_z2cube_free_o4.txt", 0),
     ("tangent", "z2cube", ["--truncate", "1"], "scale_tangent_z2cube_t1.txt", 0),
+    ("lift", "klein_twist_f2", ["--order", "100", "--truncate", "2"],
+     "scale_lift_klein_twist_f2_o100_t2.txt", 0),
 ]
 
 
