@@ -57,8 +57,28 @@ class Substitution:
         return substitute(f, dict(zip(self.ring.variables, self.images)))
 
     def compose(self, other: "Substitution") -> "Substitution":
-        """self after other on polynomials: (self*other)(f) = self(other(f))."""
-        return Substitution(self.ring, [self.apply(g) for g in other.images])
+        """self after other on polynomials: (self*other)(f) = self(other(f)).
+
+        Both maps are affine, so the image of x_i is other's image of x_i
+        with each x_k replaced by self's image of x_k: a linear
+        combination of self's images plus a constant, summed term by
+        term in the order ``substitute`` sums them."""
+        field, images = self.ring.field, self.images
+        add, mul, zero = field.add, field.mul, field.zero
+        out = []
+        for g in other.images:
+            terms = {}
+            get = terms.get
+            for m, c in g.terms.items():
+                part = images[m.index(1)].terms.items() if any(m) else ((m, field.one),)
+                for m2, c2 in part:
+                    s = add(get(m2, zero), mul(c, c2))
+                    if s == zero:
+                        terms.pop(m2, None)
+                    else:
+                        terms[m2] = s
+            out.append(Polynomial(self.ring, terms))
+        return Substitution(self.ring, out)
 
     def linear_part(self):
         """Matrix L with image_i = sum_k L[i][k] x_k + const_i, as sparse rows."""

@@ -6,7 +6,9 @@ pivot row.  A matrix given by columns is a list of ``{row: value}`` dicts,
 and ``transpose`` turns one form into the other.  The side of the shape
 that the list does not carry is passed explicitly.  ``SpanBuilder`` holds
 a reduced echelon basis built one row at a time and the one elimination
-step; ``rref`` feeds the rows of a matrix into a ``SpanBuilder``, and
+step, with a column index from each non-pivot column to the stored rows
+that may hold it, so that a new pivot is cleared only from those rows;
+``rref`` feeds the rows of a matrix into a ``SpanBuilder``, and
 ``kernel_basis`` and ``solve`` go through ``rref``, while ``rank`` and
 ``span_modulo`` use a ``SpanBuilder`` directly and read no row out.
 Over Q the elimination runs on integers: each row's denominators are
@@ -20,6 +22,7 @@ too, again with no zero values: kernel vectors and solutions alike.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -155,12 +158,21 @@ class SpanBuilder:
     positive pivot entry d stands for the monic row row/d: a new row's
     denominators are cleared once, on entry, an elimination step is
     integer cross-multiplication followed by dividing out the gcd
-    content, and ``reduced_rows`` hands the monic rows out."""
+    content, and ``reduced_rows`` hands the monic rows out.
+
+    A column index, ``_holders``, maps each non-pivot column to the
+    pivots of the stored rows that may hold it, so a new pivot is cleared
+    only from the rows listed there.  The lists only grow: a row's pivot
+    is appended for each column of the row when it is stored and for each
+    column it gains when it is cleared, and a listed row that has since
+    lost the column is skipped.  No reduced vector holds a pivot column,
+    so the list of a column is dropped once the column becomes a pivot."""
 
     def __init__(self, field: Field):
         self.field = field
         self.pivots: list[int] = []  # ascending
         self._rows: dict[int, dict] = {}
+        self._holders: defaultdict[int, list[int]] = defaultdict(list)
 
     def add(self, v: dict) -> bool:
         """Add the sparse row v to the span; True if it enlarged the space."""
@@ -169,26 +181,49 @@ class SpanBuilder:
     def _insert(self, v: dict) -> bool:
         """The body of ``add``, which ``rref`` and ``rank`` call directly,
         so that a trace of ``add`` counts only rows added from outside;
-        v is not changed."""
+        v is not changed.  Clearing the new pivot from a stored row is
+        ``add_scaled`` with the index kept in the same loop, written once
+        per kind of field as there."""
         field = self.field
-        if not field.characteristic:
+        p = field.characteristic
+        if not p:
             return self._insert_integral(v)
         rows = self._rows
         v = dict(v)
         # the basis is reduced, so clearing one pivot leaves the others as they were
-        for p in [c for c in v if c in rows]:
-            add_scaled(field, v, field.neg(v[p]), rows[p])
+        for q in [c for c in v if c in rows]:
+            add_scaled(field, v, field.neg(v[q]), rows[q])
         if not v:
             return False
         c = min(v)
         if v[c] != field.one:
             inv = field.inv(v[c])
             v = {k: field.mul(inv, x) for k, x in v.items()}
-        for row in rows.values():
-            if c in row:
-                add_scaled(field, row, field.neg(row[c]), v)
-        rows[c] = v
-        insort(self.pivots, c)
+        holders = self._holders
+        for q in holders.pop(c, ()):
+            row = rows[q]
+            y = row.get(c)
+            if not y:
+                continue
+            if p == 2:
+                for k in v:
+                    if row.pop(k, 0) == 0:
+                        row[k] = 1
+                        holders[k].append(q)
+            else:
+                factor, get = field.neg(y), row.get
+                for k, x in v.items():
+                    old = get(k)
+                    if old is None:
+                        row[k] = factor * x % p
+                        holders[k].append(q)
+                    else:
+                        z = (old + factor * x) % p
+                        if z:
+                            row[k] = z
+                        else:
+                            del row[k]
+        self._store(c, v)
         return True
 
     def _insert_integral(self, v: dict) -> bool:
@@ -213,19 +248,42 @@ class SpanBuilder:
         c = min(w)
         w = _primitive(w, w[c])
         d = w[c]
-        for p, row in rows.items():
+        holders = self._holders
+        for p in holders.pop(c, ()):
+            row = rows[p]
             y = row.get(c)
-            if y:
-                g = gcd(d, y)
-                a, b = d // g, y // g
-                if a != 1:
-                    for k in row:
-                        row[k] *= a
-                add_scaled(self.field, row, -b, w)
-                rows[p] = _primitive(row, row[p])
-        rows[c] = w
-        insort(self.pivots, c)
+            if not y:
+                continue
+            g = gcd(d, y)
+            a, factor = d // g, -(y // g)
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            get = row.get
+            for k, x in w.items():
+                old = get(k)
+                if old is None:
+                    row[k] = factor * x
+                    holders[k].append(p)
+                else:
+                    z = old + factor * x
+                    if z:
+                        row[k] = z
+                    else:
+                        del row[k]
+            rows[p] = _primitive(row, row[p])
+        self._store(c, w)
         return True
+
+    def _store(self, c: int, v: dict) -> None:
+        """Store the reduced row v with pivot c and list it under its
+        other columns."""
+        holders = self._holders
+        for k in v:
+            if k != c:
+                holders[k].append(c)
+        self._rows[c] = v
+        insort(self.pivots, c)
 
     def reduced_rows(self) -> list[dict]:
         """The monic reduced rows in pivot order, over Q with every value

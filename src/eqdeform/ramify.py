@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Field
-from .linalg import kernel_basis
+from .linalg import rank
 
 
 class RamifyError(ValueError):
@@ -107,11 +107,12 @@ class TruncatedSeriesModule:
         return rows
 
     def invariant_count_by_matrix(self) -> int:
-        """Fixed-space dimension of the explicit action matrix (oracle)."""
+        """Fixed-space dimension of the explicit action matrix (oracle):
+        the size less the rank of A - I, by rank-nullity."""
         field = self.field
         rows = [{r: field.sub(x, field.one) for r, x in row.items() if x != field.one}
                 for row in self.action_matrix()]
-        return len(kernel_basis(field, rows, self.modulus_degree))
+        return self.modulus_degree - rank(field, rows)
 
 
 def local_ext1_invariants(d: int, m: int, field: Field) -> int:

@@ -23,9 +23,11 @@ the kernel of the normal images on the invariant slice instead.  So does
 is the dimension of the space the kernel vectors span.
 ``FractionRationals`` is Q with every element a ``Fraction``: the
 all-Fraction arithmetic the canonical ``int``/``Fraction`` form of
-``eqdeform.fields`` must agree with.  ``composed_table`` closes a group
-and composes every pair of its elements (``Substitution.compose``): it
-checks the table ``close_group`` reads off its closure walk.
+``eqdeform.fields`` must agree with.  ``compose_by_substitution`` runs
+``poly.substitute`` on every image: it checks the linear combinations of
+``Substitution.compose``.  ``composed_table`` closes a group and
+composes every pair of its elements that way: it checks the table
+``close_group`` reads off its closure walk.
 ``flow_by_substitution`` multiplies a flow out in full with ``EpsPoly``
 arithmetic: it checks the Jacobian shortcut of ``apply_flow``.
 ``twist_matrices`` divides sigma(f_j) over the generators at every
@@ -903,14 +905,20 @@ def defect_cocycle(amb, gens):
 
 # --- group tables by composing every pair ------------------------------------
 # close_group reads its table off the closure walk by associativity; this
-# is the closure by frontiers and the table by |G|^2 compositions.
+# is the closure by frontiers and the table by |G|^2 compositions, each
+# one a polynomial substitution.
+
+def compose_by_substitution(s: Substitution, t: Substitution) -> Substitution:
+    """s after t, each image of t with s's images substituted in."""
+    return Substitution(s.ring, [s.apply(g) for g in t.images])
+
 
 def composed_table(ring: PolyRing, subs, bound: int) -> tuple:
     """(elements, table, inverse) of the group the substitutions generate:
     elements in the order a breadth-first closure by right
     multiplication meets them, table[i][j] the index of
-    elements[i].compose(elements[j]), inverse[i] the first j with
-    table[i][j] = 0.  Raises ClosureBoundExceededError as soon as a new
+    compose_by_substitution(elements[i], elements[j]), inverse[i] the
+    first j with table[i][j] = 0.  Raises ClosureBoundExceededError as soon as a new
     element would exceed bound."""
     identity = Substitution.identity(ring)
     elements, frontier = [identity], [identity]
@@ -918,14 +926,15 @@ def composed_table(ring: PolyRing, subs, bound: int) -> tuple:
         new = []
         for s in frontier:
             for g in subs:
-                t = s.compose(g)
+                t = compose_by_substitution(s, g)
                 if t not in elements:
                     if len(elements) >= bound:
                         raise ClosureBoundExceededError(f"group closure exceeds bound {bound}")
                     elements.append(t)
                     new.append(t)
         frontier = new
-    table = [[elements.index(s.compose(t)) for t in elements] for s in elements]
+    table = [[elements.index(compose_by_substitution(s, t)) for t in elements]
+             for s in elements]
     inverse = [row.index(0) for row in table]
     return elements, table, inverse
 

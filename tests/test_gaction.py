@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -254,3 +255,36 @@ def test_the_seeded_groups_cover_the_cases():
     assert fields == {0, 2, 3}
     assert 1 in orders and max(orders) >= 16
     assert bounded
+
+
+def random_affine(ring, rng):
+    """An affine substitution, invertible or not: each image a random
+    linear combination of the variables plus a constant, its terms in a
+    shuffled order, zero images and cancelling coefficients included."""
+    field, n = ring.field, ring.nvars
+    images = []
+    for _ in range(n):
+        terms = []
+        for k in range(n + 1):
+            if rng.random() < 0.6:
+                c = field.of(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 5, 7))))
+                if c != field.zero:
+                    terms.append((tuple(int(j == k) for j in range(n)), c))
+        rng.shuffle(terms)
+        images.append(ring.from_terms(dict(terms)))
+    return Substitution(ring, images)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_compose_matches_the_substitution_form(seed):
+    """s.compose(t) has the images that substituting s's images into t's
+    gives, over F2, F3 and Q, with their terms in the same order (over
+    F_p a denominator 5 or 7 is inverted)."""
+    rng = random.Random(seed)
+    ring = PolyRing(FIELDS[seed % len(FIELDS)], ["x", "y", "z", "w"][:rng.randint(1, 4)])
+    s, t = random_affine(ring, rng), random_affine(ring, rng)
+    for a, b in ((s, t), (t, s), (s, s)):
+        got, expected = a.compose(b), oracles.compose_by_substitution(a, b)
+        assert got == expected
+        assert [list(g.terms.items()) for g in got.images] == \
+            [list(g.terms.items()) for g in expected.images]

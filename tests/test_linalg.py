@@ -10,6 +10,7 @@ signs; every value returned over Q must be canonical."""
 import inspect
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -266,3 +267,172 @@ def test_rational_cases_reach_the_integer_rows():
             shared += len(values) > 1 and math.gcd(*(int(x * den) for x in values)) > 1
             negative += values[0] < 0
     assert min(wide, integral, shared, negative) >= 20
+
+
+# --- larger seeded systems ----------------------------------------------------
+# Up to about 60 rows, so that clearing a new pivot makes stored rows gain
+# and lose columns and the column index of SpanBuilder holds stale entries.
+
+SHAPES = ("diagonal", "banded", "block", "dense")
+LARGE_SEEDS = range(2000, 2064)
+
+
+def _small_scalar(field, rng):
+    """A nonzero entry; over Q a small integer or fraction, so that dense
+    systems stay quick for the dense oracle."""
+    x = field.zero
+    while x == field.zero:
+        den = rng.choice((1, 1, 2, 3)) if field is QQ else 1
+        x = field.of(Fraction(rng.randint(-4, 4), den))
+    return x
+
+
+def large_system(seed):
+    """(field, shape, rows, ncols, rng): 20 to 60 columns and 20 to 60
+    rows (no more rows than columns when diagonal) over F2, F3, F7 or Q
+    (by seed), in one of SHAPES, then up to 11 more rows: zero rows,
+    combinations of two rows, and copies of a row with a stretch of its
+    entries past the first one zeroed (clearing the difference of the two
+    from the original makes it lose every column of the stretch); all
+    rows shuffled.
+
+    diagonal: one entry per row, on the diagonal of a column permutation;
+    banded: a run of 1 to 5 columns from the row's position; block: one
+    or two blocks of 4 to 10 columns, dense inside; dense: each entry
+    nonzero with probability 0.5 to 1."""
+    rng = random.Random(seed)
+    field, shape = FIELDS[seed % 4], SHAPES[seed // 4 % 4]
+    nrows, ncols = rng.randint(20, 60), rng.randint(20, 60)
+    rows = []
+    if shape == "diagonal":
+        cols = rng.sample(range(ncols), min(nrows, ncols))
+        for c in cols:
+            row = [field.zero] * ncols
+            row[c] = _small_scalar(field, rng)
+            rows.append(row)
+    elif shape == "banded":
+        for i in range(nrows):
+            row = [field.zero] * ncols
+            start = i * ncols // nrows
+            for c in range(start, min(ncols, start + rng.randint(1, 5))):
+                row[c] = _small_scalar(field, rng)
+            rows.append(row)
+    elif shape == "block":
+        bounds = [0]
+        while bounds[-1] < ncols:
+            bounds.append(min(ncols, bounds[-1] + rng.randint(4, 10)))
+        blocks = list(zip(bounds, bounds[1:]))
+        for _ in range(nrows):
+            row = [field.zero] * ncols
+            for lo, hi in rng.sample(blocks, min(len(blocks), rng.randint(1, 2))):
+                for c in range(lo, hi):
+                    row[c] = _small_scalar(field, rng)
+            rows.append(row)
+    else:
+        density = rng.uniform(0.5, 1.0)
+        rows = [[_small_scalar(field, rng) if rng.random() < density else field.zero
+                 for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(rng.randint(2, 5)):
+        row = list(rng.choice(rows))
+        support = [c for c, x in enumerate(row) if x != field.zero]
+        if len(support) > 2:
+            start = rng.randrange(1, len(support) - 1)
+            for c in support[start:start + rng.randint(2, 4)]:
+                row[c] = field.zero
+        rows.append(row)
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.3 or len(rows) < 2:
+            rows.append([field.zero] * ncols)
+            continue
+        a, b = rng.sample(rows, 2)
+        s, t = _small_scalar(field, rng), _small_scalar(field, rng)
+        rows.append([field.add(field.mul(s, x), field.mul(t, y)) for x, y in zip(a, b)])
+    rng.shuffle(rows)
+    return field, shape, rows, ncols, rng
+
+
+def _index_is_complete(span):
+    """The white-box invariant of SpanBuilder's column index: every
+    nonzero non-pivot column of a stored row lists the row's pivot, and
+    no pivot column has a list."""
+    holders = span._holders
+    return holders.keys().isdisjoint(span.pivots) and all(
+        k == p or p in holders.get(k, ()) for p, row in span._rows.items() for k in row)
+
+
+class _CountingHolders(defaultdict):
+    """A column index that counts the listed rows that no longer hold a
+    column when the column becomes a pivot: the rows the clearing loop
+    skips."""
+
+    def __init__(self, rows):
+        super().__init__(list)
+        self.rows, self.skipped = rows, 0
+
+    def pop(self, c, *default):
+        listed = super().pop(c, *default)
+        self.skipped += sum(c not in self.rows[p] for p in listed)
+        return listed
+
+
+@pytest.mark.parametrize("seed", LARGE_SEEDS)
+def test_large_systems_match_the_dense_oracle(seed):
+    """rref, rank, kernel_basis, solve and span_modulo on a larger seeded
+    system give what the dense oracle gives."""
+    field, _, rows, ncols, rng = large_system(seed)
+    sparse_rows = _sparse_rows(field, rows)
+    red, pivots = linalg.rref(field, sparse_rows)
+    expected_red, expected_pivots = oracles.rref(field, rows)
+    assert pivots == expected_pivots
+    assert [oracles.dense(field, row, ncols) for row in red] == expected_red[:len(pivots)]
+    assert _canonical(field, red)
+    assert linalg.rank(field, sparse_rows) == len(expected_pivots)
+    kernel = linalg.kernel_basis(field, sparse_rows, ncols)
+    assert [oracles.dense(field, v, ncols) for v in kernel] == \
+        oracles.kernel_basis(field, rows, ncols)
+    rhs_list = [_right_hand_side(field, rows, ncols, rng) for _ in range(3)]
+    columns = _sparse_rows(field, ([row[c] for row in rows] for c in range(ncols)))
+    solutions = linalg.solve(field, columns, _sparse_rows(field, rhs_list), len(rows))
+    assert [None if x is None else oracles.dense(field, x, ncols) for x in solutions] == \
+        [oracles.solve(field, rows, b) for b in rhs_list]
+    split = rng.randint(0, len(rows))
+    span = oracles.SpanBuilder(field, ncols)
+    base_dim = sum(span.add(u) for u in rows[:split])
+    kept = [k for k, v in enumerate(rows[split:]) if span.add(v)]
+    assert linalg.span_modulo(field, sparse_rows[:split], sparse_rows[split:]) == \
+        (base_dim, kept)
+    assert sparse_rows == _sparse_rows(field, rows)
+
+
+@pytest.mark.parametrize("seed", LARGE_SEEDS)
+def test_interleaved_adds_and_reads_match_the_dense_oracle(seed):
+    """Rows added one at a time, with the reduced rows read out between
+    the additions as ``slice_of_normal_module`` reads them: every answer
+    of ``add`` and every read-out is the dense oracle's, and the column
+    index is complete after every insertion."""
+    field, _, rows, ncols, rng = large_system(seed)
+    span, reference = linalg.SpanBuilder(field), oracles.SpanBuilder(field, ncols)
+    for row in rows:
+        assert span.add(oracles.sparse(field, row)) == reference.add(row)
+        assert _index_is_complete(span)
+        if rng.random() < 0.3:
+            assert span.pivots == reference.pivots
+            assert [oracles.dense(field, r, ncols) for r in span.reduced_rows()] == \
+                reference.rows
+    assert [oracles.dense(field, r, ncols) for r in span.reduced_rows()] == reference.rows
+
+
+def test_large_systems_reach_stale_index_entries():
+    """Every field and every shape but the diagonal one make the clearing
+    loop skip rows listed under a column they have lost."""
+    skipping = set()
+    for seed in LARGE_SEEDS:
+        field, shape, rows, _, _ = large_system(seed)
+        span = linalg.SpanBuilder(field)
+        span._holders = holders = _CountingHolders(span._rows)
+        for row in rows:
+            span.add(oracles.sparse(field, row))
+        if holders.skipped:
+            skipping.add((field, shape))
+    assert {field for field, _ in skipping} == set(FIELDS)
+    assert {shape for _, shape in skipping} == set(SHAPES) - {"diagonal"}

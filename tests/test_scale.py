@@ -55,6 +55,8 @@ SCALE_CASES = [
      "scale_obstruction_z2cube_free_t2.txt", 2),
     ("obstruction", "z2_4_free", ["--truncate", "2"],
      "scale_obstruction_z2_4_free_t2.txt", 2),
+    ("obstruction", "z2_4_free", ["--truncate", "3"],
+     "scale_obstruction_z2_4_free_t3.txt", 2),
     ("lift", "s3_sym_f2", ["--order", "3"], "scale_lift_s3_sym_f2_o3.txt", 0),
     ("lift", "z2cube_free", ["--order", "4"], "scale_lift_z2cube_free_o4.txt", 0),
     ("tangent", "z2cube", ["--truncate", "1"], "scale_tangent_z2cube_t1.txt", 0),
