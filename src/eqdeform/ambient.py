@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .fields import add_scaled
 from .gaction import GroupAction, StabilityError, Substitution, verify_stability
 from .groebner import (
     GroebnerBasis,
@@ -385,14 +386,9 @@ def _combination(ring: PolyRing, pairs) -> Polynomial:
     pairs = [(c, p) for c, p in pairs if p]
     if len(pairs) == 1 and pairs[0][0] == ring.field.one:
         return pairs[0][1]
-    field, terms = ring.field, {}
+    terms = {}
     for c, p in pairs:
-        for m, d in p.terms.items():
-            s = field.add(terms.get(m, field.zero), field.mul(c, d))
-            if s == field.zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
+        add_scaled(ring.field, terms, c, p.terms)
     return Polynomial(ring, terms)
 
 
@@ -460,7 +456,7 @@ def ambient_vector_slice(amb: EquivariantAmbient, degree: int):
     pres = amb.pres
     ring = amb.ring
     field = ring.field
-    zero = field.zero
+    zero, minus_one = field.zero, field.neg(field.one)
     monos = pres.std_monomials_upto(degree)
     unknowns = [(i, m) for i in range(ring.nvars) for m in monos]
     if not unknowns:
@@ -473,23 +469,21 @@ def ambient_vector_slice(amb: EquivariantAmbient, degree: int):
         for g, cols in amb.inverse_linear_columns.items():
             image = amb._monomial_image(g, m).terms
             for r, c in cols[i]:
-                entries = {mono: field.mul(c, d) for mono, d in image.items()} \
-                    if c != zero else {}
+                entries = {}
+                if c != zero:
+                    add_scaled(field, entries, c, image)
                 if r == i:
-                    x = field.sub(entries.get(m, zero), field.one)
-                    if x == zero:
-                        del entries[m]
-                    else:
-                        entries[m] = x
+                    add_scaled(field, entries, minus_one, {m: field.one})
                 for mono, x in entries.items():
                     rows.setdefault((g, r, mono), {})[u] = x
     basis = []
     for sol in kernel_basis(field, list(rows.values()), len(unknowns)):
-        vec = [ring.zero] * ring.nvars
+        # each unknown is its own term, so no two of them meet in a sum
+        vec = [{} for _ in range(ring.nvars)]
         for u, coeff in sol.items():
             i, m = unknowns[u]
-            vec[i] = vec[i] + ring.monomial(m, coeff)
-        basis.append(tuple(vec))
+            vec[i][m] = coeff
+        basis.append(tuple(Polynomial(ring, terms) for terms in vec))
     return basis
 
 

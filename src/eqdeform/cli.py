@@ -56,6 +56,10 @@ EXIT_OK = 0
 EXIT_OBSTRUCTED = 2
 EXIT_INPUT = 3
 
+# The largest different ``ramify`` accepts: its matrix cross-check holds
+# d sparse rows, about 450 MiB at 10^6.
+MAX_RAMIFY_DIFFERENT = 10**6
+
 # The JSON report's fields, in the order of report.schema.json.
 REPORT_FIELDS = (
     "command", "field", "group_order", "t0_dim", "t1_dim",
@@ -315,6 +319,8 @@ def cmd_iso(args) -> int:
 
 
 def cmd_ramify(args) -> int:
+    if args.d > MAX_RAMIFY_DIFFERENT:
+        raise InputError(f"--d {args.d} exceeds MAX_RAMIFY_DIFFERENT = {MAX_RAMIFY_DIFFERENT}")
     field = GF(args.p)
     value = local_ext1_invariants(args.d, args.m, field)
     module = TruncatedSeriesModule(args.d, (-(args.d + 1)) % args.m, args.m, field)

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ambient import NormalModule, _SliceCoordinates
+from .ambient import NormalModule, _combination, _SliceCoordinates
+from .fields import add_scaled
 from .gaction import GroupAction
-from .linalg import SpanBuilder, add_scaled, kernel_basis, solve, span_modulo, transpose
+from .linalg import SpanBuilder, kernel_basis, solve, span_modulo, transpose
 
 
 class CocycleError(ValueError):
@@ -89,10 +90,8 @@ class GModuleSlice:
             raise ValueError("abstract slice has no payload vectors")
         if not self.payloads:
             return ()
-        vec = tuple(p.ring.zero for p in self.payloads[0])
-        for k, c in coords.items():
-            vec = tuple(a + p.scale(c) for a, p in zip(vec, self.payloads[k]))
-        return vec
+        return tuple(_combination(p.ring, ((c, self.payloads[k][j]) for k, c in coords.items()))
+                     for j, p in enumerate(self.payloads[0]))
 
     def express(self, vecs) -> list:
         """For each module vector, its coordinates over the payload basis

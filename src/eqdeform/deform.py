@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from .ambient import (
     EquivariantAmbient,
     NormalModule,
+    _combination,
     _SliceCoordinates,
 )
 from .cohomology import (
@@ -96,12 +97,6 @@ class EpsPoly:
         out = cls.__new__(cls)
         out.ring, out.order, out.terms = ring, order, terms
         return out
-
-    @property
-    def coeffs(self) -> tuple:
-        """All order + 1 coefficients, zeros included: a dense view for
-        readers that index every power; the arithmetic never forms it."""
-        return tuple(self.coeff(t) for t in range(self.order + 1))
 
     def coeff(self, t: int) -> Polynomial:
         return self.terms.get(t, self.ring.zero)
@@ -431,11 +426,8 @@ def difference_class(d1: Deformation, d2: Deformation) -> DifferenceClass:
         if any(g1.coeff(t) != g2.coeff(t)
                for t in g1.terms.keys() | g2.terms.keys() if t < m):
             raise DeformationError("lifts do not agree below the top order")
-    vec = tuple(
-        d1.amb.pres.nf(g1.coeff(m) - g2.coeff(m))
-        for g1, g2 in zip(d1.gens, d2.gens)
-    )
-    cls = DifferenceClass(d1.amb, vec)
+    # DifferenceClass takes the normal forms
+    cls = DifferenceClass(d1.amb, [g1.coeff(m) - g2.coeff(m) for g1, g2 in zip(d1.gens, d2.gens)])
     N = NormalModule(d1.amb)
     for i in d1.amb.action.generators:
         if N.act(i, cls.vector) != cls.vector:
@@ -507,10 +499,8 @@ def isomorphism_witness(d1: Deformation, d2: Deformation,
     (sol,) = solve(amb.ring.field, columns, [coords.row(nu.vector)], len(coords.index))
     if sol is None:
         return None
-    components = [amb.ring.zero] * amb.ring.nvars
-    for k, c in sol.items():
-        for i, p in enumerate(basis[k]):
-            components[i] = components[i] + p.scale(c)
+    components = (_combination(amb.ring, ((c, basis[k][i]) for k, c in sol.items()))
+                  for i in range(amb.ring.nvars))
     witness = DerivationWitness(amb, tuple(amb.pres.nf(p) for p in components))
     moved = apply_flow(d2, witness.components)
     if not ideal_equal(moved, d1):
@@ -726,14 +716,15 @@ def tangent_spaces(amb: EquivariantAmbient,
         scale = field.inv(field.of(len(amb.action)))
         reps = []
         for coords in fixed:
-            vec = [ring.zero] * rank
+            # the basis monomials are distinct, so no two coordinates meet
+            vec = [{} for _ in range(rank)]
             for k, c in coords.items():
                 pos, m = qb.monomials[k]
-                vec[pos] = vec[pos] + ring.monomial(m, c)
-            avg = (ring.zero,) * rank
-            for i in amb.action.indices():
-                avg = tuple(a + b for a, b in zip(avg, N.act(i, vec)))
-            reps.append(tuple(p.scale(scale) for p in avg))
+                vec[pos][m] = c
+            vec = tuple(Polynomial(ring, terms) for terms in vec)
+            images = [N.act(i, vec) for i in amb.action.indices()]
+            reps.append(tuple(_combination(ring, ((scale, image[j]) for image in images))
+                              for j in range(rank)))
         return TangentReport(qb, t1_vectors, len(fixed), reps, "exact")
 
     # slice route (wild case, or infinite T^1)

@@ -7,6 +7,10 @@ arithmetic so the rest of the package stays generic over the
 coefficient field.  An integral ``Fraction`` and its ``int`` compare,
 hash and print alike, so the canonical form changes no output; it only
 keeps the common integer coefficients in machine arithmetic.
+
+``add_scaled`` is the one loop that adds a scaled sparse ``{key: value}``
+dict into another: polynomial sums, linear combinations, S-vectors and
+eliminations all go through it.
 """
 
 from __future__ import annotations
@@ -36,30 +40,17 @@ def _is_prime(p: int) -> bool:
 class Field:
     """Common interface; instances are immutable and hash/compare by kind.
 
-    ``zero`` and ``one`` are plain attributes holding the field's units,
-    so the hot loops that compare against them do no coercion."""
+    Each kind supplies ``of``, ``add``, ``sub``, ``mul``, ``inv``,
+    ``fraction`` and ``render``.  ``zero`` and ``one`` are plain
+    attributes holding the field's units, so the hot loops that compare
+    against them do no coercion."""
 
     characteristic: int
     zero: object
     one: object
 
-    def of(self, value):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
     def neg(self, a):
         return -a
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
 
     def is_invertible_int(self, n: int) -> bool:
         """Whether the integer n is a unit in this field."""
@@ -180,3 +171,37 @@ def GF(p: int) -> PrimeField:
     if p not in _gf_cache:
         _gf_cache[p] = PrimeField(p)
     return _gf_cache[p]
+
+
+def add_scaled(field: Field, v: dict, factor, row: dict) -> None:
+    """v += factor * row in place, dropping the entries that cancel.
+
+    factor must be nonzero.  Then factor * y is nonzero for every entry
+    y of row, so an entry that cancels was in v.  The loop is written
+    once per kind of field: over F_2 the factor and the entries are one,
+    so each key of row toggles; over F_p one residue is taken per entry;
+    over Q the sum starts from the int zero and each stored entry is put
+    in canonical form (an ``int`` when integral).  The keys of row are
+    met in order: a new one is appended, an existing one is updated where
+    it stands and one that cancels is removed.  Printed bases depend on
+    that order, since the slice coordinates number keys as first met."""
+    p = field.characteristic
+    get = v.get
+    if p == 2:
+        for k in row:
+            if v.pop(k, 0) == 0:
+                v[k] = 1
+    elif p:
+        for k, y in row.items():
+            x = (get(k, 0) + factor * y) % p
+            if x:
+                v[k] = x
+            else:
+                del v[k]
+    else:
+        for k, y in row.items():
+            x = get(k, 0) + factor * y
+            if x:
+                v[k] = x if type(x) is int else canonical_rational(x)
+            else:
+                del v[k]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from .fields import add_scaled
 from .groebner import GroebnerBasis
 from .linalg import rank as matrix_rank
 from .poly import ContextMismatchError, PolyRing, Polynomial, substitute
@@ -64,19 +65,11 @@ class Substitution:
         combination of self's images plus a constant, summed term by
         term in the order ``substitute`` sums them."""
         field, images = self.ring.field, self.images
-        add, mul, zero = field.add, field.mul, field.zero
         out = []
         for g in other.images:
             terms = {}
-            get = terms.get
             for m, c in g.terms.items():
-                part = images[m.index(1)].terms.items() if any(m) else ((m, field.one),)
-                for m2, c2 in part:
-                    s = add(get(m2, zero), mul(c, c2))
-                    if s == zero:
-                        terms.pop(m2, None)
-                    else:
-                        terms[m2] = s
+                add_scaled(field, terms, c, images[m.index(1)].terms if any(m) else {m: field.one})
             out.append(Polynomial(self.ring, terms))
         return Substitution(self.ring, out)
 

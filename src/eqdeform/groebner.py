@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
+from .fields import add_scaled
 from .poly import (
     ContextMismatchError,
     PolyRing,
@@ -56,19 +57,6 @@ def _vec_lt(ring: PolyRing, v: Vec):
     return max(v, key=lambda t: _term_key(ring, t))
 
 
-def _vec_sub_scaled(field, v: Vec, w: Vec, coeff, shift) -> Vec:
-    """v - coeff * x^shift * w."""
-    out = dict(v)
-    for (pos, m), c in w.items():
-        key = (pos, monomial_mul(m, shift))
-        s = field.sub(out.get(key, field.zero), field.mul(coeff, c))
-        if s == field.zero:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return out
-
-
 def _vec_monic(field, v: Vec, lt) -> Vec:
     inv = field.inv(v[lt])
     return {t: field.mul(inv, c) for t, c in v.items()}
@@ -91,7 +79,9 @@ def reduce_vec(ring: PolyRing, v: Vec, basis: list[tuple]) -> Vec:
     leading term divides it, or else kept.  Reducing t brings in only
     terms below t, so no term enters twice; one that cancels stays
     queued with the value zero.  The remainder lists its terms in
-    descending order."""
+    descending order.  The work dict is updated by hand, not by
+    ``add_scaled``: a new term is also pushed on the heap, and a
+    cancelled one keeps its entry until it is popped."""
     field, zero = ring.field, ring.field.zero
     desc = ring.order.descending_key
     work = dict(v)
@@ -123,10 +113,16 @@ def reduce_vec(ring: PolyRing, v: Vec, basis: list[tuple]) -> Vec:
 
 
 def _spair(ring: PolyRing, f: Vec, flt, g: Vec, glt) -> Vec:
+    """f and g, each shifted to the lcm of their leading terms and made
+    monic there, subtracted."""
     field = ring.field
     lcm = monomial_lcm(flt[1], glt[1])
-    s1 = _vec_sub_scaled(field, {}, f, field.neg(field.inv(f[flt])), monomial_div(lcm, flt[1]))
-    return _vec_sub_scaled(field, s1, g, field.inv(g[glt]), monomial_div(lcm, glt[1]))
+    out: Vec = {}
+    for v, lt, factor in ((f, flt, field.inv(f[flt])), (g, glt, field.neg(field.inv(g[glt])))):
+        shift = monomial_div(lcm, lt[1])
+        add_scaled(field, out, factor,
+                   {(pos, monomial_mul(m, shift)): c for (pos, m), c in v.items()})
+    return out
 
 
 def module_groebner(ring: PolyRing, vectors, rank: int) -> list[Vec]:

@@ -26,38 +26,7 @@ from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import Field, canonical_rational
-
-
-def add_scaled(field: Field, v: dict, factor, row: dict) -> None:
-    """v += factor * row in place, dropping the entries that cancel.
-
-    factor must be nonzero.  Then factor * y is nonzero for every entry
-    y of row, so an entry that cancels was in v.  The loop is written
-    once per kind of field: over F_2 the factor and the entries are one,
-    so each key of row toggles; over F_p one residue is taken per entry;
-    over Q the sum starts from the int zero and each stored entry is put
-    in canonical form (an ``int`` when integral)."""
-    p = field.characteristic
-    get = v.get
-    if p == 2:
-        for k in row:
-            if v.pop(k, 0) == 0:
-                v[k] = 1
-    elif p:
-        for k, y in row.items():
-            x = (get(k, 0) + factor * y) % p
-            if x:
-                v[k] = x
-            else:
-                del v[k]
-    else:
-        for k, y in row.items():
-            x = get(k, 0) + factor * y
-            if x:
-                v[k] = x if type(x) is int else canonical_rational(x)
-            else:
-                del v[k]
+from .fields import Field, add_scaled
 
 
 def _span(field: Field, rows) -> "SpanBuilder":

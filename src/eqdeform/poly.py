@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import add, le, sub
 from typing import Iterable
 
-from .fields import Field, FieldError
+from .fields import Field, FieldError, add_scaled
 
 
 class ContextMismatchError(ValueError):
@@ -164,14 +164,8 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        field = self.ring.field
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = field.add(terms.get(m, field.zero), c)
-            if s == field.zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
+        field, terms = self.ring.field, dict(self.terms)
+        add_scaled(field, terms, field.one, other.terms)
         return Polynomial(self.ring, terms)
 
     __radd__ = __add__
@@ -184,12 +178,17 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        field, terms = self.ring.field, dict(self.terms)
+        add_scaled(field, terms, field.neg(field.one), other.terms)
+        return Polynomial(self.ring, terms)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        """The product, summed term by term in its own loop: a pass of
+        ``add_scaled`` per term of self would first build the shifted
+        dict of other's terms, which costs more than it saves."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -218,13 +217,6 @@ class Polynomial:
             base = base * base
             n >>= 1
         return result
-
-    def scale(self, coeff):
-        c = self.ring.field.of(coeff)
-        if c == self.ring.field.zero:
-            return self.ring.zero
-        field = self.ring.field
-        return Polynomial(self.ring, {m: field.mul(v, c) for m, v in self.terms.items()})
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -277,7 +269,7 @@ def substitute(f: Polynomial, images: dict):
         if type(g) is not Polynomial or g.ring is not first.ring:
             raise ContextMismatchError(
                 f"image of {name!r} is not a polynomial in the images' ring")
-    const, result = first.ring.const, first.ring.zero
+    const, field, terms = first.ring.const, first.ring.field, {}
     # powers[i][e - 1] is image i to the power e, built one factor at a time
     powers = [[g] for g in image_list]
     for m, c in f.terms.items():
@@ -288,24 +280,16 @@ def substitute(f: Polynomial, images: dict):
                 while len(cache) < e:
                     cache.append(cache[-1] * image_list[i])
                 part = part * cache[e - 1]
-        result = result + part
-    return result
+        add_scaled(field, terms, field.one, part.terms)
+    return Polynomial(first.ring, terms)
 
 
 def partial(f: Polynomial, i: int) -> Polynomial:
     """Partial derivative with respect to the i-th variable."""
     field = f.ring.field
-    terms: dict = {}
-    for m, c in f.terms.items():
-        e = m[i]
-        if e == 0:
-            continue
-        dm = m[:i] + (e - 1,) + m[i + 1:]
-        s = field.add(terms.get(dm, field.zero), field.mul(c, field.of(e)))
-        if s == field.zero:
-            terms.pop(dm, None)
-        else:
-            terms[dm] = s
+    # distinct terms stay distinct: no two keys meet, so nothing is summed
+    terms = {m[:i] + (m[i] - 1,) + m[i + 1:]: d for m, c in f.terms.items()
+             if m[i] and (d := field.mul(c, field.of(m[i])))}
     return Polynomial(f.ring, terms)
 
 
@@ -457,12 +441,8 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         pos += 1
     while True:
         m, c = parse_term()
-        c = field.mul(sign, c)
-        s = field.add(terms.get(m, field.zero), c)
-        if s == field.zero:
-            terms.pop(m, None)
-        else:
-            terms[m] = s
+        if c != field.zero:  # the F_2 loop of add_scaled reads no value
+            add_scaled(field, terms, sign, {m: c})
         tok = peek()
         if tok is None:
             break

@@ -41,6 +41,11 @@ the pruned search of ``groebner.krull_dimension``.
 and a copy per step: it checks the heap of ``groebner.reduce_vec``.
 ``DenseEpsPoly`` keeps every eps coefficient, zeros included, in one
 tuple: it checks the sparse coefficients of ``deform.EpsPoly``.
+``poly_add``, ``poly_sub``, ``combination``, ``vec_sub_scaled`` with
+``spair``, and ``substitute_summed`` are the term sums as each was
+written before ``fields.add_scaled``, entry by entry through
+``field.add``: they check the values and the key order of the sums that
+now go through it.
 """
 
 from __future__ import annotations
@@ -67,9 +72,17 @@ from eqdeform.deform import (
 )
 from eqdeform.fields import Field
 from eqdeform.gaction import ClosureBoundExceededError, Substitution
-from eqdeform.groebner import _vec_lt, _vec_sub_scaled
+from eqdeform.groebner import _vec_lt
 from eqdeform.linalg import span_modulo
-from eqdeform.poly import PolyRing, Polynomial, monomial_degree, monomial_div, monomial_divides
+from eqdeform.poly import (
+    PolyRing,
+    Polynomial,
+    monomial_degree,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
+)
 
 
 def monomials_upto(ring: PolyRing, degree: int):
@@ -193,7 +206,7 @@ def dense(field: Field, vec: dict, n: int) -> list:
 def add_scaled(field: Field, v: dict, factor, row: dict) -> dict:
     """v + factor * row as a new sparse dict, entry by entry through
     ``field.add`` and ``field.mul``: the reference for the per-field
-    loops of ``eqdeform.linalg.add_scaled``."""
+    loops of ``eqdeform.fields.add_scaled``."""
     out = dict(v)
     for k, y in row.items():
         x = field.add(out.get(k, field.zero), field.mul(factor, y))
@@ -548,7 +561,7 @@ def derivation_act(amb, i, vec) -> tuple:
     for row in action.elements[action.inv(i)].linear_part():
         total = amb.ring.zero
         for k, coeff in row.items():
-            total = total + action.apply(i, vec[k]).scale(coeff)
+            total = total + action.apply(i, vec[k]) * coeff
         out.append(amb.pres.nf(total))
     return tuple(out)
 
@@ -841,13 +854,18 @@ class DenseEpsPoly:
 # whole EpsPoly values instead of one coefficient list, and keeps the
 # quotients.
 
+def eps_coeffs(a: EpsPoly) -> list:
+    """All order + 1 eps coefficients of a, zeros included."""
+    return [a.coeff(t) for t in range(a.order + 1)]
+
+
 def eps_mul(a: EpsPoly, b: EpsPoly) -> EpsPoly:
     """The product in k[x][eps]/(eps^(order+1))."""
     if a.ring is not b.ring or a.order != b.order:
         raise DeformationError("eps-polynomials over different bases")
     out = [a.ring.zero] * (a.order + 1)
-    for s, p in enumerate(a.coeffs):
-        for t, q in enumerate(b.coeffs[: a.order + 1 - s]):
+    for s, p in enumerate(eps_coeffs(a)):
+        for t, q in enumerate(eps_coeffs(b)[: a.order + 1 - s]):
             out[s + t] = out[s + t] + p * q
     return EpsPoly(a.ring, a.order, out)
 
@@ -891,7 +909,7 @@ def defect_cocycle(amb, gens):
     for i in others:
         remainders[i] = []
         for g in gens:
-            moved = EpsPoly(g.ring, g.order, [action.apply(i, c) for c in g.coeffs])
+            moved = EpsPoly(g.ring, g.order, [action.apply(i, c) for c in eps_coeffs(g)])
             remainders[i].append(eps_divide(moved, list(gens), amb.pres.representer,
                                             allow_final_remainder=True)[1])
     values = {
@@ -951,7 +969,7 @@ def flow_by_substitution(d, components) -> tuple:
     out = []
     for g in d.gens:
         total = EpsPoly(ring, m, [])
-        for t, coeff in enumerate(g.coeffs):
+        for t, coeff in enumerate(eps_coeffs(g)):
             for mono, c in coeff.terms.items():
                 part = EpsPoly.constant(ring, m, ring.const(c))
                 for image, e in zip(images, mono):
@@ -1046,7 +1064,7 @@ def reduce_vec_by_scan(ring: PolyRing, v: dict, basis: list) -> dict:
         pos, m = t
         for g, (gpos, gm) in basis:
             if gpos == pos and monomial_divides(gm, m):
-                work = _vec_sub_scaled(field, work, g, work[t], monomial_div(m, gm))
+                work = vec_sub_scaled(field, work, g, work[t], monomial_div(m, gm))
                 break
         else:
             done[t] = work.pop(t)
@@ -1127,3 +1145,74 @@ FRACTION_QQ = FractionRationals()
 def is_canonical_rational(x) -> bool:
     """An ``int``, or a ``Fraction`` whose denominator exceeds one."""
     return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+# --- term sums entry by entry -------------------------------------------------
+
+def _add_entry(field: Field, terms: dict, key, x) -> None:
+    """terms[key] += x through ``field.add``, dropping a zero sum."""
+    s = field.add(terms.get(key, field.zero), x)
+    if s == field.zero:
+        terms.pop(key, None)
+    else:
+        terms[key] = s
+
+
+def poly_add(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f + g: a copy of f's terms with g's added in g's order."""
+    terms = dict(f.terms)
+    for m, c in g.terms.items():
+        _add_entry(f.ring.field, terms, m, c)
+    return Polynomial(f.ring, terms)
+
+
+def poly_sub(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f - g as f + (-g)."""
+    return poly_add(f, -g)
+
+
+def combination(ring: PolyRing, pairs) -> Polynomial:
+    """sum c * p over the (c, p) pairs; the polynomial itself when it is
+    the only nonzero one and c = 1."""
+    pairs = [(c, p) for c, p in pairs if p]
+    if len(pairs) == 1 and pairs[0][0] == ring.field.one:
+        return pairs[0][1]
+    field, terms = ring.field, {}
+    for c, p in pairs:
+        for m, d in p.terms.items():
+            _add_entry(field, terms, m, field.mul(c, d))
+    return Polynomial(ring, terms)
+
+
+def vec_sub_scaled(field: Field, v: dict, w: dict, coeff, shift) -> dict:
+    """v - coeff * x^shift * w for module vectors {(pos, exps): coeff}."""
+    out = dict(v)
+    for (pos, m), c in w.items():
+        _add_entry(field, out, (pos, monomial_mul(m, shift)), field.neg(field.mul(coeff, c)))
+    return out
+
+
+def spair(ring: PolyRing, f: dict, flt, g: dict, glt) -> dict:
+    """The S-vector of f and g with leading terms flt and glt."""
+    field = ring.field
+    lcm = monomial_lcm(flt[1], glt[1])
+    s1 = vec_sub_scaled(field, {}, f, field.neg(field.inv(f[flt])), monomial_div(lcm, flt[1]))
+    return vec_sub_scaled(field, s1, g, field.inv(g[glt]), monomial_div(lcm, glt[1]))
+
+
+def substitute_summed(f: Polynomial, images: list) -> Polynomial:
+    """f with x_i -> images[i]: each term c*x^m is c times the image
+    powers, left to right, and the terms are summed by ``poly_add`` in
+    f's term order."""
+    ring = images[0].ring
+    result = ring.zero
+    for m, c in f.terms.items():
+        part = ring.const(c)
+        for g, e in zip(images, m):
+            if e:
+                power = g
+                for _ in range(e - 1):
+                    power = power * g
+                part = part * power
+        result = poly_add(result, part)
+    return result

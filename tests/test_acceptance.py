@@ -207,7 +207,7 @@ def test_criterion_5_randomized_property_suite():
                 for v in slice_vecs:
                     c = rng.randrange(3 if field is GF(3) else 3)
                     if c:
-                        vec = tuple(a + b.scale(ring.field.of(c))
+                        vec = tuple(a + b * ring.field.of(c)
                                     for a, b in zip(vec, v))
                 return DifferenceClass(amb, vec)
 

@@ -238,7 +238,7 @@ def test_derivation_slice_reynolds_cross_check(ring, cusp, sign):
             for i in sign.indices():
                 total = tuple(a + b for a, b in
                               zip(total, oracles.derivation_act(amb, i, d)))
-            projected.append(tuple(cusp.nf(c.scale(field.fraction(1, 2)))
+            projected.append(tuple(cusp.nf(c * field.fraction(1, 2))
                                    for c in total))
         coords = _SliceCoordinates()
         assert _span_dim(field, coords, projected) == _span_dim(field, coords, inv)
@@ -386,7 +386,7 @@ def test_actions_by_linearity_match_the_direct_formulas(name):
             m = rng.choice(monos)
             acted = [ring.zero] * ring.nvars
             for r, c in column:
-                acted[r] = amb._monomial_image(g, m).scale(c)
+                acted[r] = amb._monomial_image(g, m) * c
             unit = tuple(ring.monomial(m) if k == i else ring.zero for k in range(ring.nvars))
             assert tuple(acted) == oracles.derivation_act(amb, g, unit)
 

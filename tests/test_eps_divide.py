@@ -112,7 +112,8 @@ def _oracle_remainders(amb, gens, allow_final_remainder, elements):
     for i in elements:
         row = []
         for g in gens:
-            moved = EpsPoly(g.ring, g.order, [amb.action.apply(i, c) for c in g.coeffs])
+            moved = EpsPoly(g.ring, g.order,
+                            [amb.action.apply(i, c) for c in oracles.eps_coeffs(g)])
             outcome = _oracle_division(moved, gens, rep, allow_final_remainder)
             if outcome[0] == "raised":
                 return outcome
@@ -131,7 +132,8 @@ def _oracle_quotients(amb, gens):
     for i in _generator_inverses(amb):
         out[i] = []
         for g, twist in zip(gens, amb.twists[i]):
-            moved = EpsPoly(g.ring, g.order, [amb.action.apply(i, c) for c in g.coeffs])
+            moved = EpsPoly(g.ring, g.order,
+                            [amb.action.apply(i, c) for c in oracles.eps_coeffs(g)])
             S, w = oracles.eps_divide(moved, list(gens), rep, False)
             assert w is None
             assert tuple(s_l.coeff(0) for s_l in S) == tuple(twist)

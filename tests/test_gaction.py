@@ -137,7 +137,7 @@ def _twist_matrix(amb, i):
     out = [[amb.ring.zero] * amb.rank for _ in range(amb.rank)]
     for j, row in enumerate(amb.twist_images[i]):
         for l, e in row:
-            out[j][l] = e if isinstance(e, Polynomial) else amb.ring.one.scale(e)
+            out[j][l] = e if isinstance(e, Polynomial) else amb.ring.const(e)
     return out
 
 

@@ -6,7 +6,9 @@ test, not in the library that every run compiles.  A name counts as read
 when it occurs anywhere in ``src/eqdeform`` or ``bench/*.py`` other than
 its own ``def``/``class`` line: as a ``Name``, as an attribute, or as a
 dotted part of a string constant (``bench/tracer.py`` names its targets
-as ``"module.Class.method"``).  Dunders are called by the language, and
+as ``"module.Class.method"``).  A method or property is read only as an
+attribute or in a dotted string: a local variable or parameter of the
+same name does not read it.  Dunders are called by the language, and
 a method overriding one of a class outside the package (such as
 ``argparse.ArgumentParser.error``) by that class, so neither is checked.
 """
@@ -50,37 +52,44 @@ def _foreign_overrides(path, tree):
 
 
 def _definitions(trees):
+    """(name, where, is a method) for each checked definition."""
     out = []
     for path, tree in trees.items():
         if path not in SOURCES:
             continue
         foreign = _foreign_overrides(path, tree)
+        methods = {f for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for f in node.body}
         for node in ast.walk(tree):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not _is_dunder(node.name) and node not in foreign):
-                out.append((node.name, f"{path.relative_to(ROOT)}:{node.lineno}"))
+                out.append((node.name, f"{path.relative_to(ROOT)}:{node.lineno}",
+                            node in methods))
     return out
 
 
 def _occurrences(trees):
-    names = set()
+    """(names read as a ``Name``, names read as an attribute or in a
+    dotted string)."""
+    names, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                attributes.add(node.attr)
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and DOTTED.fullmatch(node.value)):
-                names.update(node.value.split("."))
-    return names
+                attributes.update(node.value.split("."))
+    return names, attributes
 
 
 def unread_definitions():
     """(name, where) for each definition whose name is read nowhere."""
     trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES + BENCH}
-    read = _occurrences(trees)
-    return sorted(d for d in _definitions(trees) if d[0] not in read)
+    names, attributes = _occurrences(trees)
+    return sorted((name, where) for name, where, method in _definitions(trees)
+                  if name not in attributes and (method or name not in names))
 
 
 def test_every_library_definition_has_a_reader():

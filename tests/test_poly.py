@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+import oracles
+from eqdeform.ambient import _combination
 from eqdeform.deform import EpsPoly
 from eqdeform.fields import GF, QQ, FieldError
+from eqdeform.groebner import _spair, _vec_lt, vec_from_polys
 from eqdeform.poly import (
     ContextMismatchError,
     MonomialOrder,
@@ -182,3 +185,72 @@ def test_scalar_invariants():
         GF(6)
     with pytest.raises(FieldError):
         f5.fraction(1, 5)
+
+
+# --- sums through add_scaled against the loops they replaced ---------------------
+
+SUM_FIELDS = (GF(2), GF(3), GF(7), QQ)
+
+
+def _nonzero(field, rng):
+    """A nonzero element, over Q an int or a Fraction with denominator 2 or 3."""
+    x = field.zero
+    while x == field.zero:
+        x = field.fraction(rng.randint(-5, 5), rng.choice((2, 3))) \
+            if field is QQ and rng.random() < 0.3 else field.of(rng.randrange(-6, 7))
+    return x
+
+
+def _cancelling_pair(ring, rng):
+    """f and g on a pool of 12 monomials, g meeting f's terms with their
+    negatives (they cancel) or with other values (they update)."""
+    field = ring.field
+    pool = [tuple(rng.randrange(3) for _ in ring.variables) for _ in range(12)]
+    f = ring.from_terms({m: _nonzero(field, rng) for m in rng.sample(pool, 7)})
+    g = {m: field.neg(f.terms[m]) if m in f.terms and rng.random() < 0.5
+         else _nonzero(field, rng) for m in rng.sample(pool, 8)}
+    return f, ring.from_terms(g)
+
+
+def _terms(p):
+    return list(p.terms.items())
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_sums_keep_the_values_and_term_order_of_the_reference_loops(seed):
+    """Polynomial + and -, ``ambient._combination``, ``groebner._spair``
+    and the running sum of ``substitute`` give the same terms in the same
+    order as the entry-by-entry loops they replaced (``oracles``), on
+    seeded F_2, F_3, F_7 and Q inputs whose terms cancel and update."""
+    rng = random.Random(seed)
+    ring = PolyRing(SUM_FIELDS[seed % 4], ["x", "y", "z"])
+    field = ring.field
+    f, g = _cancelling_pair(ring, rng)
+    h, k = _cancelling_pair(ring, rng)
+    assert _terms(f + g) == _terms(oracles.poly_add(f, g))
+    assert _terms(f - g) == _terms(oracles.poly_sub(f, g))
+    assert _terms(g - g) == []
+    pairs = [(field.one, f), (field.neg(field.one), g), (_nonzero(field, rng), h)]
+    assert _terms(_combination(ring, pairs)) == _terms(oracles.combination(ring, pairs))
+    u, v = vec_from_polys([f, h]), vec_from_polys([g, k])
+    ult, vlt = _vec_lt(ring, u), _vec_lt(ring, v)
+    assert list(_spair(ring, u, ult, v, vlt).items()) == \
+        list(oracles.spair(ring, u, ult, v, vlt).items())
+    images = [h, g + ring.var("x"), ring.var("y") - k]
+    assert _terms(substitute(f, dict(zip(ring.variables, images)))) == \
+        _terms(oracles.substitute_summed(f, images))
+
+
+def test_reference_sums_meet_cancellations_and_updates():
+    """The seeds above cancel terms in every field and update terms in
+    place in every field but F_2, where two meeting terms always cancel."""
+    seen = set()
+    for seed in range(24):
+        rng = random.Random(seed)
+        ring = PolyRing(SUM_FIELDS[seed % 4], ["x", "y", "z"])
+        f, g = _cancelling_pair(ring, rng)
+        total = f + g
+        for m in f.terms.keys() & g.terms.keys():
+            seen.add((ring.field, "update" if m in total.terms else "cancel"))
+    assert seen == {(F, "cancel") for F in SUM_FIELDS} | \
+        {(F, "update") for F in SUM_FIELDS if F != GF(2)}

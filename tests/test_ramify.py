@@ -2,7 +2,7 @@ from math import ceil
 
 import pytest
 
-from eqdeform.cli import main
+from eqdeform.cli import MAX_RAMIFY_DIFFERENT, main
 from eqdeform.fields import GF, QQ
 from eqdeform.ramify import (
     RootOfUnityError,
@@ -106,6 +106,16 @@ def test_action_matrix_entries_are_the_weight_powers():
                     entry = field.mul(entry, z)
                 expected.append({i: entry})
             assert module.action_matrix() == expected
+
+
+def test_ramify_refuses_a_different_past_its_bound(capsys):
+    """The matrix cross-check holds d rows, so d is bounded: one past the
+    bound is an input error, raised before any row is built."""
+    assert MAX_RAMIFY_DIFFERENT == 10**6
+    assert main(["ramify", "--d", "1000001", "--m", "2", "--p", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_RAMIFY_DIFFERENT = 1000000" in captured.err
 
 
 def test_ramify_with_a_huge_stabilizer_does_not_multiply_m_times(capsys):
