@@ -15,9 +15,10 @@ from the data of order m.  A Deformation keeps the stage quotients of
 its certificate, and one division routine (_divide) starts at a given
 stage from the quotients of the stages below it: at stage 1 for a
 certificate from scratch (certify_equivariance), at the new top stage
-for a lift, a shift or a flow.  A lift step so divides its new order
-only; eps_divide, the division of an arbitrary eps-polynomial, keeps
-only the final remainder.
+for a lift, a shift or a flow (_extend, which builds the new
+deformation and leaves the one it starts from as it was).  A lift step
+so divides its new order only; eps_divide, the division of an arbitrary
+eps-polynomial, keeps only the final remainder.
 
 The group is read through its generators.  The equivariance divisions
 run at the inverses s^-1 of the generators only: they generate G, so an
@@ -176,9 +177,10 @@ class Deformation:
     T the twist cofactors amb.twists[i], kept only at the stages t >= 1
     whose residual was nonzero.  Constructors that build a lift certify
     it, dividing only the stage they change and carrying the stages
-    below from the deformation they start from.  A deformation built by
-    hand has none until verify_deformation, or the first lift of it,
-    certifies it from stage 1.
+    below from the deformation they start from (``_extend``).  A
+    deformation built by hand has none until verify_deformation, or the
+    first extension of it, certifies it from stage 1; nothing else is
+    ever assigned to a deformation after it is built.
     """
 
     def __init__(self, amb: EquivariantAmbient, order: int, gens):
@@ -186,8 +188,6 @@ class Deformation:
         self.order = order
         self.gens = tuple(gens)
         self.quotients = None
-        # (generators, division) of the last lift _divide_top divided
-        self._lift = None
         if len(self.gens) != len(amb.pres.gens):
             raise DeformationError("wrong number of lifted generators")
         for g, f in zip(self.gens, amb.pres.gens):
@@ -327,32 +327,31 @@ def certify_equivariance(amb: EquivariantAmbient, gens) -> dict:
     return _equivariance_division(amb, gens, 1, None, False)[1]
 
 
-def _divide_top(d: Deformation, gens, order: int):
-    """The equivariance division of generators over eps order n = order
-    that agree with d's below eps^n: d.order for a shifted or flowed d,
-    d.order + 1 for a lift of d.  The stages below n are d's certificate
-    (from stage 1 first, when d has none), so only stage n is divided;
-    its remainders are allowed.
+def _below(g: EpsPoly, m: int) -> dict:
+    """The nonzero eps coefficients of g below eps^m."""
+    return {t: c for t, c in g.terms.items() if t < m}
 
-    d keeps the last generators it divided, so the calls equivariantize
-    makes for one lift (its own check, obstruction_cocycle, the
-    certificate of the lift) share one division."""
-    if d._lift is not None and d._lift[0] is gens:
-        return d._lift[1]
+
+def _extend(d: Deformation, gens, order: int):
+    """(the deformation with generators gens over eps order n = order,
+    the remainders of its stage-n division), for gens that agree with
+    d's below eps^n: n = d.order for a shift or a flow, d.order + 1 for
+    a lift.  Its certificate is d's stages below n and the stage-n rows,
+    complete when every remainder is None.  d is left as it was, but
+    certified from stage 1 first when it was built by hand."""
+    out = Deformation(d.amb, order, gens)
+    if any(_below(g, order) != _below(f, order) for g, f in zip(out.gens, d.gens)):
+        raise DeformationError(f"generators differ from the deformation below eps^{order}")
     if d.quotients is None:
         d.quotients = certify_equivariance(d.amb, d.gens)
-    division = _equivariance_division(d.amb, gens, order, d.quotients, True)
-    d._lift = (gens, division)
-    return division
+    remainders, out.quotients = _equivariance_division(d.amb, out.gens, order, d.quotients, True)
+    return out, remainders
 
 
 def _certified(d: Deformation, gens, order: int) -> Deformation:
-    """The deformation with generators gens over eps order n = order,
-    which agree with d's below eps^n, with its certificate: d's stages
-    below n and the division of stage n (``_divide_top``).  Raises
-    DeformationError when stage n leaves the ideal."""
-    out = Deformation(d.amb, order, gens)
-    remainders, out.quotients = _divide_top(d, out.gens, order)
+    """The deformation ``_extend`` builds, which must be equivariant:
+    raises DeformationError when stage n = order leaves the ideal."""
+    out, remainders = _extend(d, gens, order)
     if not _exact(remainders):
         raise DeformationError(f"eps^{order} coefficient is not in the base ideal")
     return out
@@ -422,10 +421,8 @@ def difference_class(d1: Deformation, d2: Deformation) -> DifferenceClass:
     agree below the top order."""
     _check_compatible(d1, d2)
     m = d1.order
-    for g1, g2 in zip(d1.gens, d2.gens):
-        if any(g1.coeff(t) != g2.coeff(t)
-               for t in g1.terms.keys() | g2.terms.keys() if t < m):
-            raise DeformationError("lifts do not agree below the top order")
+    if any(_below(g1, m) != _below(g2, m) for g1, g2 in zip(d1.gens, d2.gens)):
+        raise DeformationError("lifts do not agree below the top order")
     # DifferenceClass takes the normal forms
     cls = DifferenceClass(d1.amb, [g1.coeff(m) - g2.coeff(m) for g1, g2 in zip(d1.gens, d2.gens)])
     N = NormalModule(d1.amb)
@@ -513,20 +510,6 @@ def default_truncation(amb: EquivariantAmbient) -> int:
     return 2 * max(degs, default=1)
 
 
-def _lift_division(d: Deformation, lift_gens: tuple):
-    """``_divide_top`` of generators over eps order m + 1 that must lift
-    d's generators."""
-    order = d.order + 1
-    if len(lift_gens) != len(d.gens):
-        raise DeformationError("wrong number of lifted generators")
-    for g, base_g in zip(lift_gens, d.gens):
-        if g.order != order:
-            raise DeformationError("lift generators have the wrong order")
-        if g.truncate(d.order) != base_g:
-            raise DeformationError("generators do not lift the given deformation")
-    return _divide_top(d, lift_gens, order)
-
-
 def _exact(remainders) -> bool:
     return all(w is None for row in remainders.values() for w in row)
 
@@ -542,7 +525,7 @@ def obstruction_cocycle(d: Deformation, lift_gens) -> Cocycle:
     returned when it lies outside the ideal, which s stabilizes.  The
     stages up to m are d's certificate, so only eps^(m+1) is divided."""
     amb = d.amb
-    remainders, _ = _lift_division(d, tuple(lift_gens))
+    _, remainders = _extend(d, lift_gens, d.order + 1)
     action = amb.action
     values = {
         s: tuple(amb.ring.zero if w is None else amb.image(s, w)
@@ -617,13 +600,14 @@ def equivariantize(d: Deformation, lift_gens,
     cancels the defect exactly; the corrected lift is re-certified at
     eps^(m+1).  When every division of the lift is exact the defect is
     zero, so the lift is returned as it is, with that division as the
-    top stage of its certificate, and no cocycle is formed."""
+    top stage of its certificate, and no cocycle is formed; otherwise
+    obstruction_cocycle divides that stage once more."""
     amb = d.amb
     order = d.order + 1
-    lift_gens = tuple(lift_gens)
-    if _exact(_lift_division(d, lift_gens)[0]):
-        return LiftOutcome(True, _certified(d, lift_gens, order), None, "exact")
-    c = obstruction_cocycle(d, lift_gens)
+    lift, remainders = _extend(d, lift_gens, order)
+    if _exact(remainders):
+        return LiftOutcome(True, lift, None, "exact")
+    c = obstruction_cocycle(d, lift.gens)
     N = NormalModule(amb)
     bound = (trunc if trunc is not None else default_truncation(amb)) + SLACK
     others = [i for i in amb.action.indices() if i != amb.action.identity_index]
@@ -638,7 +622,7 @@ def equivariantize(d: Deformation, lift_gens,
         return LiftOutcome(False, None, c, certified)
     nu = m_search.materialize(phi)
     gens = []
-    for g, comp in zip(lift_gens, nu):
+    for g, comp in zip(lift.gens, nu):
         gens.append(g - EpsPoly.constant(amb.ring, order, comp).shift(order))
     return LiftOutcome(True, _certified(d, tuple(gens), order), None, "exact")
 
@@ -705,23 +689,18 @@ def tangent_spaces(amb: EquivariantAmbient,
         matrices = {}
         for i in amb.action.generators:
             rows = [{} for _ in qb.monomials]
-            for c, (pos, m) in enumerate(qb.monomials):
-                acted = N.act(i, _basis_vector(ring, rank, pos, m))
-                for p_idx, poly in enumerate(module_gb.reduce_polys(acted)):
+            for c, vec in enumerate(t1_vectors):
+                for p_idx, poly in enumerate(module_gb.reduce_polys(N.act(i, vec))):
                     for mono, coeff in poly.terms.items():
                         rows[index[(p_idx, mono)]][c] = coeff
             matrices[i] = rows
-        fixed = invariants(GModuleSlice(amb.action, field, len(qb.monomials), matrices))
+        t1 = GModuleSlice(amb.action, field, len(qb.monomials), matrices, t1_vectors)
+        fixed = invariants(t1)
         # invariant vector representatives via averaging
         scale = field.inv(field.of(len(amb.action)))
         reps = []
         for coords in fixed:
-            # the basis monomials are distinct, so no two coordinates meet
-            vec = [{} for _ in range(rank)]
-            for k, c in coords.items():
-                pos, m = qb.monomials[k]
-                vec[pos][m] = c
-            vec = tuple(Polynomial(ring, terms) for terms in vec)
+            vec = t1.materialize(coords)
             images = [N.act(i, vec) for i in amb.action.indices()]
             reps.append(tuple(_combination(ring, ((scale, image[j]) for image in images))
                               for j in range(rank)))

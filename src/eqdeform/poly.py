@@ -22,7 +22,6 @@ class ContextMismatchError(ValueError):
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
 
 
 class MonomialOrder:

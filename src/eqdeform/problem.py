@@ -25,7 +25,6 @@ class ProblemError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 EPS_NAME = "eps"

@@ -1200,6 +1200,46 @@ def spair(ring: PolyRing, f: dict, flt, g: dict, glt) -> dict:
     return vec_sub_scaled(field, s1, g, field.inv(g[glt]), monomial_div(lcm, glt[1]))
 
 
+def _vec(f: Polynomial) -> dict:
+    return {(0, m): c for m, c in f.terms.items()}
+
+
+def _poly(ring: PolyRing, v: dict) -> Polynomial:
+    return Polynomial(ring, {m: c for (_, m), c in v.items()})
+
+
+def reduced_groebner(ring: PolyRing, polys) -> list[Polynomial]:
+    """The reduced, monic Groebner basis of the ideal the polynomials
+    generate, in no particular order: Buchberger with no criteria on
+    ``spair`` and ``reduce_vec_by_scan``, so every sum goes through
+    ``field.add``.  The pending vector of least leading degree is reduced
+    first, and each new element is reduced by the ones before it, so no
+    two share a leading term."""
+    field = ring.field
+    basis, pending = [], [_vec(f) for f in polys]
+    while pending:
+        pending.sort(key=lambda v: -sum(_vec_lt(ring, v)[1]) if v else 0)
+        v = reduce_vec_by_scan(ring, pending.pop(), basis)
+        if v:
+            lt = _vec_lt(ring, v)
+            v = {t: field.mul(field.inv(v[lt]), c) for t, c in v.items()}
+            pending += [spair(ring, v, lt, g, glt) for g, glt in basis]
+            basis.append((v, lt))
+    # keep the leading terms that no other one divides, each element
+    # reduced by the others
+    minimal = [(g, lt) for g, lt in basis if not any(
+        other != lt and monomial_divides(other[1], lt[1]) for _, other in basis)]
+    return [_poly(ring, reduce_vec_by_scan(ring, g, [e for e in minimal if e[1] != lt]))
+            for g, lt in minimal]
+
+
+def normal_form_by_scan(basis: list[Polynomial], f: Polynomial) -> Polynomial:
+    """The normal form of f by a monic Groebner basis, through
+    ``reduce_vec_by_scan``."""
+    pairs = [(_vec(g), (0, g.leading_monomial())) for g in basis]
+    return _poly(f.ring, reduce_vec_by_scan(f.ring, _vec(f), pairs))
+
+
 def substitute_summed(f: Polynomial, images: list) -> Polynomial:
     """f with x_i -> images[i]: each term c*x^m is c times the image
     powers, left to right, and the terms are summed by ``poly_add`` in

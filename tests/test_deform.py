@@ -1,3 +1,4 @@
+import copy
 import random
 from pathlib import Path
 
@@ -569,6 +570,58 @@ def test_lift_steps_divide_only_their_new_stage(monkeypatch):
         per_step.append(len(calls) - before)
     assert max(per_step) <= bound
     assert sum(per_step) <= bound * 38 < 1646
+
+
+@pytest.mark.parametrize("path,defect", [("bench/problems/klein_twist_f2.prob", True),
+                                         ("problems/cusp_lift_x.prob", False)])
+def test_lifting_leaves_its_base_deformation_unchanged(path, defect):
+    """Lifts, shifts and flows build a new deformation and assign
+    nothing to the certified one they start from: its attributes are
+    the same objects afterwards, and its stage rows the same values.
+    klein_twist_f2's coefficientwise lift from order 1 is not
+    equivariant, so there equivariantize corrects it."""
+    d = file_deformation(path)
+    amb = d.amb
+    lift_gens = tuple(g.lift(d.order + 1) for g in d.gens)
+    assert obstruction_cocycle(d, lift_gens).is_zero() != defect
+    (flow, *_) = slice_derivations(amb, 2)
+    (nu, *_) = invariant_normal_slice(amb, 2)
+    steps = [
+        lambda: lift_step(d, trunc=2),
+        lambda: equivariantize(d, lift_gens, trunc=2),
+        lambda: obstruction_cocycle(d, lift_gens),
+        lambda: shift_lift(d, DifferenceClass(amb, nu)),
+        lambda: apply_flow(d, flow),
+    ]
+    # the copied rows stay over the ambient ring
+    attributes, quotients = dict(vars(d)), copy.deepcopy(d.quotients, {id(amb.ring): amb.ring})
+    for step in steps:
+        step()
+        assert vars(d).keys() == attributes.keys()
+        assert all(vars(d)[name] is value for name, value in attributes.items())
+        assert d.quotients == quotients
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("count", "wrong number of lifted generators"),
+    ("order", "generator order does not match the base"),
+    ("below", r"generators differ from the deformation below eps\^2"),
+])
+@pytest.mark.parametrize("divide", [equivariantize, obstruction_cocycle])
+def test_lifts_refuse_generators_that_do_not_lift_the_deformation(divide, kind, message):
+    """Generators passed as a lift of an order-1 deformation must be as
+    many as its generators, over eps order 2, and equal to its
+    generators below eps^2."""
+    d = file_deformation("problems/cusp_lift_x.prob")
+    ring = d.amb.ring
+    lift = [g.lift(2) for g in d.gens]
+    bad = {
+        "count": lift * 2,
+        "order": [g.lift(3) for g in d.gens],
+        "below": [g - EpsPoly.constant(ring, 2, ring.var("x")).shift(1) for g in lift],
+    }[kind]
+    with pytest.raises(DeformationError, match=message):
+        divide(d, bad)
 
 
 @pytest.mark.parametrize("path", ["bench/problems/trans_f3.prob",

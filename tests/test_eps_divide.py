@@ -22,8 +22,8 @@ from eqdeform.deform import (
     Deformation,
     DeformationError,
     EpsPoly,
-    _divide_top,
     _equivariance_division,
+    _extend,
     certify_equivariance,
     eps_divide,
     lift_step,
@@ -217,7 +217,12 @@ def _carried_top_matches_scratch(d, gens):
     carries d's stages equals the one from stage 1, remainders and
     quotients, and both raise alike.  Returns the carried outcome."""
     order = gens[0].order
-    carried = _new_division(lambda: _divide_top(d, gens, order))
+
+    def carried_division():
+        out, remainders = _extend(d, gens, order)
+        return remainders, out.quotients
+
+    carried = _new_division(carried_division)
     scratch = _new_division(lambda: _equivariance_division(d.amb, gens, 1, None, True))
     assert carried == scratch
     return carried

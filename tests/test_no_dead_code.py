@@ -11,6 +11,10 @@ attribute or in a dotted string: a local variable or parameter of the
 same name does not read it.  Dunders are called by the language, and
 a method overriding one of a class outside the package (such as
 ``argparse.ArgumentParser.error``) by that class, so neither is checked.
+
+An instance attribute stored in ``src/eqdeform`` is read only when it is
+loaded as an attribute in ``src/eqdeform`` or ``bench/*.py``, or named in
+a dotted string: storing it again does not read it.
 """
 
 import ast
@@ -31,6 +35,10 @@ ALLOWED = {
     # acceptance criterion 8 takes the tame local different from it
     "tame_different",
 }
+
+
+def _parse():
+    return {path: ast.parse(path.read_text(), str(path)) for path in SOURCES + BENCH}
 
 
 def _is_dunder(name):
@@ -86,10 +94,28 @@ def _occurrences(trees):
 
 def unread_definitions():
     """(name, where) for each definition whose name is read nowhere."""
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES + BENCH}
+    trees = _parse()
     names, attributes = _occurrences(trees)
     return sorted((name, where) for name, where, method in _definitions(trees)
                   if name not in attributes and (method or name not in names))
+
+
+def unread_attributes():
+    """(name, where) for each instance attribute stored in src/eqdeform
+    and never loaded."""
+    trees = _parse()
+    loaded, stored = set(), {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+                elif path in SOURCES and not _is_dunder(node.attr):
+                    stored.setdefault(node.attr, f"{path.relative_to(ROOT)}:{node.lineno}")
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and DOTTED.fullmatch(node.value)):
+                loaded.update(node.value.split("."))
+    return sorted((name, where) for name, where in stored.items() if name not in loaded)
 
 
 def test_every_library_definition_has_a_reader():
@@ -102,3 +128,9 @@ def test_every_library_definition_has_a_reader():
 def test_the_allowlist_names_only_unread_definitions():
     unread = {name for name, _ in unread_definitions()}
     assert ALLOWED <= unread, f"no longer unread, drop from ALLOWED: {ALLOWED - unread}"
+
+
+def test_every_stored_attribute_is_read():
+    unread = unread_attributes()
+    assert not unread, "stored in src/eqdeform, loaded nowhere in src/ or bench/: " \
+        + ", ".join(f"{name} ({where})" for name, where in unread)
