@@ -239,8 +239,8 @@ class EquivariantAmbient:
         """(``ambient_vector_slice(self, degree)``, the normal image of
         each basis vector): T^0_G, the slice route of T^1_G and
         isomorphism witnesses all take it from here.  Only the last
-        degree is kept (a graded ``tangent`` reuses it); another degree
-        frees it before it is built."""
+        degree is kept (``derivations`` reads T^0_G off it at any lower
+        degree); another degree frees it before it is built."""
         if degree not in self.vector_slices:
             self.vector_slices.clear()
             basis = ambient_vector_slice(self, degree)
@@ -360,7 +360,7 @@ def regular_rep_embedding(p: AffinePresentation, g: GroupAction) -> EquivariantA
             for i in range(n):
                 images[j * n + i] = bigvar(i, target)
         elements.append(Substitution(big, images))
-    big_action = GroupAction(big, elements, g.table, g.inverse, g.generators)
+    big_action = GroupAction(big, elements, g.table, g.inverse, g.generators, g.tree)
     return EquivariantAmbient(big_pres, big_action, p, "regular", embed_images)
 
 
@@ -493,8 +493,17 @@ def derivations(amb: EquivariantAmbient, degree: int) -> int:
 
     A derivation of B is an ambient vector D with J.D = 0 mod I, and
     normal_image is k-linear, so T^0_G on the slice is the kernel of the
-    normal-image map on the invariant slice: its dimension is the slice
-    dimension less the rank of the images.  No kernel vector is formed."""
-    basis, images = amb.vector_slice(degree)
+    normal-image map on the invariant slice.  It is read off the held
+    slice of some degree S >= degree (built at degree when none is held):
+    the invariant slice at degree is the span of the held basis vectors
+    with no component above degree, so T^0_G is len(basis) less the rank
+    of the rows [normal-image coordinates | coordinates of the components
+    above degree], one row per basis vector.  No kernel vector is formed."""
+    held = next((S for S in amb.vector_slices if S >= degree), degree)
+    basis, images = amb.vector_slice(held)
+    if held > degree:  # each image next to its vector's components above degree
+        images = [u + tuple(Polynomial(amb.ring, {m: c for m, c in p.terms.items()
+                                                  if sum(m) > degree}) for p in v)
+                  for v, u in zip(basis, images)]
     coords = _SliceCoordinates()
     return len(basis) - rank(amb.ring.field, [coords.row(u) for u in images])

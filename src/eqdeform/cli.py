@@ -207,8 +207,8 @@ def cmd_check(args) -> int:
 def cmd_tangent(args) -> int:
     ws = Workspace(_load_problem(args.problem))
     trunc = ws.truncation(args.truncate)
-    t0_dim = derivations(ws.ambient, trunc)
     rep = tangent_spaces(ws.ambient, trunc=trunc)
+    t0_dim = derivations(ws.ambient, trunc)
     report = Report("tangent", ws)
     report.put("truncation", trunc, f"truncation: {trunc}")
     report.put("t0_dim", t0_dim,

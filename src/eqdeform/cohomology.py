@@ -28,8 +28,6 @@ deform).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ambient import NormalModule, _combination, _SliceCoordinates
 from .fields import add_scaled
 from .gaction import GroupAction
@@ -250,14 +248,10 @@ def _unit_coboundaries(m: GModuleSlice):
     return transpose(_action_minus_identity(m, m.group.generators), m.dim)
 
 
-@dataclass
-class H1Result:
-    dimension: int
-    representatives: list  # cocycles as values {s: coordinate vector}
-
-
-def h1_bounded(m_small: GModuleSlice, m_big: GModuleSlice) -> H1Result:
-    """Classes of Z^1(m_small) not killed by coboundaries from m_big.
+def h1_bounded(m_small: GModuleSlice, m_big: GModuleSlice) -> list:
+    """Classes of Z^1(m_small) not killed by coboundaries from m_big, each
+    a cocycle as its values {s: coordinate vector}; their number is the
+    dimension of H^1 at the slice.
 
     m_small's payload vectors must lie inside m_big; this implements the
     slice policy for filtered modules (value slice at D, coboundary
@@ -269,7 +263,7 @@ def h1_bounded(m_small: GModuleSlice, m_big: GModuleSlice) -> H1Result:
     field = m_small.field
     z_small = zcocycles(m_small)
     if not z_small:
-        return H1Result(0, [])
+        return []
     gens = _Blocks(m_big, m_big.group.generators)
     if m_big is m_small:
         embed = gens.stack
@@ -288,7 +282,7 @@ def h1_bounded(m_small: GModuleSlice, m_big: GModuleSlice) -> H1Result:
             return gens.stack(values)
 
     _, kept = span_modulo(field, _unit_coboundaries(m_big), (embed(z) for z in z_small))
-    return H1Result(len(kept), [z_small[k] for k in kept])
+    return [z_small[k] for k in kept]
 
 
 def solve_coboundary(m: GModuleSlice, cochain) -> dict | None:

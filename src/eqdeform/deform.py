@@ -141,16 +141,11 @@ class EpsPoly:
         return EpsPoly(self.ring, self.order,
                        {s + t: c for s, c in self.terms.items()})
 
-    def truncate(self, order: int) -> "EpsPoly":
-        if max(self.terms, default=0) <= order:
-            return EpsPoly._on(self.ring, order, self.terms)
-        return EpsPoly(self.ring, order, self.terms)
-
     def lift(self, order: int) -> "EpsPoly":
         """Coefficientwise lift: the same nonzero coefficients over a
         higher order."""
         if order < self.order:
-            raise ValueError("use truncate to lower the order")
+            raise ValueError("a lift cannot lower the order")
         return EpsPoly._on(self.ring, order, self.terms)
 
     def __repr__(self):
@@ -666,8 +661,8 @@ def tangent_spaces(amb: EquivariantAmbient,
     images of invariant ambient derivations of degree <= D + SLACK, or
     <= D on a graded setup with one generator degree, where both give the
     same quotient (``_search_degree``).  The images come from
-    ``EquivariantAmbient.vector_slice``, so there ``derivations(amb, D)``
-    and this quotient share one slice.
+    ``EquivariantAmbient.vector_slice``, which holds that slice for a
+    later ``derivations(amb, D)``.
     """
     pres = amb.pres
     ring = amb.ring
@@ -738,11 +733,10 @@ def obstruction_space(amb: EquivariantAmbient,
     m_small = slice_of_normal_module(N, D)
     search = _search_degree(amb, D)
     m_big = m_small if search == D else slice_of_normal_module(N, search)
-    res = h1_bounded(m_small, m_big)
     others = [i for i in amb.action.indices() if i != amb.action.identity_index]
     reps = [Cocycle(N, {s: m_small.materialize(z.get(s, {})) for s in others})
-            for z in res.representatives]
-    return ObstructionReport(res.dimension, reps, f"slice:{D}")
+            for z in h1_bounded(m_small, m_big)]
+    return ObstructionReport(len(reps), reps, f"slice:{D}")
 
 
 def invariant_normal_slice(amb: EquivariantAmbient, degree: int):

@@ -8,8 +8,6 @@ the substitution map a homomorphism by construction.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .fields import add_scaled
 from .groebner import GroebnerBasis
 from .linalg import rank as matrix_rank
@@ -113,15 +111,19 @@ class GroupAction:
     """A finite group of ring substitutions with its multiplication table.
 
     ``generators`` holds the indices of nonidentity elements that generate
-    the group (none for the trivial group)."""
+    the group (none for the trivial group).  ``tree`` is a spanning tree
+    of the Cayley graph from e by right multiplication with the
+    generators: one edge (a, g, ag) per nonidentity element, a reached
+    before ag, in the order of ag."""
 
-    def __init__(self, ring: PolyRing, elements, table, inverse, generators):
+    def __init__(self, ring: PolyRing, elements, table, inverse, generators, tree):
         self.ring = ring
         self.elements = list(elements)
         self.table = table
         self.inverse = inverse
         self.identity_index = 0
         self.generators = list(generators)
+        self.tree = tree
 
     def __len__(self):
         return len(self.elements)
@@ -137,23 +139,6 @@ class GroupAction:
 
     def apply(self, i: int, f: Polynomial) -> Polynomial:
         return self.elements[i].apply(f)
-
-    @cached_property
-    def tree(self) -> list:
-        """The spanning tree of the Cayley graph found breadth-first from
-        e by right multiplication with the generators: one edge
-        (a, g, ag) per nonidentity element, a reached before ag.  For a
-        group from close_group, whose closure walks the same way, the
-        children come in index order."""
-        edges, queue, seen = [], [self.identity_index], {self.identity_index}
-        for a in queue:  # grows while it is walked
-            for g in self.generators:
-                ag = self.table[a][g]
-                if ag not in seen:
-                    seen.add(ag)
-                    queue.append(ag)
-                    edges.append((a, g, ag))
-        return edges
 
     def is_tame(self) -> bool:
         """Whether |G| is invertible in the base field."""
@@ -195,7 +180,8 @@ def close_group(generators, ring: PolyRing | None = None, bound: int = 512) -> G
     composing: it records right[a][k] = index(a * g_k) and the (a, k)
     first reaching each element t = a * g_k, so the table follows by
     associativity, i * t = right[i * a][k], and inverse[i] is where row
-    i holds e.
+    i holds e.  Those (a, k) are the edges (a, g_k, t) of the Cayley tree:
+    the walk takes the elements breadth-first, in index order.
     """
     subs = []
     for g in generators:
@@ -244,7 +230,8 @@ def close_group(generators, ring: PolyRing | None = None, bound: int = 512) -> G
         table.append(row)
     inverse = [row.index(0) for row in table]
     generator_indices = list(dict.fromkeys(index[g] for g in subs if index[g] != 0))
-    return GroupAction(ring, elements, table, inverse, generator_indices)
+    tree = [(a, index[subs[k]], t) for t, (a, k) in enumerate(parent[1:], start=1)]
+    return GroupAction(ring, elements, table, inverse, generator_indices, tree)
 
 
 def verify_stability(gb: GroebnerBasis, action: GroupAction) -> bool:

@@ -27,7 +27,8 @@ all-Fraction arithmetic the canonical ``int``/``Fraction`` form of
 ``poly.substitute`` on every image: it checks the linear combinations of
 ``Substitution.compose``.  ``composed_table`` closes a group and
 composes every pair of its elements that way: it checks the table
-``close_group`` reads off its closure walk.
+``close_group`` reads off its closure walk, and ``cayley_tree`` walks
+that table breadth-first: it checks the tree the walk records.
 ``flow_by_substitution`` multiplies a flow out in full with ``EpsPoly``
 arithmetic: it checks the Jacobian shortcut of ``apply_flow``.
 ``twist_matrices`` divides sigma(f_j) over the generators at every
@@ -40,7 +41,8 @@ the pruned search of ``groebner.krull_dimension``.
 ``reduce_vec_by_scan`` is the normal form by a scan for the largest term
 and a copy per step: it checks the heap of ``groebner.reduce_vec``.
 ``DenseEpsPoly`` keeps every eps coefficient, zeros included, in one
-tuple: it checks the sparse coefficients of ``deform.EpsPoly``.
+tuple: it checks the sparse coefficients of ``deform.EpsPoly``, and
+``truncate`` lowers the order of an ``EpsPoly``, which only tests do.
 ``poly_add``, ``poly_sub``, ``combination``, ``vec_sub_scaled`` with
 ``spair``, and ``substitute_summed`` are the term sums as each was
 written before ``fields.add_scaled``, entry by entry through
@@ -847,6 +849,11 @@ class DenseEpsPoly:
         return " + ".join(pieces) if pieces else "0"
 
 
+def truncate(a: EpsPoly, order: int) -> EpsPoly:
+    """a over k[eps]/(eps^(order+1)): its coefficients at powers <= order."""
+    return EpsPoly(a.ring, order, a.terms)
+
+
 # --- eps-order peeling ------------------------------------------------------
 # A copy of the first eps_divide, kept apart from eqdeform.deform: it
 # divides every stage afresh, eps^0 included (the equivariance divisions
@@ -957,6 +964,21 @@ def composed_table(ring: PolyRing, subs, bound: int) -> tuple:
     return elements, table, inverse
 
 
+def cayley_tree(group) -> list:
+    """The spanning tree of the Cayley graph found breadth-first from e
+    over the group's table by right multiplication with its generators:
+    one edge (a, g, ag) per nonidentity element, a reached before ag."""
+    edges, queue, seen = [], [group.identity_index], {group.identity_index}
+    for a in queue:  # grows while it is walked
+        for g in group.generators:
+            ag = group.table[a][g]
+            if ag not in seen:
+                seen.add(ag)
+                queue.append(ag)
+                edges.append((a, g, ag))
+    return edges
+
+
 # --- flows multiplied out ------------------------------------------------------
 
 def flow_by_substitution(d, components) -> tuple:
@@ -994,11 +1016,11 @@ def slack_obstruction_space(amb, D: int) -> ObstructionReport:
     N = NormalModule(amb)
     m_small = slice_of_normal_module(N, D)
     m_big = slice_of_normal_module(N, D + SLACK)
-    res = cohomology.h1_bounded(m_small, m_big)  # not the all-pairs copy above
+    classes = cohomology.h1_bounded(m_small, m_big)  # not the all-pairs copy above
     others = [i for i in amb.action.indices() if i != amb.action.identity_index]
     reps = [Cocycle(N, {s: m_small.materialize(z.get(s, {})) for s in others})
-            for z in res.representatives]
-    return ObstructionReport(res.dimension, reps, f"slice:{D}")
+            for z in classes]
+    return ObstructionReport(len(reps), reps, f"slice:{D}")
 
 
 def slack_tangent_quotient(amb, D: int) -> list:

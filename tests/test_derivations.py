@@ -128,16 +128,14 @@ def test_tangent_builds_one_vector_slice(monkeypatch, capsys):
 
 
 def test_tangent_ends_with_one_vector_slice_held(monkeypatch, capsys):
-    """trans_f3 is not graded: ``tangent --truncate 3`` counts T^0_G on
-    the slice at 3 and searches the T^1_G images at 5.  The ambient keeps
-    the last slice only: the one at 3 is freed before the one at 5 is
-    built, and the command ends holding one slice."""
-    ambients, held = [], []
+    """trans_f3 is not graded: ``tangent --truncate 3`` searches the
+    T^1_G images on the slice at 5 and reads the T^0_G count at 3 off
+    that slice, so it builds one slice and ends holding it."""
+    calls = []
     original = ambient_module.ambient_vector_slice
 
     def counted(amb, degree):
-        ambients.append(amb)
-        held.append(list(amb.vector_slices))
+        calls.append((amb, degree))
         return original(amb, degree)
 
     monkeypatch.setattr(ambient_module, "ambient_vector_slice", counted)
@@ -145,7 +143,24 @@ def test_tangent_ends_with_one_vector_slice_held(monkeypatch, capsys):
     assert main(["tangent", "bench/problems/trans_f3.prob", "--truncate", "3"]) == 0
     assert capsys.readouterr().out == \
         (ROOT / "bench" / "expected" / "tangent_trans_f3_t3.txt").read_text(encoding="utf-8")
-    amb, second = ambients
-    assert second is amb
-    assert held == [[], []]
-    assert list(amb.vector_slices) == [5]
+    ((amb, degree),) = calls
+    assert degree == 5 and list(amb.vector_slices) == [5]
+
+
+@pytest.mark.parametrize("D", [0, 1, 2, 3])
+@pytest.mark.parametrize("path", PROBLEMS)
+def test_derivations_read_a_held_higher_slice(monkeypatch, path, D):
+    """With the slice at D + 1 or D + 2 held, ``derivations(amb, D)``
+    builds no slice and counts what it counts on a fresh ambient."""
+    calls = []
+    original = ambient_module.ambient_vector_slice
+    monkeypatch.setattr(ambient_module, "ambient_vector_slice",
+                        lambda amb, degree: calls.append(degree) or original(amb, degree))
+    text = (ROOT / path).read_text(encoding="utf-8")
+    expected = derivations(ambient(text), D)
+    for S in (D + 1, D + 2):
+        amb = ambient(text)
+        amb.vector_slice(S)
+        calls.clear()
+        assert derivations(amb, D) == expected
+        assert calls == [] and list(amb.vector_slices) == [S]

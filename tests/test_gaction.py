@@ -234,6 +234,7 @@ def test_close_group_matches_the_composed_table(seed):
     assert group.elements == elements
     assert group.table == table
     assert group.inverse == inverse
+    assert group.tree == oracles.cayley_tree(group)
     if len(elements) > 1:
         smaller = len(elements) - 1
         assert closure_or_bound(oracles.composed_table, ring, subs, smaller) is None

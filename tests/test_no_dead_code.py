@@ -4,17 +4,20 @@ the library or the bench harness.
 A routine that only tests call belongs in ``tests/oracles.py`` or in its
 test, not in the library that every run compiles.  A name counts as read
 when it occurs anywhere in ``src/eqdeform`` or ``bench/*.py`` other than
-its own ``def``/``class`` line: as a ``Name``, as an attribute, or as a
-dotted part of a string constant (``bench/tracer.py`` names its targets
-as ``"module.Class.method"``).  A method or property is read only as an
-attribute or in a dotted string: a local variable or parameter of the
-same name does not read it.  Dunders are called by the language, and
-a method overriding one of a class outside the package (such as
-``argparse.ArgumentParser.error``) by that class, so neither is checked.
+its own ``def``/``class`` line: as a ``Name``, as an attribute, as a part
+of a dotted string constant, or as a qualified name in the ``TARGETS``
+of ``bench/tracer.py`` (``("linalg", "rref")``,
+``("cohomology", "GModuleSlice.express")``).  A one-word string such as
+the JSON key ``"t1_dim"`` reads nothing.  A method or property is read
+only as an attribute or in one of those strings: a local variable or
+parameter of the same name does not read it.  Dunders are called by the
+language, and a method overriding one of a class outside the package
+(such as ``argparse.ArgumentParser.error``) by that class, so neither is
+checked.
 
 An instance attribute stored in ``src/eqdeform`` is read only when it is
 loaded as an attribute in ``src/eqdeform`` or ``bench/*.py``, or named in
-a dotted string: storing it again does not read it.
+one of those strings: storing it again does not read it.
 """
 
 import ast
@@ -22,7 +25,7 @@ import importlib
 import re
 from pathlib import Path
 
-DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "eqdeform").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
@@ -32,6 +35,8 @@ ALLOWED = {
     "initial",
     # acceptance criterion 9 checks the module Groebner engine through it
     "module_kernel",
+    # acceptance criterion 6 compares T1 through two ambients by it
+    "t1_dim",
     # acceptance criterion 8 takes the tame local different from it
     "tame_different",
 }
@@ -39,6 +44,19 @@ ALLOWED = {
 
 def _parse():
     return {path: ast.parse(path.read_text(), str(path)) for path in SOURCES + BENCH}
+
+
+def _string_reads(trees):
+    """The names that the dotted string constants and the ``TARGETS``
+    qualified names of ``bench/tracer.py`` read."""
+    tracer = trees[ROOT / "bench" / "tracer.py"]
+    (targets,) = [node.value for node in tracer.body if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", "") == "TARGETS"]
+    qualnames = {name for _, name in ast.literal_eval(targets)}
+    return {part for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and (DOTTED.fullmatch(node.value) or node.value in qualnames)
+            for part in node.value.split(".")}
 
 
 def _is_dunder(name):
@@ -78,17 +96,14 @@ def _definitions(trees):
 
 def _occurrences(trees):
     """(names read as a ``Name``, names read as an attribute or in a
-    dotted string)."""
-    names, attributes = set(), set()
+    string)."""
+    names, attributes = set(), _string_reads(trees)
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
-            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and DOTTED.fullmatch(node.value)):
-                attributes.update(node.value.split("."))
     return names, attributes
 
 
@@ -104,7 +119,7 @@ def unread_attributes():
     """(name, where) for each instance attribute stored in src/eqdeform
     and never loaded."""
     trees = _parse()
-    loaded, stored = set(), {}
+    loaded, stored = _string_reads(trees), {}
     for path, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
@@ -112,9 +127,6 @@ def unread_attributes():
                     loaded.add(node.attr)
                 elif path in SOURCES and not _is_dunder(node.attr):
                     stored.setdefault(node.attr, f"{path.relative_to(ROOT)}:{node.lineno}")
-            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and DOTTED.fullmatch(node.value)):
-                loaded.update(node.value.split("."))
     return sorted((name, where) for name, where in stored.items() if name not in loaded)
 
 
