@@ -56,7 +56,7 @@ class AffinePresentation:
     @classmethod
     def build(cls, ring: PolyRing, gens) -> "AffinePresentation":
         gens = tuple(gens)
-        cert = is_regular_sequence(gens, ring=ring)
+        cert = is_regular_sequence(gens, ring)
         if not cert.regular:
             raise NotCompleteIntersectionError(
                 f"generators are not a regular sequence: quotient dimension "
@@ -365,7 +365,7 @@ def regular_rep_embedding(p: AffinePresentation, g: GroupAction) -> EquivariantA
 
 
 def choose_ambient(p: AffinePresentation, g: GroupAction,
-                   mode: str = "auto") -> EquivariantAmbient:
+                   mode: str) -> EquivariantAmbient:
     """Ambient policy: keep the original ambient when it is already of
     regular-representation shape (free variable orbits) or when the
     action is tame; otherwise build the regular-representation one."""

@@ -56,6 +56,9 @@ EXIT_OK = 0
 EXIT_OBSTRUCTED = 2
 EXIT_INPUT = 3
 
+# The group-closure bound when the problem file sets no ``option bound``.
+CLOSURE_BOUND = 512
+
 # The largest different ``ramify`` accepts: its matrix cross-check holds
 # d sparse rows, about 450 MiB at 10^6.
 MAX_RAMIFY_DIFFERENT = 10**6
@@ -116,12 +119,12 @@ class Workspace:
         self.presentation = AffinePresentation.build(
             ring, [coeffs[0] for coeffs in problem.ideal])
         try:
-            bound = int(problem.options.get("bound", 512))
+            bound = int(problem.options.get("bound", CLOSURE_BOUND))
         except ValueError as exc:
             raise InputError("option bound must be an integer") from exc
         maps = [m for _, m in problem.group_maps]
         try:
-            self.group = close_group(maps, ring=ring, bound=bound)
+            self.group = close_group(maps, ring, bound)
         except (NotInvertibleError, ClosureBoundExceededError, ValueError) as exc:
             raise InputError(f"group closure: {exc}") from exc
         mode = problem.options.get("ambient", "auto")
@@ -207,7 +210,7 @@ def cmd_check(args) -> int:
 def cmd_tangent(args) -> int:
     ws = Workspace(_load_problem(args.problem))
     trunc = ws.truncation(args.truncate)
-    rep = tangent_spaces(ws.ambient, trunc=trunc)
+    rep = tangent_spaces(ws.ambient, trunc)
     t0_dim = derivations(ws.ambient, trunc)
     report = Report("tangent", ws)
     report.put("truncation", trunc, f"truncation: {trunc}")
@@ -231,7 +234,7 @@ def cmd_tangent(args) -> int:
 def cmd_obstruction(args) -> int:
     ws = Workspace(_load_problem(args.problem))
     trunc = ws.truncation(args.truncate)
-    obs = obstruction_space(ws.ambient, trunc=trunc)
+    obs = obstruction_space(ws.ambient, trunc)
     report = Report("obstruction", ws)
     report.put("truncation", trunc, f"truncation: {trunc}")
     report.put("obstruction_dim", obs.dimension, f"obstruction dim: {obs.dimension}")
@@ -255,7 +258,7 @@ def cmd_lift(args) -> int:
     report.put("truncation", trunc, f"truncation: {trunc}")
     steps = []
     while d.order < args.order:
-        out = lift_step(d, trunc=trunc)
+        out = lift_step(d, trunc)
         steps.append(f"order {d.order} -> {d.order + 1}: "
                      + ("ok" if out.success else "obstructed"))
         if not out.success:
@@ -271,7 +274,7 @@ def cmd_lift(args) -> int:
         return EXIT_OBSTRUCTED
     lifts = [[repr(g) for g in d.gens]]
     if args.enumerate:
-        basis = tangent_spaces(ws.ambient, trunc=trunc).t1_equivariant_basis
+        basis = tangent_spaces(ws.ambient, trunc).t1_equivariant_basis
         for r in range(1, len(basis) + 1):
             for combo in combinations(range(len(basis)), r):
                 vec = tuple(
@@ -304,7 +307,7 @@ def cmd_iso(args) -> int:
     order = max(p1.eps_order, p2.eps_order)
     d1 = ws.deformation(p1, order)
     d2 = ws.deformation(p2, order)
-    witness = isomorphism_witness(d1, d2, trunc=trunc)
+    witness = isomorphism_witness(d1, d2, trunc)
     report = Report("iso", ws)
     report.put("truncation", trunc, f"truncation: {trunc}")
     if witness is None:
@@ -347,9 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, problem=True):
-        if problem:
-            p.add_argument("problem", help="problem file")
+    def add_common(p):
+        p.add_argument("problem", help="problem file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_check = sub.add_parser("check", help="stability and regular-sequence check")
@@ -375,9 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lift.set_defaults(func=cmd_lift)
 
     p_iso = sub.add_parser("iso", help="isomorphism witness for two lifts")
-    p_iso.add_argument("problem", help="first problem file")
+    add_common(p_iso)
     p_iso.add_argument("other", help="second problem file")
-    p_iso.add_argument("--json", action="store_true")
     p_iso.add_argument("--truncate", type=int, default=None)
     p_iso.set_defaults(func=cmd_iso)
 

@@ -46,12 +46,12 @@ class GModuleSlice:
     trivial group has none, so ``dim`` is given.  They must satisfy the
     group's relations (see ``_check_representation``)."""
 
-    def __init__(self, group: GroupAction, field, dim: int, matrices, payloads=None):
+    def __init__(self, group: GroupAction, field, dim: int, matrices, payloads):
         self.group = group
         self.field = field
         self.dim = dim
         self.matrices = matrices          # per generator: dim sparse rows
-        self.payloads = payloads          # optional module vectors per basis element
+        self.payloads = payloads          # module vectors per basis element, or None
         self._check_representation()
 
     def _check_representation(self):
@@ -158,7 +158,7 @@ def slice_of_normal_module(module: NormalModule, degree: int,
             dim = len(payloads)
             matrices = {g: transpose(solved[k * dim:(k + 1) * dim], dim)
                         for k, g in enumerate(images)}
-            return GModuleSlice(group, field, dim, matrices, payloads=payloads)
+            return GModuleSlice(group, field, dim, matrices, payloads)
     raise CocycleError("slice is not closed under the action")
 
 

@@ -17,8 +17,8 @@ stage from the quotients of the stages below it: at stage 1 for a
 certificate from scratch (certify_equivariance), at the new top stage
 for a lift, a shift or a flow (_extend, which builds the new
 deformation and leaves the one it starts from as it was).  A lift step
-so divides its new order only; eps_divide, the division of an arbitrary
-eps-polynomial, keeps only the final remainder.
+so divides its new order only; eps_divide, the membership division of
+an arbitrary eps-polynomial, keeps nothing but whether it is exact.
 
 The group is read through its generators.  The equivariance divisions
 run at the inverses s^-1 of the generators only: they generate G, so an
@@ -255,16 +255,13 @@ def _divide(h: dict, gens, representer, order: int, start: int,
     return None
 
 
-def eps_divide(h: EpsPoly, gens, representer, allow_final_remainder=False):
-    """Stagewise division of h by the lifted generators, from eps^0 on
-    with no stages below (``_divide``).
-
-    Returns the remainder w with h = sum S_l gens_l + eps^order * w
-    exactly over the truncated base, or None when the division is exact
-    (the quotients S_l are not kept).  Raises DeformationError when an
-    intermediate stage leaves the ideal."""
-    return _divide(dict(h.terms), gens, representer, h.order, 0, {},
-                   allow_final_remainder)
+def eps_divide(h: EpsPoly, gens, representer):
+    """Membership division of h by the lifted generators, stagewise from
+    eps^0 on with no stages below (``_divide``): returns None when h lies
+    in the ideal they generate over the truncated base (the quotients
+    are not kept), and raises DeformationError at the first stage that
+    leaves it."""
+    return _divide(dict(h.terms), gens, representer, h.order, 0, {}, False)
 
 
 def _equivariance_division(amb: EquivariantAmbient, gens, start: int, below,
@@ -471,8 +468,7 @@ def apply_flow(d: Deformation, components) -> Deformation:
     return _certified(d, tuple(gens), m)
 
 
-def isomorphism_witness(d1: Deformation, d2: Deformation,
-                        trunc: int | None = None):
+def isomorphism_witness(d1: Deformation, d2: Deformation, trunc: int):
     """An invariant ambient derivation whose normal image is the
     difference class of the lifts, or None at this slice.
 
@@ -482,8 +478,7 @@ def isomorphism_witness(d1: Deformation, d2: Deformation,
     amb = d1.amb
     if nu.is_zero():
         return DerivationWitness(amb, (amb.ring.zero,) * amb.ring.nvars)
-    bound = (trunc if trunc is not None else default_truncation(amb)) + SLACK
-    basis, images = amb.vector_slice(bound)
+    basis, images = amb.vector_slice(trunc + SLACK)
     if not basis:
         return None
     coords = _SliceCoordinates()
@@ -585,8 +580,7 @@ class LiftOutcome:
     certified: str
 
 
-def equivariantize(d: Deformation, lift_gens,
-                   trunc: int | None = None) -> LiftOutcome:
+def equivariantize(d: Deformation, lift_gens, trunc: int) -> LiftOutcome:
     """Correct a lift of d to an equivariant one, or report the
     obstruction class.
 
@@ -604,7 +598,7 @@ def equivariantize(d: Deformation, lift_gens,
         return LiftOutcome(True, lift, None, "exact")
     c = obstruction_cocycle(d, lift.gens)
     N = NormalModule(amb)
-    bound = (trunc if trunc is not None else default_truncation(amb)) + SLACK
+    bound = trunc + SLACK
     others = [i for i in amb.action.indices() if i != amb.action.identity_index]
     extra = [c.value(i) for i in others]
     m_search = slice_of_normal_module(N, bound, extra_vectors=extra)
@@ -622,11 +616,11 @@ def equivariantize(d: Deformation, lift_gens,
     return LiftOutcome(True, _certified(d, tuple(gens), order), None, "exact")
 
 
-def lift_step(d: Deformation, trunc: int | None = None) -> LiftOutcome:
+def lift_step(d: Deformation, trunc: int) -> LiftOutcome:
     """One equivariant lifting step: take the coefficientwise lift
     (always a lift, rarely equivariant) and equivariantize it."""
     lift_gens = tuple(g.lift(d.order + 1) for g in d.gens)
-    return equivariantize(d, lift_gens, trunc=trunc)
+    return equivariantize(d, lift_gens, trunc)
 
 
 @dataclass
@@ -648,8 +642,7 @@ def _basis_vector(ring: PolyRing, rank: int, pos: int, mono) -> tuple:
     return tuple(vec)
 
 
-def tangent_spaces(amb: EquivariantAmbient,
-                   trunc: int | None = None) -> TangentReport:
+def tangent_spaces(amb: EquivariantAmbient, trunc: int) -> TangentReport:
     """T^1 and T^1_G of the presentation through the ambient (the
     dimension of T^0_G is ambient.derivations).
 
@@ -666,7 +659,7 @@ def tangent_spaces(amb: EquivariantAmbient,
     """
     pres = amb.pres
     ring = amb.ring
-    D = trunc if trunc is not None else default_truncation(amb)
+    D = trunc
     rank = len(pres.gens)
     if rank == 0:
         empty = QuotientBasis(True, 0, ())
@@ -718,15 +711,14 @@ class ObstructionReport:
     certified: str
 
 
-def obstruction_space(amb: EquivariantAmbient,
-                      trunc: int | None = None) -> ObstructionReport:
+def obstruction_space(amb: EquivariantAmbient, trunc: int) -> ObstructionReport:
     """H^1(G, normal module) on slices; exactly zero in the tame case.
 
     The cocycles come from the slice at D, and the coboundaries that may
     kill them from the slice at ``_search_degree(amb, D)``: D + SLACK in
     general, D itself (one slice, no embedding) on a graded setup with
     one generator degree, where the larger slice kills no more classes."""
-    D = trunc if trunc is not None else default_truncation(amb)
+    D = trunc
     if amb.action.is_tame() or not amb.pres.gens:
         return ObstructionReport(0, [], "exact")
     N = NormalModule(amb)

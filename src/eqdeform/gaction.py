@@ -168,13 +168,14 @@ class GroupAction:
         return f"GroupAction(order {len(self.elements)} on {self.ring})"
 
 
-def close_group(generators, ring: PolyRing | None = None, bound: int = 512) -> GroupAction:
-    """Close a generator list under composition into a full GroupAction.
+def close_group(generators, ring: PolyRing, bound: int) -> GroupAction:
+    """Close a generator list under composition into a full GroupAction
+    on ring.
 
-    Each generator is a Substitution or a {var: image} mapping; raises
-    when a generator is not invertible or the closure exceeds bound.  The
-    result records the element indices of the nonidentity generators as
-    ``generators``.
+    Each generator is a Substitution on ring or a {var: image} mapping;
+    raises when a generator is not invertible or the closure exceeds
+    bound.  The result records the element indices of the nonidentity
+    generators as ``generators``.
 
     The closure walk, each element times each generator, is the only
     composing: it records right[a][k] = index(a * g_k) and the (a, k)
@@ -183,23 +184,13 @@ def close_group(generators, ring: PolyRing | None = None, bound: int = 512) -> G
     i holds e.  Those (a, k) are the edges (a, g_k, t) of the Cayley tree:
     the walk takes the elements breadth-first, in index order.
     """
-    subs = []
-    for g in generators:
-        if isinstance(g, Substitution):
-            subs.append(g)
-        else:
-            if ring is None:
-                raise ValueError("mapping generators need an explicit ring")
-            subs.append(Substitution.from_map(ring, g))
-    if subs:
-        ring = subs[0].ring
-    if ring is None:
-        raise ValueError("empty generator list needs an explicit ring")
+    subs = [g if isinstance(g, Substitution) else Substitution.from_map(ring, g)
+            for g in generators]
     if bound < 1:
         raise ValueError("bound must be at least 1")
     for s in subs:
         if s.ring is not ring:
-            raise ContextMismatchError("generators on different rings")
+            raise ContextMismatchError("generator on another ring")
         if not s.is_invertible():
             raise NotInvertibleError(f"generator {s!r} has singular linear part")
 

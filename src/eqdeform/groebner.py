@@ -290,20 +290,11 @@ class GroebnerBasis:
         return "GroebnerBasis(" + ", ".join(repr(g) for g in self.generators) + ")"
 
 
-def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens.
-
-    The active order is the ring's; pass a ring explicitly to build the
-    basis of the zero ideal from an empty generator list.
-    """
-    gens = [g for g in gens]
-    if gens:
-        ring = gens[0].ring
-        for g in gens[1:]:
-            if g.ring is not ring:
-                raise ContextMismatchError("generators from different rings")
-    if ring is None:
-        raise ValueError("empty generator list needs an explicit ring")
+def buchberger(gens, ring: PolyRing) -> GroebnerBasis:
+    """Reduced Groebner basis in ``ring``, under its order, of the ideal
+    generated by gens (the zero ideal when there are none)."""
+    if any(g.ring is not ring for g in gens):
+        raise ContextMismatchError("generator from another ring")
     vectors = [vec_from_polys([g]) for g in gens if not g.is_zero()]
     basis = module_groebner(ring, vectors, 1)
     polys = tuple(vec_to_polys(v, 1, ring)[0] for v in basis)
@@ -450,7 +441,7 @@ def staircase(ring: PolyRing, rank: int, leading_terms, degree: int | None):
     return out
 
 
-def quotient_basis(gb: ModuleGB, trunc: int | None = None) -> QuotientBasis:
+def quotient_basis(gb: ModuleGB, trunc: int) -> QuotientBasis:
     """Standard monomials of the quotient module with the Groebner basis
     gb (``ModuleGB.of_cokernel``); exact dimension when finite,
     otherwise all standard monomials up to trunc with the infinite flag."""
@@ -464,7 +455,7 @@ def quotient_basis(gb: ModuleGB, trunc: int | None = None) -> QuotientBasis:
     if finite:
         monomials = staircase(gb.ring, gb.rank, lts, None)
         return QuotientBasis(True, len(monomials), tuple(monomials))
-    monomials = staircase(gb.ring, gb.rank, lts, trunc) if trunc is not None else ()
+    monomials = staircase(gb.ring, gb.rank, lts, trunc)
     return QuotientBasis(False, None, tuple(monomials))
 
 
@@ -475,7 +466,7 @@ class RegularityCertificate:
     expected_dimension: int
     nvars: int
     ngens: int
-    gb: GroebnerBasis | None  # the basis the dimension was read from
+    gb: GroebnerBasis  # the basis the dimension was read from
 
 
 def krull_dimension(gb: GroebnerBasis) -> int:
@@ -508,20 +499,15 @@ def krull_dimension(gb: GroebnerBasis) -> int:
     return best
 
 
-def is_regular_sequence(gens, ring: PolyRing | None = None) -> RegularityCertificate:
+def is_regular_sequence(gens, ring: PolyRing) -> RegularityCertificate:
     """Dimension-count certificate: dim k[x]/(gens) == nvars - len(gens),
     i.e. the ideal has height c = len(gens), so gens is Koszul-regular.
-    This does not certify that gens is regular in the given order."""
+    This does not certify that gens is regular in the given order.  A
+    zero generator adds to len(gens) but not to the ideal, so the count
+    fails with the true dimension."""
     gens = list(gens)
-    if gens:
-        ring = gens[0].ring
-    if ring is None:
-        raise ValueError("empty generator list needs an explicit ring")
-    if any(g.is_zero() for g in gens):
-        return RegularityCertificate(False, -2, ring.nvars - len(gens), ring.nvars,
-                                     len(gens), None)
-    gb = buchberger(gens, ring=ring)
-    dim = krull_dimension(gb) if gens else ring.nvars
+    gb = buchberger(gens, ring)
+    dim = krull_dimension(gb)
     expected = ring.nvars - len(gens)
     return RegularityCertificate(dim == expected and dim >= 0, dim, expected,
                                  ring.nvars, len(gens), gb)

@@ -31,7 +31,7 @@ class MonomialOrder:
     significant (so declaring ``vars x y`` gives x < y).
     """
 
-    def __init__(self, kind: str = "grevlex"):
+    def __init__(self, kind: str):
         if kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown monomial order {kind!r}")
         self.kind = kind
@@ -106,11 +106,8 @@ class PolyRing:
             return self.zero
         return Polynomial(self, {(0,) * self.nvars: c})
 
-    def monomial(self, exps: tuple[int, ...], coeff=1) -> "Polynomial":
-        c = self.field.of(coeff)
-        if c == self.field.zero:
-            return self.zero
-        return Polynomial(self, {tuple(exps): c})
+    def monomial(self, exps: tuple[int, ...]) -> "Polynomial":
+        return Polynomial(self, {tuple(exps): self.field.one})
 
     def from_terms(self, terms: dict) -> "Polynomial":
         clean = {m: c for m, c in terms.items() if c != self.field.zero}

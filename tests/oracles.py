@@ -304,7 +304,7 @@ def bounded_membership(f: Polynomial, gens, total_bound: int):
     cofs = [ring.zero] * len(gens)
     for value, (gi, m) in zip(sol, unknowns):
         if value != ring.field.zero:
-            cofs[gi] = cofs[gi] + ring.monomial(m, value)
+            cofs[gi] = cofs[gi] + value * ring.monomial(m)
     return cofs
 
 
@@ -399,7 +399,7 @@ def bounded_kernel_elements(map_matrix, ideal_gens, ring: PolyRing,
         vec = [ring.zero] * r
         for value, (k, m) in zip(head, v_unknowns):
             if value != ring.field.zero:
-                vec[k] = vec[k] + ring.monomial(m, value)
+                vec[k] = vec[k] + value * ring.monomial(m)
         out.append(tuple(vec))
     return out
 
@@ -492,7 +492,7 @@ def invariant_vector_slice(amb, degree: int, tangent: bool) -> list:
         vec = [ring.zero] * ring.nvars
         for value, (i, m) in zip(sol, unknowns):
             if value != field.zero:
-                vec[i] = vec[i] + ring.monomial(m, value)
+                vec[i] = vec[i] + value * ring.monomial(m)
         basis.append(tuple(vec))
     return basis
 
@@ -1067,7 +1067,7 @@ def joint_derivations(amb, degree: int) -> list:
         vec = [ring.zero] * ring.nvars
         for u, coeff in sol.items():
             i, m = unknowns[u]
-            vec[i] = vec[i] + ring.monomial(m, coeff)
+            vec[i] = vec[i] + coeff * ring.monomial(m)
         basis.append(tuple(vec))
     return basis
 

@@ -21,6 +21,7 @@ from eqdeform.deform import (
     Deformation,
     DifferenceClass,
     EpsPoly,
+    default_truncation,
     difference_class,
     equivariantize,
     ideal_equal,
@@ -33,6 +34,7 @@ from eqdeform.deform import (
     tangent_spaces,
     apply_flow,
 )
+from eqdeform.cli import CLOSURE_BOUND
 from eqdeform.fields import GF, QQ
 from eqdeform.gaction import close_group
 from eqdeform.groebner import buchberger, module_kernel, vec_from_polys
@@ -67,8 +69,8 @@ def make_case(field, gens_text, group_images, names=("x", "y")):
     maps = [{v: parse_polynomial(ring, img) for v, img in m.items()}
             for m in group_images]
     p = AffinePresentation.build(ring, gens)
-    g = close_group(maps, ring=ring)
-    return p, g, choose_ambient(p, g)
+    g = close_group(maps, ring, CLOSURE_BOUND)
+    return p, g, choose_ambient(p, g, "auto")
 
 
 def test_criterion_1_cusp_tangent():
@@ -82,7 +84,7 @@ def test_criterion_1_cusp_tangent():
         )
         assert oracle_t1 == 2
         p, g, amb = make_case(QQ, ["y^2 - x^3"], [{"y": "-y"}])
-        rep = tangent_spaces(amb)
+        rep = tangent_spaces(amb, default_truncation(amb))
         ok = (
             rep.t1.dimension == oracle_t1 == 2
             and [canonical_render(v[0]) for v in rep.t1_basis_vectors] == ["1", "x"]
@@ -95,7 +97,7 @@ def test_criterion_1_cusp_tangent():
         N = NormalModule(amb)
         for v in rep.t1_basis_vectors:
             ok = ok and N.act(1, v) == v
-        obs = obstruction_space(amb)
+        obs = obstruction_space(amb, default_truncation(amb))
         ok = ok and obs.dimension == 0 and obs.certified == "exact"
     record_criterion(1, "cusp tangent/obstruction golden values", ok, t.elapsed)
     assert ok
@@ -110,11 +112,11 @@ def test_criterion_2_node_lift():
         oracle_t1 = module_quotient_slice_dim(ring, 1, [(y,), (x,)], [x * y], 4)
         assert oracle_t1 == 1
         p, g, amb = make_case(QQ, ["x*y"], [{"x": "y", "y": "x"}])
-        rep = tangent_spaces(amb)
+        rep = tangent_spaces(amb, default_truncation(amb))
         ok = rep.t1.dimension == oracle_t1 and rep.t1_equivariant_dim == 1
         d = Deformation.initial(amb)
         for _ in range(2):
-            out = lift_step(d)
+            out = lift_step(d, default_truncation(d.amb))
             ok = ok and out.success
             d = out.deformation
         ok = ok and verified(d)
@@ -159,7 +161,7 @@ def test_criterion_4_free_translation():
         slice_vecs = invariant_normal_slice(amb, 3)
         d = Deformation.initial(amb)
         for step in range(3):
-            out = lift_step(d)
+            out = lift_step(d, default_truncation(d.amb))
             ok = ok and out.success
             d = out.deformation
             # every invariant shift of the new lift is isomorphic to it
@@ -200,7 +202,7 @@ def test_criterion_5_randomized_property_suite():
             p, g, amb = make_case(field, gens_text, group_images)
             ring = amb.ring
             slice_vecs = invariant_normal_slice(amb, 2)
-            d_can = lift_step(Deformation.initial(amb)).deformation
+            d_can = lift_step(Deformation.initial(amb), default_truncation(amb)).deformation
 
             def random_nu():
                 vec = tuple(ring.zero for _ in amb.pres.gens)
@@ -239,16 +241,16 @@ def test_criterion_5_randomized_property_suite():
 
             inv_derivs = list(ambient_vector_slice(amb, 1))
             for _ in range(4):
-                w0 = isomorphism_witness(d_can, d_can)
+                w0 = isomorphism_witness(d_can, d_can, default_truncation(d_can.amb))
                 checks = [w0 is not None and w0.is_zero()]
                 if inv_derivs:
                     f1 = inv_derivs[rng.randrange(len(inv_derivs))]
                     f2 = inv_derivs[rng.randrange(len(inv_derivs))]
                     da = apply_flow(d_can, f1)
                     db = apply_flow(da, f2)
-                    wa = isomorphism_witness(d_can, da)
-                    wb = isomorphism_witness(da, db)
-                    wc = isomorphism_witness(d_can, db)
+                    wa = isomorphism_witness(d_can, da, default_truncation(d_can.amb))
+                    wb = isomorphism_witness(da, db, default_truncation(da.amb))
+                    wc = isomorphism_witness(d_can, db, default_truncation(d_can.amb))
                     checks.append(all(w is not None for w in (wa, wb, wc)))
                     if checks[-1]:
                         img = lambda w: DifferenceClass(
@@ -268,8 +270,8 @@ def test_criterion_5_randomized_property_suite():
                 noise = []
                 lift_gens = []
                 for ge in d_can.gens:
-                    rho = ring.monomial(monos[rng.randrange(len(monos))],
-                                        ring.field.of(rng.randrange(1, 3)))
+                    rho = ring.monomial(monos[rng.randrange(len(monos))]) \
+                        * ring.field.of(rng.randrange(1, 3))
                     noise.append(rho)
                     lift_gens.append(
                         ge.lift(order) + EpsPoly.constant(ring, order, rho).shift(order)
@@ -289,7 +291,7 @@ def test_criterion_5_randomized_property_suite():
                             tuple(ring.zero for _ in nu):
                         checks.append(False)
                 if amb.action.is_tame():
-                    out = equivariantize(d_can, tuple(lift_gens))
+                    out = equivariantize(d_can, tuple(lift_gens), default_truncation(amb))
                     checks.append(out.success and verified(out.deformation))
                 if not all(checks):
                     failures.append((field, gens_text, "omega"))
@@ -317,8 +319,9 @@ def test_criterion_6_ambient_independence():
         ok = True
         for field, gens_text, group_images in cases:
             p, g, amb = make_case(field, gens_text, group_images)
-            small = tangent_spaces(amb)
-            big = tangent_spaces(regular_rep_embedding(p, g))
+            small = tangent_spaces(amb, default_truncation(amb))
+            regular = regular_rep_embedding(p, g)
+            big = tangent_spaces(regular, default_truncation(regular))
             ok = ok and small.t1_dim == big.t1_dim
             ok = ok and small.t1_equivariant_dim == big.t1_equivariant_dim
     record_criterion(6, "T1_G equal through original and regular ambients",
@@ -389,7 +392,7 @@ def test_criterion_7_exhaustive_equivalence():
         x, y = ring.gens()
         brute = _brute_force_equivariant_lifts_f2(ring)
         slice_vecs = invariant_normal_slice(amb, 2)
-        d_base = lift_step(Deformation.initial(amb)).deformation
+        d_base = lift_step(Deformation.initial(amb), default_truncation(amb)).deformation
         pipeline = []
         for bits in range(1 << len(slice_vecs)):
             vec = tuple(ring.zero for _ in amb.pres.gens)
@@ -481,7 +484,7 @@ def test_criterion_9_groebner_soundness():
             gens = [g for g in gens if not g.is_zero()]
             if not gens:
                 continue
-            gb = buchberger(gens, ring=ring)
+            gb = buchberger(gens, ring)
             rep = None
             # members built inside the degree window: both sides must agree
             combo = ring.zero
@@ -524,7 +527,7 @@ def test_criterion_9_groebner_soundness():
         from eqdeform.groebner import ModuleGB, module_groebner
 
         for ideal_gens, matrix in kernel_cases:
-            gb = buchberger(ideal_gens)
+            gb = buchberger(ideal_gens, ring)
             ker = module_kernel(matrix, gb)
             rank = len(matrix[0])
             vectors = [vec_from_polys(v) for v in ker]

@@ -20,7 +20,7 @@ from eqdeform.ambient import (
     original_ambient,
     regular_rep_embedding,
 )
-from eqdeform.cli import Workspace, main
+from eqdeform.cli import CLOSURE_BOUND, Workspace, main
 from eqdeform.fields import GF, QQ
 from eqdeform.gaction import close_group, verify_stability
 from eqdeform.groebner import buchberger, is_regular_sequence
@@ -44,7 +44,7 @@ def cusp(ring):
 
 @pytest.fixture
 def sign(ring):
-    return close_group([{"y": -ring.var("y")}], ring=ring)
+    return close_group([{"y": -ring.var("y")}], ring, CLOSURE_BOUND)
 
 
 def test_presentation_requires_regular_sequence(ring):
@@ -72,7 +72,7 @@ def test_one_groebner_basis_per_presentation(monkeypatch):
     x, y = r2.gens()
     node = AffinePresentation.build(r2, [x * y])
     assert len(calls) == 1
-    swap = close_group([{"x": y, "y": x}], ring=r2)
+    swap = close_group([{"x": y, "y": x}], r2, CLOSURE_BOUND)
     amb = regular_rep_embedding(node, swap)
     assert len(calls) == 1
     assert node.gb is node.certificate.gb
@@ -110,7 +110,7 @@ def test_regular_rep_embedding_cusp(cusp, sign):
 
 
 def test_regular_rep_trivial_group(cusp, ring):
-    triv = close_group([], ring=ring)
+    triv = close_group([], ring, CLOSURE_BOUND)
     amb = regular_rep_embedding(cusp, triv)
     assert len(amb.pres.gens) == 1
     assert amb.pres.certificate.regular
@@ -119,8 +119,8 @@ def test_regular_rep_trivial_group(cusp, ring):
 def test_regular_rep_translation_line():
     r = PolyRing(GF(2), ["x"])
     line = AffinePresentation.build(r, [])
-    g = close_group([{"x": r.var("x") + 1}], ring=r)
-    amb = choose_ambient(line, g)
+    g = close_group([{"x": r.var("x") + 1}], r, CLOSURE_BOUND)
+    amb = choose_ambient(line, g, "auto")
     assert amb.kind == "regular"
     assert [canonical_render(f) for f in amb.pres.gens] == ["x_g1 + x_g0 + 1"]
     assert amb.pres.certificate.quotient_dimension == 1
@@ -147,7 +147,7 @@ def _forced_regular_ambient(text: str, kind: str):
 
     pres = AffinePresentation.build(ring, [move(c[0]) for c in prob.ideal])
     maps = [{v: move(img) for v, img in m.items()} for _, m in prob.group_maps]
-    return regular_rep_embedding(pres, close_group(maps, ring=ring))
+    return regular_rep_embedding(pres, close_group(maps, ring, CLOSURE_BOUND))
 
 
 @pytest.mark.parametrize("kind", ["grevlex", "lex"])
@@ -158,8 +158,8 @@ def test_regular_ambient_is_a_graph(name, kind):
     check run in the big ring."""
     amb = _forced_regular_ambient(GRAPH_CASES[name], kind)
     assert amb.kind == "regular"
-    assert amb.pres.gb == buchberger(amb.pres.gens, ring=amb.ring)
-    assert amb.pres.certificate == is_regular_sequence(amb.pres.gens, ring=amb.ring)
+    assert amb.pres.gb == buchberger(amb.pres.gens, amb.ring)
+    assert amb.pres.certificate == is_regular_sequence(amb.pres.gens, amb.ring)
     assert verify_stability(amb.pres.gb, amb.action)
     # the standard monomials are those of the original presentation in X_{.,0}
     n = amb.origin.ring.nvars
@@ -174,17 +174,17 @@ def test_regular_ambient_is_a_graph(name, kind):
 def test_choose_ambient_policy(ring, cusp, sign):
     x, y = ring.gens()
     # tame: original kept
-    assert choose_ambient(cusp, sign).kind == "original"
+    assert choose_ambient(cusp, sign, "auto").kind == "original"
     # already regular-representation shaped: original kept even in char 2
     r2 = PolyRing(GF(2), ["x", "y"])
     node2 = AffinePresentation.build(r2, [r2.var("x") * r2.var("y")])
-    sw2 = close_group([{"x": r2.var("y"), "y": r2.var("x")}], ring=r2)
-    assert choose_ambient(node2, sw2).kind == "original"
+    sw2 = close_group([{"x": r2.var("y"), "y": r2.var("x")}], r2, CLOSURE_BOUND)
+    assert choose_ambient(node2, sw2, "auto").kind == "original"
     # wild and not G-FL: regular representation
     r1 = PolyRing(GF(2), ["x"])
     line = AffinePresentation.build(r1, [])
-    g1 = close_group([{"x": r1.var("x") + 1}], ring=r1)
-    assert choose_ambient(line, g1).kind == "regular"
+    g1 = close_group([{"x": r1.var("x") + 1}], r1, CLOSURE_BOUND)
+    assert choose_ambient(line, g1, "auto").kind == "regular"
     assert choose_ambient(cusp, sign, mode="regular").kind == "regular"
 
 
@@ -216,7 +216,7 @@ def test_derivations_cusp(ring, cusp, sign):
 def test_derivations_smooth_line():
     r = PolyRing(QQ, ["t"])
     line = AffinePresentation.build(r, [])
-    amb = original_ambient(line, close_group([], ring=r))
+    amb = original_ambient(line, close_group([], r, CLOSURE_BOUND))
     assert oracles.slice_derivations(amb, 0) == [(r.one,)]
     assert oracles.slice_derivations(amb, 1) == [(r.one,), (r.var("t"),)]
     assert (derivations(amb, 0), derivations(amb, 1)) == (1, 2)
@@ -226,7 +226,7 @@ def test_derivation_slice_reynolds_cross_check(ring, cusp, sign):
     """Invariant slice dimension: Reynolds projection of the full tangent
     slice (over the trivial group) vs the direct solver."""
     amb = original_ambient(cusp, sign)
-    plain = original_ambient(cusp, close_group([], ring=ring))
+    plain = original_ambient(cusp, close_group([], ring, CLOSURE_BOUND))
     field = ring.field
     for degree in (2, 3):
         full = oracles.slice_derivations(plain, degree)

@@ -240,6 +240,24 @@ def test_exit_code_input_errors(tmp_path, capsys):
         assert err == "error: equivariance: eps^1 coefficient is not in the base ideal\n"
 
 
+@pytest.mark.parametrize("text,dims", [
+    ("field Q\nvars x y\nideal: 0\n", "2, expected 1"),
+    ("field F 3\nvars x y\nideal: x*y; 0\n", "1, expected 0"),
+    ("field Q\nvars x\nideal: 0\n", "1, expected 0"),
+], ids=["zero_plane", "zero_after_xy", "zero_line"])
+def test_a_zero_generator_fails_the_count_with_its_true_dimension(text, dims, tmp_path,
+                                                                  capsys):
+    """A zero generator adds to the expected codimension but not to the
+    ideal, so the dimension count rejects it with the quotient's real
+    dimension."""
+    prob = tmp_path / "zero.prob"
+    prob.write_text(text)
+    code, out, err = run_cli(["check", str(prob)], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("error: generators are not a regular sequence: "
+                   f"quotient dimension {dims}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["check"], ["tangent"], ["obstruction"], ["lift", "--order", "2"],
 ], ids=lambda a: a[0])

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from eqdeform import cohomology, linalg
 from eqdeform.ambient import AffinePresentation, NormalModule, choose_ambient
-from eqdeform.cli import Workspace
+from eqdeform.cli import CLOSURE_BOUND, Workspace
 from eqdeform.cohomology import (
     Cocycle,
     CocycleError,
@@ -32,7 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.fixture
 def swap_q():
     ring = PolyRing(QQ, ["x", "y"])
-    return ring, close_group([{"x": ring.var("y"), "y": ring.var("x")}], ring=ring)
+    return ring, close_group([{"x": ring.var("y"), "y": ring.var("x")}], ring, CLOSURE_BOUND)
 
 
 def identity_matrix(field, n):
@@ -44,7 +44,7 @@ def gmodule(group, field, matrices):
     order of ``group.generators``."""
     return GModuleSlice(group, field, len(matrices[0]),
                         {s: [oracles.sparse(field, row) for row in mat]
-                         for s, mat in zip(group.generators, matrices)})
+                         for s, mat in zip(group.generators, matrices)}, None)
 
 
 def sparse_values(m, flat):
@@ -98,14 +98,14 @@ def test_generator_matrices_that_break_a_relation_are_rejected():
     f = QQ
     ring = PolyRing(f, ["x", "y", "z"])
     x, y, z = ring.gens()
-    klein = close_group([{"x": -x}, {"y": -y}], ring=ring)
+    klein = close_group([{"x": -x}, {"y": -y}], ring, CLOSURE_BOUND)
     assert len(klein) == 4
     diag = [[f.one, f.zero], [f.zero, f.neg(f.one)]]
     swap = [[f.zero, f.one], [f.one, f.zero]]
     gmodule(klein, f, [diag, [[f.neg(f.one), f.zero], [f.zero, f.one]]])
     with pytest.raises(CocycleError, match="representation property"):
         gmodule(klein, f, [diag, swap])
-    rot = close_group([{"x": y, "y": z, "z": x}], ring=ring)
+    rot = close_group([{"x": y, "y": z, "z": x}], ring, CLOSURE_BOUND)
     assert len(rot) == 3
     cycle = [[f.zero, f.zero, f.one], [f.one, f.zero, f.zero], [f.zero, f.one, f.zero]]
     gmodule(rot, f, [cycle])
@@ -141,7 +141,8 @@ def test_group_tree_spans_the_cayley_graph(path):
 @pytest.mark.parametrize("name", sorted(SCALE_PROBLEMS))
 def test_group_tree_of_the_scale_groups(name):
     problem = parse_problem(SCALE_PROBLEMS[name])
-    assert_breadth_first_tree(close_group([m for _, m in problem.group_maps], ring=problem.ring))
+    maps = [m for _, m in problem.group_maps]
+    assert_breadth_first_tree(close_group(maps, problem.ring, CLOSURE_BOUND))
 
 
 def test_group_tree_of_random_permutation_groups():
@@ -167,7 +168,7 @@ def test_action_matrices_are_the_module_action(path):
 def test_regular_ambient_action_keeps_the_generators():
     r2 = PolyRing(GF(2), ["x", "y"])
     node = AffinePresentation.build(r2, [r2.var("x") * r2.var("y")])
-    swap = close_group([{"x": r2.var("y"), "y": r2.var("x")}], ring=r2)
+    swap = close_group([{"x": r2.var("y"), "y": r2.var("x")}], r2, CLOSURE_BOUND)
     amb = choose_ambient(node, swap, "regular")
     assert amb.action is not swap
     assert amb.action.generators == swap.generators == [1]
@@ -285,7 +286,7 @@ def test_tame_h1_vanishes_on_random_involutions(swap_q):
 def test_tame_h1_vanishes_order3():
     ring = PolyRing(GF(5), ["x", "y", "z"])
     x, y, z = ring.gens()
-    rot = close_group([{"x": y, "y": z, "z": x}], ring=ring)
+    rot = close_group([{"x": y, "y": z, "z": x}], ring, CLOSURE_BOUND)
     assert len(rot) == 3
     f = GF(5)
     # regular representation of Z/3 by permutation matrices
@@ -299,8 +300,8 @@ def test_tame_h1_vanishes_order3():
 def test_wild_node_slice_h1():
     r2 = PolyRing(GF(2), ["x", "y"])
     node = AffinePresentation.build(r2, [r2.var("x") * r2.var("y")])
-    swap = close_group([{"x": r2.var("y"), "y": r2.var("x")}], ring=r2)
-    amb = choose_ambient(node, swap)
+    swap = close_group([{"x": r2.var("y"), "y": r2.var("x")}], r2, CLOSURE_BOUND)
+    amb = choose_ambient(node, swap, "auto")
     N = NormalModule(amb)
     for D in (2, 3, 4, 5, 6):
         small = slice_of_normal_module(N, D)
@@ -322,8 +323,8 @@ def test_express_marks_vectors_outside_the_slice():
     r2 = PolyRing(GF(2), ["x", "y"])
     x, y = r2.gens()
     node = AffinePresentation.build(r2, [x * y])
-    swap = close_group([{"x": y, "y": x}], ring=r2)
-    small = slice_of_normal_module(NormalModule(choose_ambient(node, swap)), 2)
+    swap = close_group([{"x": y, "y": x}], r2, CLOSURE_BOUND)
+    small = slice_of_normal_module(NormalModule(choose_ambient(node, swap, "auto")), 2)
     outside, inside = small.express([(x**5,), (x + y,)])
     assert outside is None
     assert small.materialize(inside) == (x + y,)
@@ -418,7 +419,7 @@ def test_trivial_action_in_characteristic_two_has_h1():
     zero is a coboundary, so H^1 = Hom(Z/2, F_2) has dimension 1; over Q
     the cocycle condition 2 c(s) = 0 leaves nothing."""
     ring = PolyRing(QQ, ["x", "y"])
-    swap = close_group([{"x": ring.var("y"), "y": ring.var("x")}], ring=ring)
+    swap = close_group([{"x": ring.var("y"), "y": ring.var("x")}], ring, CLOSURE_BOUND)
     f2 = GF(2)
     (s,) = swap.generators
     m = gmodule(swap, f2, [[[f2.one]]])
@@ -430,8 +431,8 @@ def test_trivial_action_in_characteristic_two_has_h1():
 def test_translation_line_free_module():
     r1 = PolyRing(GF(2), ["x"])
     line = AffinePresentation.build(r1, [])
-    g = close_group([{"x": r1.var("x") + 1}], ring=r1)
-    amb = choose_ambient(line, g)
+    g = close_group([{"x": r1.var("x") + 1}], r1, CLOSURE_BOUND)
+    amb = choose_ambient(line, g, "auto")
     N = NormalModule(amb)
     for D in (2, 3, 4, 5, 6):
         small = slice_of_normal_module(N, D)
@@ -479,8 +480,8 @@ def test_invariants_have_zero_coboundary(swap_q):
 def test_h1_representatives_are_cocycles():
     r2 = PolyRing(GF(2), ["x", "y"])
     node = AffinePresentation.build(r2, [r2.var("x") * r2.var("y")])
-    swap = close_group([{"x": r2.var("y"), "y": r2.var("x")}], ring=r2)
-    amb = choose_ambient(node, swap)
+    swap = close_group([{"x": r2.var("y"), "y": r2.var("x")}], r2, CLOSURE_BOUND)
+    amb = choose_ambient(node, swap, "auto")
     N = NormalModule(amb)
     small = slice_of_normal_module(N, 4)
     classes = h1_bounded(small, small)
@@ -507,7 +508,7 @@ def test_cocycle_from_generators_extends_coboundaries(path):
     monos = amb.pres.std_monomials_upto(2)
     nonzero = 0
     for _ in range(3):
-        phi = tuple(amb.ring.monomial(rng.choice(monos), rng.randint(1, 2))
+        phi = tuple(amb.ring.monomial(rng.choice(monos)) * rng.randint(1, 2)
                     for _ in range(N.rank))
         full = {s: tuple(a - b for a, b in zip(N.act(s, phi), phi))
                 for s in group.indices() if s != group.identity_index}
@@ -590,7 +591,7 @@ def _permutation_group(rng):
         perm = list(range(n))
         rng.shuffle(perm)
         gens.append({f"x{i}": ring.var(f"x{perm[i]}") for i in range(n)})
-    return close_group(gens, ring=ring)
+    return close_group(gens, ring, CLOSURE_BOUND)
 
 
 def _permutation_module(rng):
@@ -606,7 +607,7 @@ def _permutation_module(rng):
         if twisted:
             columns += [{n + perm[c]: field.of(_sign(perm))} for c in range(n)]
         matrices[s] = linalg.transpose(columns, len(columns))
-    return GModuleSlice(group, field, 2 * n if twisted else n, matrices)
+    return GModuleSlice(group, field, 2 * n if twisted else n, matrices, None)
 
 
 def test_permutation_modules_match_the_all_pairs_oracle():

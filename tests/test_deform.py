@@ -13,7 +13,7 @@ from eqdeform.ambient import (
     normal_image,
     regular_rep_embedding,
 )
-from eqdeform.cli import Workspace
+from eqdeform.cli import CLOSURE_BOUND, Workspace
 from eqdeform.cohomology import GModuleSlice
 from eqdeform.deform import (
     Deformation,
@@ -65,8 +65,8 @@ def make_case(field, gens_text, group_images):
     maps = [{v: parse_polynomial(ring, img) for v, img in m.items()}
             for m in group_images]
     p = AffinePresentation.build(ring, gens)
-    g = close_group(maps, ring=ring)
-    amb = choose_ambient(p, g)
+    g = close_group(maps, ring, CLOSURE_BOUND)
+    amb = choose_ambient(p, g, "auto")
     return p, g, amb
 
 
@@ -110,7 +110,7 @@ def test_eps_poly_stores_no_zero_and_matches_the_dense_reference(seed):
     monos = monomials_upto(ring, 2)
 
     def draw(order):
-        coeffs = [sum((ring.monomial(rng.choice(monos), rng.choice((1, -1, 2)))
+        coeffs = [sum((ring.monomial(rng.choice(monos)) * rng.choice((1, -1, 2))
                        for _ in range(rng.randint(0, 2))), ring.zero)
                   for _ in range(rng.randint(0, order + 2))]
         return EpsPoly(ring, order, coeffs), DenseEpsPoly(ring, order, coeffs)
@@ -137,18 +137,18 @@ def test_eps_poly_stores_no_zero_and_matches_the_dense_reference(seed):
 
 def test_tangent_cusp(cusp_q):
     p, g, amb = cusp_q
-    rep = tangent_spaces(amb)
+    rep = tangent_spaces(amb, default_truncation(amb))
     assert rep.t1.dimension == 2
     assert [canonical_render(v[0]) for v in rep.t1_basis_vectors] == ["1", "x"]
     assert rep.t1_equivariant_dim == 2
     assert rep.certified == "exact"
-    obs = obstruction_space(amb)
+    obs = obstruction_space(amb, default_truncation(amb))
     assert obs.dimension == 0 and obs.certified == "exact"
 
 
 def test_tangent_node(node_q):
     p, g, amb = node_q
-    rep = tangent_spaces(amb)
+    rep = tangent_spaces(amb, default_truncation(amb))
     assert rep.t1.dimension == 1
     assert rep.t1_equivariant_dim == 1
 
@@ -156,8 +156,9 @@ def test_tangent_node(node_q):
 def test_tangent_smooth_line_trivial_group():
     ring = PolyRing(QQ, ["t"])
     p = AffinePresentation.build(ring, [])
-    g = close_group([], ring=ring)
-    rep = tangent_spaces(choose_ambient(p, g))
+    g = close_group([], ring, CLOSURE_BOUND)
+    amb = choose_ambient(p, g, "auto")
+    rep = tangent_spaces(amb, default_truncation(amb))
     assert rep.t1.dimension == 0 and rep.t1_equivariant_dim == 0
 
 
@@ -166,8 +167,8 @@ def test_infinite_t1_reported():
     ring = PolyRing(QQ, ["x", "y"])
     x, y = ring.gens()
     p = AffinePresentation.build(ring, [x**2])
-    g = close_group([], ring=ring)
-    rep = tangent_spaces(choose_ambient(p, g), trunc=3)
+    g = close_group([], ring, CLOSURE_BOUND)
+    rep = tangent_spaces(choose_ambient(p, g, "auto"), trunc=3)
     assert not rep.t1.finite
     assert rep.t1.dimension is None
     assert rep.certified == "slice:3"
@@ -177,7 +178,7 @@ def test_lift_node_to_order_two(node_q):
     p, g, amb = node_q
     d = Deformation.initial(amb)
     for _ in range(2):
-        out = lift_step(d)
+        out = lift_step(d, default_truncation(d.amb))
         assert out.success
         d = out.deformation
     assert d.order == 2
@@ -188,7 +189,7 @@ def test_difference_class_axioms(cusp_q):
     p, g, amb = cusp_q
     ring = amb.ring
     x, y = ring.gens()
-    d1 = lift_step(Deformation.initial(amb)).deformation
+    d1 = lift_step(Deformation.initial(amb), default_truncation(amb)).deformation
     nu_x = DifferenceClass(amb, (x,))
     nu_1 = DifferenceClass(amb, (ring.one,))
     d2 = shift_lift(d1, nu_x)
@@ -209,7 +210,7 @@ def test_difference_class_axioms(cusp_q):
 def test_shift_lift_examples(cusp_q):
     p, g, amb = cusp_q
     ring = amb.ring
-    d1 = lift_step(Deformation.initial(amb)).deformation
+    d1 = lift_step(Deformation.initial(amb), default_truncation(amb)).deformation
     shifted = shift_lift(d1, DifferenceClass(amb, (ring.one,)))
     assert repr(shifted.gens[0]) == "-x^3 + y^2 + eps*(-1)"
     assert verified(shifted)
@@ -221,16 +222,16 @@ def test_iso_witness_cusp(cusp_q):
     p, g, amb = cusp_q
     ring = amb.ring
     x, y = ring.gens()
-    d1 = lift_step(Deformation.initial(amb)).deformation
+    d1 = lift_step(Deformation.initial(amb), default_truncation(amb)).deformation
     d2 = shift_lift(d1, DifferenceClass(amb, (x,)))
     # x is a nonzero T^1_G class: no witness at generous slices
     assert isomorphism_witness(d1, d2, trunc=6) is None
     # identity: zero witness
-    w0 = isomorphism_witness(d1, d1)
+    w0 = isomorphism_witness(d1, d1, default_truncation(d1.amb))
     assert w0 is not None and w0.is_zero()
     # a substitution flow is always realized by a witness
     flowed = apply_flow(d1, (ring.one, ring.zero))
-    w = isomorphism_witness(d1, flowed)
+    w = isomorphism_witness(d1, flowed, default_truncation(d1.amb))
     assert w is not None
     assert DifferenceClass(amb, normal_image(amb, w.components)) == \
         difference_class(d1, flowed)
@@ -240,7 +241,7 @@ def test_mu_additivity_via_flows(node_q):
     p, g, amb = node_q
     ring = amb.ring
     x, y = ring.gens()
-    d1 = lift_step(Deformation.initial(amb)).deformation
+    d1 = lift_step(Deformation.initial(amb), default_truncation(amb)).deformation
     flow1 = (x, y)   # invariant under swap
     flow2 = (y, x)   # invariant under swap (conjugate pair)
     d2 = apply_flow(d1, flow1)
@@ -249,9 +250,9 @@ def test_mu_additivity_via_flows(node_q):
     nu23 = difference_class(d2, d3)
     nu13 = difference_class(d1, d3)
     assert nu12 + nu23 == nu13
-    w12 = isomorphism_witness(d1, d2)
-    w23 = isomorphism_witness(d2, d3)
-    w13 = isomorphism_witness(d1, d3)
+    w12 = isomorphism_witness(d1, d2, default_truncation(d1.amb))
+    w23 = isomorphism_witness(d2, d3, default_truncation(d2.amb))
+    w13 = isomorphism_witness(d1, d3, default_truncation(d1.amb))
     assert w12 is not None and w23 is not None and w13 is not None
     img = lambda w: DifferenceClass(amb, normal_image(amb, w.components))
     assert img(w12) + img(w23) == img(w13)
@@ -266,14 +267,14 @@ def test_omega_cocycle_node_f2(node_f2):
     c = obstruction_cocycle(d0, lift_gens)
     assert c.value(1) == (x + y,)
     assert cocycle_identity_holds(c)
-    out = equivariantize(d0, lift_gens)
+    out = equivariantize(d0, lift_gens, default_truncation(d0.amb))
     assert out.success
     assert verified(out.deformation)
     # already equivariant lift comes back unchanged
     sym = (EpsPoly(ring, 1, [x * y, x + y]),)
     c2 = obstruction_cocycle(d0, sym)
     assert c2.is_zero()
-    out2 = equivariantize(d0, sym)
+    out2 = equivariantize(d0, sym, default_truncation(d0.amb))
     assert out2.success and out2.deformation.gens == sym
 
 
@@ -304,7 +305,7 @@ def test_lift_obstructed_never_fires_on_tame(cusp_q, node_q):
     for (p, g, amb) in (cusp_q, node_q):
         d = Deformation.initial(amb)
         for _ in range(3):
-            out = lift_step(d)
+            out = lift_step(d, default_truncation(d.amb))
             assert out.success
             d = out.deformation
         assert verified(d)
@@ -317,9 +318,9 @@ def test_wild_node_search_for_obstructed_step(node_f2):
     p, g, amb = node_f2
     outcomes = []
     for nu_vec in invariant_normal_slice(amb, 2):
-        d1 = shift_lift(lift_step(Deformation.initial(amb)).deformation,
-                        DifferenceClass(amb, nu_vec))
-        out = lift_step(d1)
+        d0 = lift_step(Deformation.initial(amb), default_truncation(amb)).deformation
+        d1 = shift_lift(d0, DifferenceClass(amb, nu_vec))
+        out = lift_step(d1, default_truncation(amb))
         outcomes.append(out.success)
     print(f"wild node order-1 -> order-2 lifts: {outcomes.count(True)} ok, "
           f"{outcomes.count(False)} obstructed")
@@ -343,8 +344,8 @@ def test_verify_deformation_failures(node_q):
 
 def test_enumeration_matches_cusp_example(cusp_q):
     p, g, amb = cusp_q
-    d1 = lift_step(Deformation.initial(amb)).deformation
-    rep = tangent_spaces(amb)
+    d1 = lift_step(Deformation.initial(amb), default_truncation(amb)).deformation
+    rep = tangent_spaces(amb, default_truncation(amb))
     rendered = {repr(d1.gens[0])}
     from itertools import combinations
 
@@ -392,7 +393,7 @@ def test_randomized_torsor_and_cocycle_suite():
         p, g, amb = make_case(field, gens_text, group_images)
         slice_vecs = invariant_normal_slice(amb, 2)
         base = Deformation.initial(amb)
-        d_canonical = lift_step(base).deformation
+        d_canonical = lift_step(base, default_truncation(amb)).deformation
         for _ in range(3):
             nu_a = DifferenceClass(amb, random_invariant_vector(amb, slice_vecs, rng))
             nu_b = DifferenceClass(amb, random_invariant_vector(amb, slice_vecs, rng))
@@ -415,13 +416,13 @@ def test_randomized_torsor_and_cocycle_suite():
             order = d_canonical.order + 1
             lift_gens = []
             for ge in d_canonical.gens:
-                noise = ring.monomial(monos[rng.randrange(len(monos))],
-                                       ring.field.of(rng.randrange(1, 3)))
+                noise = ring.monomial(monos[rng.randrange(len(monos))]) \
+                    * ring.field.of(rng.randrange(1, 3))
                 lift_gens.append(ge.lift(order) +
                                  EpsPoly.constant(ring, order, noise).shift(order))
             c = obstruction_cocycle(d_canonical, tuple(lift_gens))
             assert cocycle_identity_holds(c)
-            out = equivariantize(d_canonical, tuple(lift_gens))
+            out = equivariantize(d_canonical, tuple(lift_gens), default_truncation(amb))
             if amb.action.is_tame():
                 assert out.success
                 assert verified(out.deformation)
@@ -433,11 +434,11 @@ def test_equivariantize_trivial_group():
     ring = PolyRing(QQ, ["x", "y"])
     x, y = ring.gens()
     p = AffinePresentation.build(ring, [y**2 - x**3])
-    g = close_group([], ring=ring)
-    amb = choose_ambient(p, g)
+    g = close_group([], ring, CLOSURE_BOUND)
+    amb = choose_ambient(p, g, "auto")
     d = Deformation.initial(amb)
     lift = (EpsPoly(amb.ring, 1, [y**2 - x**3, x * y]),)
-    out = equivariantize(d, lift)
+    out = equivariantize(d, lift, default_truncation(d.amb))
     assert out.success and out.deformation.gens == lift
 
 
@@ -445,7 +446,7 @@ def test_truncation_is_a_deformation(cusp_q):
     p, g, amb = cusp_q
     d = Deformation.initial(amb)
     for _ in range(3):
-        d = lift_step(d).deformation
+        d = lift_step(d, default_truncation(d.amb)).deformation
     d = shift_lift(d, DifferenceClass(amb, (amb.ring.var("x"),)))
     for t in range(d.order):
         lower = Deformation(amb, t, [truncate(g, t) for g in d.gens])
@@ -458,7 +459,7 @@ def test_automorphism_flows_fix_the_lift(cusp_q, node_q):
     for p, g, amb in (cusp_q, node_q):
         t0 = slice_derivations(amb, 3)
         assert derivations(amb, 3) == len(t0)
-        d = lift_step(Deformation.initial(amb)).deformation
+        d = lift_step(Deformation.initial(amb), default_truncation(amb)).deformation
         assert t0, "expected invariant derivations"
         for tangent_vec in t0:
             moved = apply_flow(d, tangent_vec)
@@ -476,14 +477,14 @@ def test_cocycle_identity_with_nonconstant_twist(cusp_q):
     big = regular_rep_embedding(p, g)
     ring = big.ring
     rng = random.Random(77)
-    d = lift_step(Deformation.initial(big)).deformation
+    d = lift_step(Deformation.initial(big), default_truncation(big)).deformation
     monos = big.pres.std_monomials_upto(2)
     for _ in range(2):
         order = d.order + 1
         lift_gens = []
         for ge in d.gens:
-            noise = ring.monomial(monos[rng.randrange(len(monos))],
-                                  ring.field.of(rng.randrange(1, 4)))
+            noise = ring.monomial(monos[rng.randrange(len(monos))]) \
+                * ring.field.of(rng.randrange(1, 4))
             lift_gens.append(ge.lift(order) +
                              EpsPoly.constant(ring, order, noise).shift(order))
         c = obstruction_cocycle(d, tuple(lift_gens))
@@ -499,11 +500,11 @@ def test_regular_rep_lifting_matches_small(cusp_q):
     p, g, amb = cusp_q
     big = regular_rep_embedding(p, g)
     d = Deformation.initial(big)
-    out = lift_step(d)
+    out = lift_step(d, default_truncation(d.amb))
     assert out.success
     assert verified(out.deformation)
-    small_rep = tangent_spaces(amb)
-    big_rep = tangent_spaces(big)
+    small_rep = tangent_spaces(amb, default_truncation(amb))
+    big_rep = tangent_spaces(big, default_truncation(big))
     assert small_rep.t1_equivariant_dim == big_rep.t1_equivariant_dim
 
 
@@ -529,7 +530,7 @@ def test_lift_steps_express_only_to_build_the_twists(monkeypatch):
                         lambda self, h: calls.append(h) or express(self, h))
     d = Deformation.initial(amb)
     for _ in range(10):
-        out = lift_step(d)
+        out = lift_step(d, default_truncation(d.amb))
         assert out.success
         d = out.deformation
     assert 0 < len(calls) <= len(amb.action.generators) * len(amb.pres.gens)
@@ -608,7 +609,9 @@ def test_lifting_leaves_its_base_deformation_unchanged(path, defect):
     ("order", "generator order does not match the base"),
     ("below", r"generators differ from the deformation below eps\^2"),
 ])
-@pytest.mark.parametrize("divide", [equivariantize, obstruction_cocycle])
+@pytest.mark.parametrize("divide", [
+    lambda d, gens: equivariantize(d, gens, default_truncation(d.amb)), obstruction_cocycle,
+], ids=["equivariantize", "obstruction_cocycle"])
 def test_lifts_refuse_generators_that_do_not_lift_the_deformation(divide, kind, message):
     """Generators passed as a lift of an order-1 deformation must be as
     many as its generators, over eps order 2, and equal to its
@@ -637,7 +640,7 @@ def test_group_never_acts_on_zero_coefficients(monkeypatch, path):
     d = file_deformation(path)
     amb = d.amb
     if d.order == 0:
-        d = lift_step(d).deformation
+        d = lift_step(d, default_truncation(d.amb)).deformation
     top = d.order + 1
     noise = EpsPoly.constant(amb.ring, top + 1, amb.ring.gens()[0]).shift(top)
     lift_gens = tuple(g.lift(top + 1) + noise for g in d.gens)
@@ -713,7 +716,7 @@ def test_tame_tangent_acts_by_the_generators_to_build_its_matrix(monkeypatch):
                         lambda self, i, vec: acted.append(i) or act(self, i, vec))
     monkeypatch.setattr(GModuleSlice, "__init__",
                         lambda self, *a: built.append(len(acted)) or init(self, *a))
-    rep = tangent_spaces(amb)
+    rep = tangent_spaces(amb, default_truncation(amb))
     group = amb.action
     assert group.is_tame() and rep.certified == "exact"
     assert len(group) == 3 and group.generators == [1]
@@ -782,13 +785,14 @@ def test_apply_flow_matches_the_substitution_on_seeded_flows(seed):
 
     def sparse(degree, terms):
         monos = monomials_upto(ring, degree)
-        return sum((ring.monomial(rng.choice(monos), rng.choice((1, -1, 2)))
+        return sum((ring.monomial(rng.choice(monos)) * rng.choice((1, -1, 2))
                     for _ in range(terms)), ring.zero)
 
     f = ring.zero
     while f.degree() < 1:
         f = sparse(3, 3)
-    amb = choose_ambient(AffinePresentation.build(ring, [f]), close_group([], ring=ring))
+    amb = choose_ambient(AffinePresentation.build(ring, [f]),
+                         close_group([], ring, CLOSURE_BOUND), "auto")
     order = 1 + seed % 3
     d = Deformation(amb, order, [EpsPoly(ring, order, [amb.pres.gens[0]] + [
         sparse(2, 2) for _ in range(order)])])
@@ -801,7 +805,8 @@ def test_flow_oracle_multiplies_out_the_square():
     product and apply_flow agree with the flow worked by hand."""
     ring = PolyRing(QQ, ["x"])
     x = ring.var("x")
-    amb = choose_ambient(AffinePresentation.build(ring, [x**2]), close_group([], ring=ring))
+    amb = choose_ambient(AffinePresentation.build(ring, [x**2]),
+                         close_group([], ring, CLOSURE_BOUND), "auto")
     for coeffs, expected in (([x**2, ring.zero], [x**2, 2 * x]),
                              ([x**2, x, ring.zero], [x**2, x, 2 * x])):
         d = Deformation(amb, len(coeffs) - 1, [EpsPoly(ring, len(coeffs) - 1, coeffs)])

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from eqdeform.ambient import AffinePresentation, original_ambient
+from eqdeform.cli import CLOSURE_BOUND
 from eqdeform.fields import GF, QQ
 from eqdeform.gaction import (
     ClosureBoundExceededError,
@@ -34,12 +35,12 @@ def randpoly(ring, rng):
 
 def test_close_group_examples(ring):
     x, y = ring.gens()
-    assert len(close_group([{"y": -y}], ring=ring)) == 2
+    assert len(close_group([{"y": -y}], ring, CLOSURE_BOUND)) == 2
     r2 = PolyRing(GF(2), ["x"])
-    assert len(close_group([{"x": r2.var("x") + 1}], ring=r2)) == 2
+    assert len(close_group([{"x": r2.var("x") + 1}], r2, CLOSURE_BOUND)) == 2
     # swap and sign flip generate a dihedral group; the order comes from
     # the closure itself and the table must be a Latin square
-    g = close_group([{"x": y, "y": x}, {"y": -y}], ring=ring)
+    g = close_group([{"x": y, "y": x}, {"y": -y}], ring, CLOSURE_BOUND)
     n = len(g)
     assert n == 8
     for i in range(n):
@@ -52,27 +53,27 @@ def test_close_group_examples(ring):
 def test_closure_bound(ring):
     x, y = ring.gens()
     with pytest.raises(ClosureBoundExceededError):
-        close_group([{"x": y, "y": x}, {"y": -y}], ring=ring, bound=4)
+        close_group([{"x": y, "y": x}, {"y": -y}], ring, 4)
     with pytest.raises(ClosureBoundExceededError):
-        close_group([{"x": x + 1}], ring=ring, bound=64)  # infinite over Q
+        close_group([{"x": x + 1}], ring, 64)  # infinite over Q
 
 
 def test_close_group_records_generators(ring):
     x, y = ring.gens()
     swap, flip = {"x": y, "y": x}, {"y": -y}
-    g = close_group([swap, flip, swap], ring=ring)
+    g = close_group([swap, flip, swap], ring, CLOSURE_BOUND)
     assert [g.elements[i] for i in g.generators] == [
         Substitution.from_map(ring, swap), Substitution.from_map(ring, flip)]
-    assert close_group([], ring=ring).generators == []
+    assert close_group([], ring, CLOSURE_BOUND).generators == []
     # an identity generator is not recorded, so the trivial group has none
-    assert close_group([{"x": x}], ring=ring).generators == []
-    assert close_group([{"x": x}, swap], ring=ring).generators == [1]
+    assert close_group([{"x": x}], ring, CLOSURE_BOUND).generators == []
+    assert close_group([{"x": x}, swap], ring, CLOSURE_BOUND).generators == [1]
 
 
 def test_non_invertible_generator(ring):
     x, y = ring.gens()
     with pytest.raises(NotInvertibleError):
-        close_group([{"x": x + y, "y": x + y}], ring=ring)
+        close_group([{"x": x + y, "y": x + y}], ring, CLOSURE_BOUND)
     with pytest.raises(ValueError):
         Substitution.from_map(ring, {"x": x**2})
 
@@ -80,7 +81,7 @@ def test_non_invertible_generator(ring):
 def test_representation_property(ring):
     rng = random.Random(31)
     x, y = ring.gens()
-    g = close_group([{"x": y, "y": x}, {"y": -y}], ring=ring)
+    g = close_group([{"x": y, "y": x}, {"y": -y}], ring, CLOSURE_BOUND)
     n = len(g)
     for _ in range(20):
         f = randpoly(ring, rng)
@@ -90,21 +91,21 @@ def test_representation_property(ring):
 
 def test_verify_stability(ring):
     x, y = ring.gens()
-    sign = close_group([{"y": -y}], ring=ring)
-    swap = close_group([{"x": y, "y": x}], ring=ring)
-    assert verify_stability(buchberger([y**2 - x**3]), sign)
-    assert verify_stability(buchberger([x * y]), swap)
-    assert not verify_stability(buchberger([x]), swap)
+    sign = close_group([{"y": -y}], ring, CLOSURE_BOUND)
+    swap = close_group([{"x": y, "y": x}], ring, CLOSURE_BOUND)
+    assert verify_stability(buchberger([y**2 - x**3], ring), sign)
+    assert verify_stability(buchberger([x * y], ring), swap)
+    assert not verify_stability(buchberger([x], ring), swap)
 
 
 def test_verify_stability_reads_every_generator(ring):
     """The sign flip of x fixes (y); only the second generator, the swap,
     moves it."""
     x, y = ring.gens()
-    group = close_group([{"x": -x}, {"x": y, "y": x}], ring=ring)
+    group = close_group([{"x": -x}, {"x": y, "y": x}], ring, CLOSURE_BOUND)
     assert len(group.generators) == 2
-    assert verify_stability(buchberger([y]), close_group([{"x": -x}], ring=ring))
-    assert not verify_stability(buchberger([y]), group)
+    assert verify_stability(buchberger([y], ring), close_group([{"x": -x}], ring, CLOSURE_BOUND))
+    assert not verify_stability(buchberger([y], ring), group)
 
 
 def _twist_ambient(ring, group, gens):
@@ -117,12 +118,12 @@ def test_twist_matrices_examples(ring):
     action: 1 on the cusp and the node, the swap on (x^2, y^2)."""
     x, y = ring.gens()
     one = ring.field.one
-    sign = close_group([{"y": -y}], ring=ring)
+    sign = close_group([{"y": -y}], ring, CLOSURE_BOUND)
     amb = _twist_ambient(ring, sign, [y**2 - x**3])
     assert amb.twists == {1: [[ring.one]]}
     assert amb.twist_images == [[[(0, one)]], [[(0, one)]]]
 
-    swap = close_group([{"x": y, "y": x}], ring=ring)
+    swap = close_group([{"x": y, "y": x}], ring, CLOSURE_BOUND)
     amb = _twist_ambient(ring, swap, [x**2, y**2])
     assert amb.twists == {1: [[ring.zero, ring.one], [ring.one, ring.zero]]}
     assert amb.twist_images[1] == [[(1, one)], [(0, one)]]
@@ -147,7 +148,7 @@ def test_twist_cocycle_compatibility(ring):
     as written, and each division at a generator's inverse s^-1 is
     exact: s^-1(f_j) = sum_l T[j][l] f_l."""
     x, y = ring.gens()
-    g = close_group([{"x": y, "y": x}, {"y": -y}], ring=ring)
+    g = close_group([{"x": y, "y": x}, {"y": -y}], ring, CLOSURE_BOUND)
     gens = [x**2 + y**2, x**2 * y**2]
     amb = _twist_ambient(ring, g, gens)
     gb = amb.pres.gb
@@ -173,11 +174,11 @@ def test_twist_cocycle_compatibility(ring):
 
 def test_variable_orbits_free(ring):
     x, y = ring.gens()
-    swap = close_group([{"x": y, "y": x}], ring=ring)
+    swap = close_group([{"x": y, "y": x}], ring, CLOSURE_BOUND)
     assert swap.variable_orbits_free()
-    sign = close_group([{"y": -y}], ring=ring)
+    sign = close_group([{"y": -y}], ring, CLOSURE_BOUND)
     assert not sign.variable_orbits_free()
-    triv = close_group([], ring=ring)
+    triv = close_group([], ring, CLOSURE_BOUND)
     assert triv.variable_orbits_free()
 
 

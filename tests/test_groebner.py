@@ -57,25 +57,25 @@ def randpoly(ring, rng, terms=3, deg=4, span=4):
 def test_buchberger_examples(ring):
     x, y = ring.gens()
     f = y**2 - x**3
-    assert buchberger([f]).generators == (x**3 - y**2,)
-    assert [canonical_render(g) for g in buchberger([x * y - 1, x**2]).generators] == ["1"]
-    assert {canonical_render(g) for g in buchberger([x + y, x - y]).generators} == {"x", "y"}
+    assert buchberger([f], ring).generators == (x**3 - y**2,)
+    assert [canonical_render(g) for g in buchberger([x * y - 1, x**2], ring).generators] == ["1"]
+    assert {canonical_render(g) for g in buchberger([x + y, x - y], ring).generators} == {"x", "y"}
 
 
 def test_normal_form_examples():
     # the one-step reduction example needs an order in which y^2 leads
     ring = PolyRing(QQ, ["x", "y"], MonomialOrder("lex"))
     x, y = ring.gens()
-    gb = buchberger([y**2 - x**3])
+    gb = buchberger([y**2 - x**3], ring)
     assert gb.normal_form(y**2) == x**3
     assert gb.normal_form(y**2 - x**3).is_zero()
-    assert buchberger([y]).normal_form(x) == x
+    assert buchberger([y], ring).normal_form(x) == x
 
 
 def test_normal_form_properties(ring):
     rng = random.Random(21)
     x, y = ring.gens()
-    gb = buchberger([x * y - x, y**2 - 1])
+    gb = buchberger([x * y - x, y**2 - 1], ring)
     for _ in range(20):
         f = randpoly(ring, rng)
         r = gb.normal_form(f)
@@ -94,7 +94,7 @@ def test_membership_matches_bounded_linear_algebra(ring):
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             continue
-        gb = buchberger(gens, ring=R)
+        gb = buchberger(gens, R)
         # elements built as bounded combinations must be members both ways
         combo = R.zero
         for g in gens:
@@ -139,11 +139,11 @@ def test_syzygies_are_syzygies(ring):
 
 def test_module_kernel_examples(ring):
     x, y = ring.gens()
-    zero_ideal = buchberger([], ring=ring)
+    zero_ideal = buchberger([], ring)
     ker = module_kernel([[x, y]], zero_ideal)
     assert any(v in (((y, -x)), ((-y, x))) for v in ker)
     assert module_kernel([[ring.one]], zero_ideal) == []
-    gb = buchberger([y**2 - x**3])
+    gb = buchberger([y**2 - x**3], ring)
     ker2 = module_kernel([[-3 * x**2, 2 * y]], gb)
     # the two stated vectors satisfy the congruence and lie in the span
     from eqdeform.groebner import ModuleGB, module_groebner
@@ -162,7 +162,7 @@ def test_module_kernel_examples(ring):
 def test_module_kernel_congruence_random(ring):
     rng = random.Random(24)
     x, y = ring.gens()
-    gb = buchberger([x * y])
+    gb = buchberger([x * y], ring)
     for _ in range(6):
         matrix = [[randpoly(ring, rng, terms=2, deg=2) for _ in range(2)]]
         ker = module_kernel(matrix, gb)
@@ -181,7 +181,7 @@ def test_module_kernel_contains_bruteforce_elements(ring):
         ([x * y], [[y, x]]),
         ([x * y], [[x + y, x - y]]),
     ]:
-        gb = buchberger(ideal_gens)
+        gb = buchberger(ideal_gens, ring)
         ker = module_kernel(matrix, gb)
         rank = len(matrix[0])
         vectors = [vec_from_polys(v) for v in ker]
@@ -197,16 +197,17 @@ def test_module_kernel_contains_bruteforce_elements(ring):
 
 def test_quotient_basis_examples(ring):
     x, y = ring.gens()
-    gb_cusp = buchberger([y**2 - x**3])
-    qb = quotient_basis(ModuleGB.of_cokernel(ring, 1, ((3 * x**2,), (2 * y,)), gb_cusp))
+    gb_cusp = buchberger([y**2 - x**3], ring)
+    qb = quotient_basis(ModuleGB.of_cokernel(ring, 1, ((3 * x**2,), (2 * y,)), gb_cusp), 0)
     assert qb.finite and qb.dimension == 2
     assert qb.monomials == ((0, (0, 0)), (0, (1, 0)))
 
-    qb2 = quotient_basis(ModuleGB.of_cokernel(ring, 1, ((y,), (x,)), buchberger([x * y])))
+    qb2 = quotient_basis(ModuleGB.of_cokernel(ring, 1, ((y,), (x,)), buchberger([x * y], ring)),
+                         0)
     assert qb2.finite and qb2.dimension == 1
 
     r1 = PolyRing(QQ, ["x"])
-    free = ModuleGB.of_cokernel(r1, 1, (), buchberger([], ring=r1))
+    free = ModuleGB.of_cokernel(r1, 1, (), buchberger([], r1))
     qb3 = quotient_basis(free, trunc=7)
     assert not qb3.finite
     assert len(qb3.monomials) == 8
@@ -221,8 +222,8 @@ def test_quotient_basis_matches_slice_oracle(ring):
         ([x**2, y**2], ((2 * x, ring.zero), (ring.zero, 2 * y)), 2),
     ]
     for ideal_gens, relations, rank in cases:
-        gb = buchberger(ideal_gens)
-        qb = quotient_basis(ModuleGB.of_cokernel(ring, rank, relations, gb))
+        gb = buchberger(ideal_gens, ring)
+        qb = quotient_basis(ModuleGB.of_cokernel(ring, rank, relations, gb), 0)
         assert qb.finite
         oracle = module_quotient_slice_dim(ring, rank, relations, ideal_gens, 4)
         assert qb.dimension == oracle
@@ -230,12 +231,12 @@ def test_quotient_basis_matches_slice_oracle(ring):
 
 def test_quotient_basis_permutation_invariant(ring):
     x, y = ring.gens()
-    gb = buchberger([y**2 - x**3])
+    gb = buchberger([y**2 - x**3], ring)
     rels = [(3 * x**2,), (2 * y,), (x * y,)]
     dims = set()
     for perm in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
         mgb = ModuleGB.of_cokernel(ring, 1, tuple(rels[i] for i in perm), gb)
-        dims.add(quotient_basis(mgb).dimension)
+        dims.add(quotient_basis(mgb, 0).dimension)
     assert len(dims) == 1
 
 
@@ -292,7 +293,7 @@ def test_staircase_matches_the_brute_force_filter():
             assert staircase(ring, rank, lts, degree) == \
                 _filtered_monomials(ring, rank, lts, degree)
         gb = ModuleGB(ring, rank, [{t: ring.field.one} for t in lts])
-        assert quotient_basis(gb).finite == finite
+        assert quotient_basis(gb, 0).finite == finite
         if finite:
             seen["finite"] += 1
             # every standard monomial has degree below 3 per variable
@@ -308,21 +309,20 @@ def test_staircase_matches_the_brute_force_filter():
             assert qb.monomials == tuple(_filtered_monomials(ring, rank, lts, 3))
             # an infinite order ideal has standard monomials of every degree
             assert max(sum(m) for _, m in qb.monomials) == 3
-            assert quotient_basis(gb).monomials == ()
     assert min(seen.values()) > 20, seen
 
 
 def test_regular_sequences(ring):
     x, y = ring.gens()
-    assert is_regular_sequence([y**2 - x**3]).regular
-    cert = is_regular_sequence([x, x])
+    assert is_regular_sequence([y**2 - x**3], ring).regular
+    cert = is_regular_sequence([x, x], ring)
     assert not cert.regular and cert.quotient_dimension == 1
-    assert is_regular_sequence([x * y]).regular
-    assert is_regular_sequence([], ring=ring).regular
+    assert is_regular_sequence([x * y], ring).regular
+    assert is_regular_sequence([], ring).regular
     vars4 = PolyRing(QQ, ["a", "b", "c", "d"])
     a, b, c, d = vars4.gens()
-    assert is_regular_sequence([a * c - b * d, a * a - b * c]).regular
-    assert krull_dimension(buchberger([x * y - 1, x**2])) == -1
+    assert is_regular_sequence([a * c - b * d, a * a - b * c], vars4).regular
+    assert krull_dimension(buchberger([x * y - 1, x**2], ring)) == -1
 
 
 def test_krull_dimension_matches_the_subset_loop_on_seeded_leading_terms():
@@ -369,8 +369,8 @@ def test_buchberger_deterministic(ring):
     rng = random.Random(26)
     for _ in range(5):
         gens = [randpoly(ring, rng) for _ in range(3)]
-        g1 = buchberger(gens, ring=ring).generators
-        g2 = buchberger(list(reversed(gens)), ring=ring).generators
+        g1 = buchberger(gens, ring).generators
+        g2 = buchberger(list(reversed(gens)), ring).generators
         assert g1 == g2
 
 
@@ -380,7 +380,7 @@ def test_input_generators_reduce_to_zero(ring):
         gens = [g for g in (randpoly(ring, rng) for _ in range(3)) if not g.is_zero()]
         if not gens:
             continue
-        gb = buchberger(gens, ring=ring)
+        gb = buchberger(gens, ring)
         for g in gens:
             assert gb.normal_form(g).is_zero()
 

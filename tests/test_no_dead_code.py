@@ -18,6 +18,14 @@ checked.
 An instance attribute stored in ``src/eqdeform`` is read only when it is
 loaded as an attribute in ``src/eqdeform`` or ``bench/*.py``, or named in
 one of those strings: storing it again does not read it.
+
+A parameter with a default gives two ways to call a routine, so the
+calls in ``src/eqdeform`` and ``bench/*.py`` must use both: one omits
+it and another passes it.  A default that every call passes should be
+a required argument, and one that no call passes a constant.  A call is
+matched by the bare name of its callee (``f(...)`` or ``x.f(...)``),
+with a class name standing for its ``__init__``; a call with
+``*args`` or ``**kwargs`` passes everything.
 """
 
 import ast
@@ -146,3 +154,62 @@ def test_every_stored_attribute_is_read():
     unread = unread_attributes()
     assert not unread, "stored in src/eqdeform, loaded nowhere in src/ or bench/: " \
         + ", ".join(f"{name} ({where})" for name, where in unread)
+
+
+def _defaulted_parameters(trees):
+    """(callee name, parameter, positional index or None, where) for each
+    parameter with a default of a function in src/eqdeform, nested ones
+    included.  A method's positional index does not count its first
+    parameter; keyword-only parameters have none."""
+    out = []
+    for path, tree in trees.items():
+        if path not in SOURCES:
+            continue
+        owner = {f: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                 for f in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            # a method's first parameter is bound by the call, not passed
+            skip = int(node in owner and not any(getattr(d, "id", "") == "staticmethod"
+                                                 for d in node.decorator_list))
+            name = owner[node] if node.name == "__init__" else node.name
+            where = f"{path.relative_to(ROOT)}:{node.lineno}"
+            first = len(positional) - len(args.defaults)
+            out += [(name, arg.arg, k - skip, where)
+                    for k, arg in enumerate(positional) if k >= first]
+            out += [(name, arg.arg, None, where)
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None]
+    return out
+
+
+def _passes(call, parameter, index):
+    if any(isinstance(a, ast.Starred) for a in call.args) or \
+            any(k.arg is None for k in call.keywords):
+        return True
+    return any(k.arg == parameter for k in call.keywords) or \
+        (index is not None and len(call.args) > index)
+
+
+def one_way_defaults():
+    """(callee(parameter), where) for each defaulted parameter that the
+    calls in src/eqdeform and bench/*.py pass every time, or never."""
+    trees = _parse()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    return sorted((f"{name}({parameter})", where)
+                  for name, parameter, index, where in _defaulted_parameters(trees)
+                  if len({_passes(c, parameter, index) for c in calls.get(name, [])}) < 2)
+
+
+def test_every_default_is_both_passed_and_omitted():
+    one_way = one_way_defaults()
+    assert not one_way, "defaulted, but the calls in src/ and bench/ use one value: " \
+        + ", ".join(f"{name} ({where})" for name, where in one_way)

@@ -98,7 +98,7 @@ def test_seeded_q_arithmetic_is_canonical_and_matches_fractions(seed):
     # the reduced basis of (f, g) and normal forms by it, against a
     # Buchberger that sums entry by entry
     h = _polynomial(ring, rng, 6)
-    gb, ref_gb = buchberger([f, g], ring=ring), oracles.reduced_groebner(ref, [F, G])
+    gb, ref_gb = buchberger([f, g], ring), oracles.reduced_groebner(ref, [F, G])
     assert all(type(c) is Fraction for b in ref_gb for c in b.terms.values())
     by_lead = {b.leading_monomial(): b for b in ref_gb}
     assert sorted(a.leading_monomial() for a in gb.generators) == sorted(by_lead)
